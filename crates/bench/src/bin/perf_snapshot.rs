@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Counting allocator: every `alloc`/`realloc` bumps the counters. The
-/// numbers are process-wide (worker threads included), which is exactly
+/// numbers are process-wide (every thread included), which is exactly
 /// what "allocs per frame" should mean for a serving system.
 struct CountingAlloc;
 

@@ -548,7 +548,7 @@ pub struct ServeScenario {
     /// Summed virtual GPU dispatch seconds.
     pub gpu_dispatch_s: f64,
     /// Mean heap allocations per processed frame (whole process,
-    /// worker threads included).
+    /// every thread included).
     pub allocs_per_frame: f64,
 }
 

@@ -18,9 +18,9 @@ use catdet_detector::zoo;
 
 /// A recipe for building fresh, state-isolated detection pipelines.
 ///
-/// Factories are shared across scheduler and worker threads, hence the
-/// `Send + Sync` bound; the systems they build are `Send` (but not shared)
-/// so each can migrate to whichever worker processes its stream.
+/// Factories are shared across serving threads, hence the `Send + Sync`
+/// bound; the systems they build are `Send` (but not shared) so each can
+/// move with its stream to whichever thread runs it.
 pub trait SystemFactory: Send + Sync {
     /// Builds a new pipeline with no temporal state.
     fn build(&self) -> Box<dyn DetectionSystem>;

@@ -7,7 +7,7 @@
 //! the frame into the scratch's owned slot (reusing the ground-truth
 //! capacity — no allocation in steady state), the proposal stage fills the
 //! region/detection buffers in place, and the refinement stage consumes
-//! them. The scratch travels with the system across worker threads in
+//! them. The scratch travels with the system across threads in
 //! `catdet-serve`, so a stream keeps its warmed buffers wherever it is
 //! scheduled.
 //!

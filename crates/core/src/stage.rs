@@ -755,7 +755,7 @@ mod tests {
         let mut nulled = CaTDetSystem::catdet_a();
         let mut recorded = CaTDetSystem::catdet_a();
         let shared = SharedRecorder::new(4, usize::MAX, 0);
-        let mut handle = shared.handle(0);
+        let mut handle = shared.barrier_handle(0);
         for (i, frame) in frames.iter().enumerate() {
             let expect = drive_frame(&mut plain, frame);
             let with_null =

@@ -73,7 +73,7 @@ pub struct FrameOutput {
 /// A video detection system: single-model, cascaded, or CaTDet.
 ///
 /// Systems are `Send` so a serving layer can move per-stream pipelines
-/// across worker threads; all temporal state must be owned, not shared.
+/// across threads; all temporal state must be owned, not shared.
 ///
 /// This is the *monolithic* view of a system: one call per frame. The
 /// paper's systems are implemented against the resumable

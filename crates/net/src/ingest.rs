@@ -151,7 +151,9 @@ pub struct ClientReport {
     pub delivered: usize,
     /// Frames rejected by the door rate limiter.
     pub rejected_at_door: usize,
-    /// Frames lost to in-flight corruption (never retransmitted).
+    /// Frames lost to in-flight corruption (never retransmitted): the
+    /// offered frames the connection never yielded, so
+    /// `offered == delivered + rejected_at_door + lost`.
     pub lost: usize,
     /// Connection drops (each followed by a resume).
     pub disconnects: usize,
@@ -319,6 +321,8 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
     let mut window: VecDeque<(usize, f64)> = VecDeque::new();
     let mut last_drain_s = f64::NEG_INFINITY;
     let mut max_buffered = 0usize;
+    // Frames the connection yielded; every other offered frame was lost.
+    let mut yielded = 0usize;
     let mut throttles = 0usize;
     let mut throttling = false;
     let drain_period_s = 1.0 / params.drain_fps;
@@ -361,6 +365,7 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
         }
         match src.next_frame().await {
             Some(f) => {
+                yielded += 1;
                 let drain_s = (last_drain_s + drain_period_s).max(f.delivered_s);
                 last_drain_s = drain_s;
                 window.push_back((f.frame_index, drain_s));
@@ -417,7 +422,7 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
         offered,
         delivered: delivered.len(),
         rejected_at_door: door.rejected,
-        lost: src.frames_corrupted,
+        lost: offered - yielded,
         disconnects: src.disconnects(),
         throttles,
         max_buffered,
@@ -525,6 +530,34 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == ConnEventKind::DoorReject));
+    }
+
+    #[test]
+    fn every_offered_frame_is_delivered_rejected_or_lost() {
+        // Reordered chunks can latch the decoder onto a false preamble, so
+        // a record may decode one send late. Such a frame is delivered,
+        // never lost: the three outcomes must partition what was offered.
+        let sources = workload(6, 60, 0.3);
+        let mut lost = 0;
+        for seed in 0..12 {
+            let mut params = NetParams::new(seed);
+            params.link.jitter_s = 0.004;
+            params.link.disconnect_rate = 0.02;
+            params.link.reorder_rate = 0.05;
+            params.link.chunk_bytes = 48;
+            params.door_rate_fps = 25.0;
+            params.door_burst = 4.0;
+            let out = run_ingest(&sources, &params);
+            for c in &out.report.clients {
+                assert_eq!(
+                    c.offered,
+                    c.delivered + c.rejected_at_door + c.lost,
+                    "seed {seed}: {c:?}"
+                );
+            }
+            lost += out.report.lost();
+        }
+        assert!(lost > 0, "reorder never lost a frame: the test is too weak");
     }
 
     #[test]

@@ -66,8 +66,6 @@ pub struct CamLinkSource {
     /// Lifecycle notices with timestamps and the cursor at the time, in
     /// order of occurrence. Drained by the ingest layer.
     pub notices: Vec<(f64, LinkNotice, usize)>,
-    /// Frames lost to in-flight corruption (reordered bytes).
-    pub frames_corrupted: usize,
 }
 
 impl CamLinkSource {
@@ -82,7 +80,6 @@ impl CamLinkSource {
             handle,
             cursor: 0,
             notices: Vec::new(),
-            frames_corrupted: 0,
         };
         source
             .notices
@@ -141,14 +138,13 @@ impl CamLinkSource {
                     self.handle.sleep_until(last).await;
                     // The frame is acknowledged whether or not it decoded:
                     // corruption is not detectable by the camera, so there
-                    // is no retransmit — the frame is simply lost.
+                    // is no retransmit. A record that does not decode now
+                    // may still decode after a later send (a decoder
+                    // latched onto a false preamble resyncs), so loss is
+                    // only known once the stream ends.
                     self.cursor = idx + 1;
-                    match self.decoder.next_record() {
-                        Some(r) => return Some(sourced(&r)),
-                        None => {
-                            self.frames_corrupted += 1;
-                            continue;
-                        }
+                    if let Some(r) = self.decoder.next_record() {
+                        return Some(sourced(&r));
                     }
                 }
                 SendOutcome::Dropped {

@@ -100,9 +100,9 @@ impl FlightRecorder for NullRecorder {}
 /// A cheaply-clonable handle over one shared [`ChunkStore`].
 ///
 /// A fleet run creates one `SharedRecorder`, hands each shard engine a
-/// [`handle`](SharedRecorder::handle) (which stamps that shard id on
-/// everything it books), and keeps the original for fleet-level events,
-/// queries, and replay after the run.
+/// [`barrier_handle`](SharedRecorder::barrier_handle) (which stamps that
+/// shard id on everything it books), and keeps the original for
+/// fleet-level events, queries, and replay after the run.
 #[derive(Clone)]
 pub struct SharedRecorder {
     store: Arc<Mutex<ChunkStore>>,
@@ -132,35 +132,24 @@ impl SharedRecorder {
     }
 
     /// A per-shard [`FlightRecorder`] that stamps `shard` on everything
-    /// it books into the shared store.
-    pub fn handle(&self, shard: usize) -> ShardRecorder {
-        ShardRecorder {
-            store: Arc::clone(&self.store),
-            shard,
-            snapshot_every: self.snapshot_every,
-            buf: Vec::with_capacity(FLUSH_EVERY),
-        }
-    }
-
-    /// A per-shard [`FlightRecorder`] that buffers **everything** — events
-    /// and snapshots — locally, touching the shared store only on
+    /// it books and buffers **everything** — events and snapshots —
+    /// locally, touching the shared store only on
     /// [`flush`](FlightRecorder::flush).
     ///
-    /// This is the writing end the fleet hands its shard engines. A
-    /// [`ShardRecorder`] drains opportunistically mid-run, so with engines
-    /// on real threads the store would ingest events in whatever order the
-    /// OS scheduled the threads — chunk boundaries, seal sequence, LRU
-    /// stamps and snapshot order would all vary run to run. The barrier
-    /// handle defers every store write to the flush points the fleet
-    /// invokes in **shard-id order at its lock-step barriers**, making the
-    /// store's ingest order a pure function of virtual time at any thread
-    /// count.
+    /// This is the writing end the fleet hands its shard engines. Draining
+    /// mid-run from engines on real threads would ingest events in
+    /// whatever order the OS scheduled the threads — chunk boundaries,
+    /// seal sequence, LRU stamps and snapshot order would all vary run to
+    /// run. The barrier handle defers every store write to the flush
+    /// points the fleet invokes in **shard-id order at its lock-step
+    /// barriers**, making the store's ingest order a pure function of
+    /// virtual time at any thread count.
     pub fn barrier_handle(&self, shard: usize) -> BarrierRecorder {
         BarrierRecorder {
             store: Arc::clone(&self.store),
             shard,
             snapshot_every: self.snapshot_every,
-            events: Vec::with_capacity(FLUSH_EVERY),
+            events: Vec::with_capacity(EVENT_BUF_CAPACITY),
             snaps: Vec::new(),
         }
     }
@@ -219,117 +208,19 @@ impl SharedRecorder {
     }
 }
 
-/// Per-shard writing end of a [`SharedRecorder`]; implements
-/// [`FlightRecorder`] with recording on.
-///
-/// Events are buffered locally and drained into the shared store in
-/// batches of [`FLUSH_EVERY`]: the producer's hot path pays one `Vec`
-/// push, and the store's structures are touched cache-warm once per
-/// batch instead of cache-cold once per event. Hot-path drains are
-/// opportunistic (`try_lock`) so shard engines never stall behind each
-/// other; the buffer drains unconditionally on
-/// [`flush`](FlightRecorder::flush), before every snapshot, and on drop,
-/// so per-chunk event order is exactly record order.
-pub struct ShardRecorder {
-    store: Arc<Mutex<ChunkStore>>,
-    shard: usize,
-    snapshot_every: usize,
-    buf: Vec<(f64, Event)>,
-}
-
-/// Buffered events a [`ShardRecorder`] holds before draining into the
-/// shared store under one lock.
-pub const FLUSH_EVERY: usize = 256;
-
-impl Clone for ShardRecorder {
-    /// A clone is a fresh writing end over the same store: the original's
-    /// buffered (not yet flushed) events stay with the original.
-    fn clone(&self) -> Self {
-        ShardRecorder {
-            store: Arc::clone(&self.store),
-            shard: self.shard,
-            snapshot_every: self.snapshot_every,
-            buf: Vec::with_capacity(FLUSH_EVERY),
-        }
-    }
-}
-
-impl Drop for ShardRecorder {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl std::fmt::Debug for ShardRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardRecorder")
-            .field("shard", &self.shard)
-            .field("snapshot_every", &self.snapshot_every)
-            .finish()
-    }
-}
-
-impl FlightRecorder for ShardRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, t_s: f64, event: Event) {
-        self.buf.push((t_s, event));
-        if self.buf.len() >= FLUSH_EVERY {
-            // Opportunistic drain: if another shard holds the store, keep
-            // buffering and retry on the next push instead of stalling the
-            // engine behind a lock convoy. Forced drains (snapshots, the
-            // final flush) still block, so nothing is ever lost.
-            if let Ok(mut store) = self.store.try_lock() {
-                for (t_s, event) in self.buf.drain(..) {
-                    store.record(t_s, self.shard, event);
-                }
-            }
-        }
-    }
-
-    fn snapshot(
-        &mut self,
-        t_s: f64,
-        stream: usize,
-        seq: usize,
-        payload: Arc<dyn Any + Send + Sync>,
-    ) {
-        // Flush first so the store never holds a snapshot that precedes
-        // events still sitting in this handle's buffer.
-        self.flush();
-        self.store
-            .lock()
-            .expect("recorder lock")
-            .snapshot(t_s, self.shard, stream, seq, payload);
-    }
-
-    fn snapshot_interval(&self) -> usize {
-        self.snapshot_every
-    }
-
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let mut store = self.store.lock().expect("recorder lock");
-        for (t_s, event) in self.buf.drain(..) {
-            store.record(t_s, self.shard, event);
-        }
-    }
-}
+/// Initial event-buffer capacity of a [`BarrierRecorder`].
+const EVENT_BUF_CAPACITY: usize = 256;
 
 /// Fully-buffering writing end of a [`SharedRecorder`] for barrier-
 /// synchronised producers (see
 /// [`barrier_handle`](SharedRecorder::barrier_handle)).
 ///
-/// Unlike [`ShardRecorder`], nothing reaches the store until
-/// [`flush`](FlightRecorder::flush): events and snapshots accumulate in
-/// record order and drain under one lock, events first (so no snapshot
-/// ever precedes the events that led to it), then snapshots. Dropping the
-/// handle flushes, so a forgotten flush loses nothing — it only books
-/// later than the barrier discipline intended.
+/// Nothing reaches the store until [`flush`](FlightRecorder::flush):
+/// events and snapshots accumulate in record order and drain under one
+/// lock, events first (so no snapshot ever precedes the events that led
+/// to it), then snapshots. Dropping the handle flushes, so a forgotten
+/// flush loses nothing — it only books later than the barrier discipline
+/// intended.
 pub struct BarrierRecorder {
     store: Arc<Mutex<ChunkStore>>,
     shard: usize,
@@ -414,8 +305,8 @@ mod tests {
     #[test]
     fn shard_handles_stamp_their_shard() {
         let shared = SharedRecorder::new(4, usize::MAX, 8);
-        let mut h0 = shared.handle(0);
-        let mut h2 = shared.handle(2);
+        let mut h0 = shared.barrier_handle(0);
+        let mut h2 = shared.barrier_handle(2);
         assert!(h0.enabled());
         assert_eq!(h0.snapshot_interval(), 8);
         h0.record(
@@ -458,7 +349,7 @@ mod tests {
         let mut h = shared.barrier_handle(3);
         assert!(h.enabled());
         assert_eq!(h.snapshot_interval(), 2);
-        for i in 0..2 * FLUSH_EVERY {
+        for i in 0..2 * EVENT_BUF_CAPACITY {
             h.record(
                 i as f64 * 0.001,
                 Event::Admission {
@@ -472,7 +363,7 @@ mod tests {
         assert_eq!(shared.scan(&Query::all()).len(), 0);
         assert!(shared.nearest_snapshot(0, 1.0).is_none());
         h.flush();
-        assert_eq!(shared.scan(&Query::all()).len(), 2 * FLUSH_EVERY);
+        assert_eq!(shared.scan(&Query::all()).len(), 2 * EVENT_BUF_CAPACITY);
         assert_eq!(shared.nearest_snapshot(0, 1.0).expect("snapshot").shard, 3);
     }
 
@@ -495,8 +386,9 @@ mod tests {
     #[test]
     fn snapshots_round_trip_through_shared_handle() {
         let shared = SharedRecorder::new(4, usize::MAX, 2);
-        let mut h = shared.handle(1);
+        let mut h = shared.barrier_handle(1);
         h.snapshot(0.5, 7, 2, Arc::new(String::from("state")));
+        h.flush();
         let snap = shared.nearest_snapshot(7, 1.0).expect("snapshot");
         assert_eq!(snap.shard, 1);
         assert_eq!(snap.seq, 2);

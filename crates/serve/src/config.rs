@@ -119,7 +119,7 @@ pub struct AutoscaleConfig {
     pub control_interval_s: f64,
     /// Lower bound on active workers.
     pub min_workers: usize,
-    /// Upper bound on active workers (also sizes the real thread pool).
+    /// Upper bound on active workers (also sizes the worker slots).
     pub max_workers: usize,
     /// Hysteresis: scale up when the window shed rate exceeds this.
     pub up_shed_rate: f64,
@@ -402,13 +402,12 @@ impl PartitionKind {
 /// fleet runs, how streams are partitioned across them, and whether (and
 /// how eagerly) the live rebalancer migrates streams between shards.
 ///
-/// With `shards == 1` the remaining knobs are inert and
-/// [`serve_fleet`](crate::serve_fleet) is bit-identical to [`serve`](crate::serve)
-/// (the golden fleet-equivalence test pins this).
+/// With `shards == 1` the remaining knobs are inert; that fleet is what
+/// [`serve`](crate::serve) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// Number of independent scheduler shards, each with its own worker
-    /// pool, queues, admission gate and autoscaler ([`ServeConfig`]'s
+    /// slots, queues, admission gate and autoscaler ([`ServeConfig`]'s
     /// worker/autoscale settings apply **per shard**).
     pub shards: usize,
     /// Stream → shard placement policy.
@@ -438,7 +437,8 @@ pub struct ShardConfig {
     /// sharding. Off, each shard fuses only its own streams.
     pub fuse_across_shards: bool,
     /// OS threads that advance shard engines between coordination
-    /// barriers. `1` (the default) keeps the sequential loop; `0` means
+    /// barriers — the only OS threads a serving run starts. `1` (the
+    /// default) keeps the sequential loop; `0` means
     /// auto (the host's available parallelism, capped at the shard
     /// count). Results are **bit-identical at every setting** — threads
     /// change wall-clock time only, never the simulation (the
@@ -805,8 +805,9 @@ impl Default for IngestConfig {
 /// Configuration of one serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
-    /// Worker count: both the modelled executor count in virtual time and
-    /// the real thread-pool size running the detector compute.
+    /// Worker count: the modelled executor count in virtual time (per
+    /// shard). Workers are scheduling state, not OS threads; see
+    /// [`ShardConfig::threads`] for those.
     pub workers: usize,
     /// Maximum frames (one per stream) fused into a proposal micro-batch.
     pub max_batch: usize,

@@ -5,9 +5,9 @@
 //!
 //! [`serve_fleet`] partitions the streams across
 //! [`ShardConfig::shards`](crate::ShardConfig::shards) embedded scheduler
-//! engines (each with its own worker pool, bounded queues, admission gate
-//! and autoscaler — every [`ServeConfig`] knob applies **per shard**), then
-//! advances them on one shared fleet clock:
+//! engines (each with its own virtual worker slots, bounded queues,
+//! admission gate and autoscaler — every [`ServeConfig`] knob applies
+//! **per shard**), then advances them on one shared fleet clock:
 //!
 //! * **Independent phases** — between coordination points, every shard
 //!   runs its own virtual-time event loop; shards share no state, so the
@@ -33,8 +33,16 @@
 //!   per deadline — the cross-stream amortisation from the staged-detector
 //!   protocol survives sharding.
 //!
-//! A 1-shard fleet takes none of the coordination paths and is
-//! **bit-identical** to [`serve`](crate::serve) (golden test).
+//! A 1-shard fleet takes none of the coordination paths; [`serve`] is
+//! exactly that fleet.
+//!
+//! # Threads
+//!
+//! [`ShardConfig::threads`](crate::ShardConfig::threads) is the only
+//! source of OS threads in a serving run: between barriers a shard pool
+//! moves whole engines onto its threads, and each engine runs its stage
+//! work inline. With one thread (or one shard) everything runs on the
+//! calling thread.
 //!
 //! # Reporting
 //!
@@ -48,8 +56,9 @@ use crate::config::ServeConfig;
 use crate::report::{
     merge_timelines, BatchRecord, BatchStats, LatencyStats, ServeReport, StreamReport,
 };
-use crate::scheduler::{panic_message, Engine, StreamSpec, EPS};
+use crate::scheduler::{Engine, StreamSpec, EPS};
 use crate::shard::{build_partition, MigrationEvent, RebalanceSignal};
+use crate::ShardConfig;
 use catdet_recorder::{Event, FlightRecorder, NullRecorder, SharedRecorder};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -378,20 +387,60 @@ impl FleetReport {
     }
 }
 
-/// Runs a sharded serving fleet to completion and reports.
+/// Runs the serving loop to completion and reports: a one-shard
+/// [`serve_fleet`] (whatever [`ShardConfig::shards`] says), returning its
+/// single shard's report.
 ///
-/// Streams are partitioned across [`ShardConfig::shards`](crate::ShardConfig::shards)
-/// embedded engines by the configured [`PartitionPolicy`](crate::shard::PartitionPolicy);
-/// each engine gets its own worker pool ([`ServeConfig::workers`] threads
-/// **per shard**), queues, admission gate and autoscaler. See the module
-/// docs for the coordination model.
-///
-/// With one shard this is bit-identical to [`serve`](crate::serve).
+/// Every stream gets a freshly built system (no state is ever shared), all
+/// frames are processed in per-stream arrival order, and backpressure drops
+/// are counted exactly: for each stream,
+/// `arrived == processed + dropped + still-queued(0 at exit)`.
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration or if a detection system panics on
-/// a worker thread.
+/// Panics on an invalid configuration (see [`ServeConfig::validate`]), or
+/// with the original message if a detection system panics.
+pub fn serve(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> ServeReport {
+    serve_fleet(streams, &one_shard(cfg)).shards.remove(0)
+}
+
+/// [`serve`] with every event booked into `recorder` (as shard 0),
+/// leaving the caller holding the store for telemetry queries, saving,
+/// and time-travel replay.
+///
+/// The recorder rides outside the scheduling loop: a recorded run books
+/// the **same** virtual-time decisions and produces a bit-identical
+/// [`ServeReport`] to an unrecorded one.
+pub fn serve_with_recorder(
+    streams: Vec<StreamSpec>,
+    cfg: &ServeConfig,
+    recorder: &SharedRecorder,
+) -> ServeReport {
+    serve_fleet_with_recorder(streams, &one_shard(cfg), recorder)
+        .shards
+        .remove(0)
+}
+
+/// `cfg` with its shard count forced to one.
+fn one_shard(cfg: &ServeConfig) -> ServeConfig {
+    cfg.with_shard(ShardConfig {
+        shards: 1,
+        ..cfg.shard
+    })
+}
+
+/// Runs a sharded serving fleet to completion and reports.
+///
+/// Streams are partitioned across [`ShardConfig::shards`] embedded engines
+/// by the configured [`PartitionPolicy`](crate::shard::PartitionPolicy);
+/// each engine gets its own [`ServeConfig::workers`] virtual worker slots
+/// (**per shard**), queues, admission gate and autoscaler. See the module
+/// docs for the coordination model.
+///
+/// # Panics
+///
+/// Panics on an invalid configuration, or with the original message if a
+/// detection system panics.
 pub fn serve_fleet(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> FleetReport {
     if cfg.recorder.enabled {
         cfg.validate();
@@ -428,10 +477,10 @@ type ShardResult = (usize, Result<(Engine, bool), String>);
 /// between fleet barriers.
 ///
 /// Engines move **by value** through the channels: a pool thread owns the
-/// engine outright while stepping it — its scratch buffers, its recorder
-/// writing end, its internal worker pool — so there is no shared mutable
-/// state and nothing to lock on the simulation path. The fleet's
-/// coordination points (fuse deadlines, rebalance ticks, recorder
+/// engine outright while stepping it — its pipelines, scratch buffers and
+/// recorder writing end — and runs its stage work inline, so there is no
+/// shared mutable state and nothing to lock on the simulation path. The
+/// fleet's coordination points (fuse deadlines, rebalance ticks, recorder
 /// flushes) all happen on the control thread after every engine has been
 /// reassembled, which is the whole determinism argument: threads change
 /// *when* wall-clock work happens, never *what* the simulation computes.
@@ -472,6 +521,17 @@ impl ShardPool {
     }
 }
 
+/// The text of a caught panic payload.
+fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = e.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = e.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic".to_string()
+    }
+}
+
 impl Drop for ShardPool {
     fn drop(&mut self) {
         drop(self.job_tx.take());
@@ -498,14 +558,16 @@ fn resolve_threads(threads: usize, shards: usize) -> usize {
 /// Advances every engine to `limit` — on the pool when one exists, in
 /// shard order on the control thread otherwise — and reports whether any
 /// shard still has work. Both paths compute the identical result; the
-/// pool path scatters the engines to worker threads and reassembles them
+/// pool path scatters the engines to pool threads and reassembles them
 /// **by shard index**, so downstream code never observes thread
 /// scheduling order.
 ///
 /// # Panics
 ///
 /// Re-raises (with its message) any panic a shard engine hit on a pool
-/// thread, after every surviving engine has been collected.
+/// thread, after every surviving engine has been collected. This is the
+/// one place an engine panic is caught; without a pool it propagates
+/// unchanged.
 fn run_all(pool: Option<&ShardPool>, engines: &mut Vec<Engine>, limit: f64) -> bool {
     let Some(pool) = pool else {
         let mut work_left = false;
@@ -561,8 +623,7 @@ fn serve_fleet_impl(
     }
 
     // A 1-shard fleet takes no coordination path at all: the engine fuses
-    // its own pool internally and runs to completion in one call, which is
-    // what makes it bit-identical to `serve`.
+    // its own refinement pool and runs to completion in one call.
     let fleet_fuse = cfg.fuse_refinement && sc.fuse_across_shards && shards > 1;
     let rebalance_on = sc.rebalance_interval_s > 0.0 && shards > 1;
 
@@ -679,16 +740,9 @@ fn serve_fleet_impl(
         }
     }
 
-    // Shutdown flushes each engine's recorder; `engines` is in shard-id
-    // order, so the final drains are too.
-    let shards = engines
-        .iter_mut()
-        .map(|e| {
-            let report = e.finish_report();
-            e.shutdown();
-            report
-        })
-        .collect();
+    // The final drains, in shard-id order like every barrier's.
+    flush_in_order(&mut engines);
+    let shards = engines.iter_mut().map(Engine::finish_report).collect();
     FleetReport {
         shards,
         migrations,
@@ -749,7 +803,7 @@ fn fire_fleet_refinements(
         });
         for (k, items) in per_shard.into_iter().enumerate() {
             if !items.is_empty() {
-                engines[k].complete_external_refinement(due, gpu, items);
+                engines[k].resume_refinements(due, gpu, items);
             }
         }
     }
@@ -835,7 +889,7 @@ fn pick_rebalance_pair(loads: &[usize], migration_cost_frames: usize) -> Option<
 /// * only streams whose load is **strictly smaller than the imbalance**
 ///   are candidates — moving a larger one would just flip the imbalance
 ///   (and a stream that *is* the entire backlog gains nothing from a
-///   move: its frames face one worker pool either way);
+///   move: its frames face one shard's workers either way);
 /// * among candidates, the load closest to half the imbalance wins (ties
 ///   to the lowest stream id), so the post-move imbalance is minimal and
 ///   the same stream can never satisfy the candidate rule again at the

@@ -5,7 +5,7 @@
 //! independent camera streams concurrently**, each with its own
 //! [`DetectionSystem`](catdet_core::DetectionSystem) instance stamped out
 //! by a [`SystemFactory`], fed by a frame
-//! scheduler over a worker-thread pool.
+//! scheduler over virtual worker slots.
 //!
 //! Key mechanisms:
 //!
@@ -72,9 +72,10 @@
 //!   timeline is a pure function of the workload seed.
 //!
 //! Scheduling runs in deterministic virtual time while detector compute
-//! runs for real on the pool, so results are reproducible bit-for-bit at
-//! any worker count — see the `scheduler` module docs for the execution
-//! model, and the integration tests for the state-isolation guarantee.
+//! runs for real, inline on the thread that owns each scheduler, so
+//! results are reproducible bit-for-bit at any worker or thread count —
+//! see the `scheduler` module docs for the execution model, and the
+//! integration tests for the state-isolation guarantee.
 //!
 //! # Example
 //!
@@ -116,7 +117,10 @@ pub use config::{
     AdmissionConfig, AdmissionKind, AutoscaleConfig, DropPolicy, IngestConfig, IngestKind,
     PartitionKind, RecorderConfig, ScalePolicyKind, SchedulePolicy, ServeConfig, ShardConfig,
 };
-pub use fleet::{serve_fleet, serve_fleet_with_recorder, FleetRefineRecord, FleetReport};
+pub use fleet::{
+    serve, serve_fleet, serve_fleet_with_recorder, serve_with_recorder, FleetRefineRecord,
+    FleetReport,
+};
 pub use forecast::{ArrivalHistory, BurstPhase, Forecast, ForecastConfig, RateForecaster};
 pub use ingest::{serve_net_fleet, serve_net_fleet_with_recorder};
 pub use replay::{replay_stream, ReplayError, ReplayReport, ReplayedFrame, StreamSnapshot};
@@ -124,7 +128,7 @@ pub use report::{
     merge_timelines, BatchRecord, BatchStage, BatchStats, LatencyStats, ServeReport, StreamReport,
     TimestampedEvent,
 };
-pub use scheduler::{serve, serve_with_recorder, StreamSpec};
+pub use scheduler::StreamSpec;
 pub use shard::{
     build_partition, ConsistentHashRing, LeastLoaded, MigrationEvent, PartitionPolicy,
     RebalanceSignal, StaticHash,

@@ -208,7 +208,7 @@ USAGE:
                         fps on a 2 s period) [mixed]
 
   scheduler (batching, queues, backpressure — per shard):
-    --workers <N>       initial worker threads / modelled executors [4]
+    --workers <N>       initial virtual workers (modelled executors) [4]
     --batch <N>         max frames fused per proposal micro-batch [4]
     --window-ms <MS>    batch window in milliseconds [0]
     --fuse-refinement   fuse refinement launches across streams into one
@@ -262,7 +262,7 @@ USAGE:
 
   shard (fleet partitioning and live rebalancing):
     --shards <N>        independent scheduler shards, each with its own
-                        worker pool / queues / control plane [1]
+                        workers / queues / control plane [1]
     --partition <P>     static-hash | least-loaded | consistent-hash
                         [static-hash]
     --rebalance-interval-ms <MS>

@@ -1,14 +1,17 @@
-//! The frame scheduler: virtual-time discrete events over a real worker pool.
+//! The frame scheduler: virtual-time discrete events over virtual worker
+//! slots.
 //!
 //! # Execution model
 //!
 //! Serving is simulated in **virtual time** (the [`GpuTimingModel`] from
 //! `catdet-core` prices every launch), while the detector *compute* — the
-//! actual per-frame simulation, NMS and tracker updates — runs for real on
-//! a pool of OS worker threads. Pipelines advance through the resumable
-//! [`StagedDetector`] protocol, so the scheduler sees (and can suspend at)
-//! each frame's stage boundaries instead of one opaque call. The event
-//! loop:
+//! actual per-frame simulation, NMS and tracker updates — runs for real,
+//! inline on whichever thread owns the engine (a fleet's shard-pool
+//! thread, or the caller's). Workers are scheduling state only: a worker
+//! slot is a virtual GPU timeline, not an OS thread. Pipelines advance
+//! through the resumable [`StagedDetector`] protocol, so the scheduler
+//! sees (and can suspend at) each frame's stage boundaries instead of one
+//! opaque call. The event loop:
 //!
 //! 1. ingests camera arrivals up to the current virtual time `t`, applying
 //!    the bounded-queue drop policy;
@@ -16,10 +19,10 @@
 //!    `max_batch` frames from *distinct* streams chosen by the schedule
 //!    policy (a worker may instead wait up to `batch_window_s` for more
 //!    streams to contribute);
-//! 3. executes the **proposal stage** of all formed batches on the thread
-//!    pool, then prices each batch's proposal launches as one fused GPU
-//!    dispatch (`αΣW + b` instead of `Σ(αW + b)`), leaving every frame
-//!    suspended at its refinement boundary;
+//! 3. executes the **proposal stage** of every formed batch, then prices
+//!    each batch's proposal launches as one fused GPU dispatch
+//!    (`αΣW + b` instead of `Σ(αW + b)`), leaving every frame suspended at
+//!    its refinement boundary;
 //! 4. resumes the refinement stage:
 //!    * with [`fuse_refinement`](ServeConfig::fuse_refinement) **off**,
 //!      each frame's refinement launch is priced per-frame on its worker's
@@ -41,8 +44,8 @@
 //! and are stamped into `ScaleEvent`/`AdmissionEvent` timelines.
 //!
 //! Scheduling decisions depend only on virtual quantities, never on
-//! wall-clock thread timing, so a run is **bit-deterministic** for a given
-//! configuration regardless of worker count or machine load — which is what
+//! wall-clock timing, so a run is **bit-deterministic** for a given
+//! configuration regardless of thread count or machine load — which is what
 //! makes the cross-stream state-isolation tests (and the golden
 //! scale-timeline tests) possible.
 //!
@@ -67,13 +70,9 @@ use catdet_core::{
     PolicyKind, RefinementWork, StageStep, StagedDetector, SystemFactory,
 };
 use catdet_data::{Frame, StreamSource};
-use catdet_recorder::{
-    Event, FlightRecorder, NullRecorder, SharedRecorder, STAGE_PROPOSAL, STAGE_REFINEMENT,
-};
+use catdet_recorder::{Event, FlightRecorder, STAGE_PROPOSAL, STAGE_REFINEMENT};
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 /// One camera stream plus the recipe for its private detection pipeline.
 pub struct StreamSpec {
@@ -114,80 +113,7 @@ impl StreamSpec {
     }
 }
 
-/// Runs the serving loop to completion and reports.
-///
-/// Every stream gets a freshly built system (no state is ever shared), all
-/// frames are processed in per-stream arrival order, and backpressure drops
-/// are counted exactly: for each stream,
-/// `arrived == processed + dropped + still-queued(0 at exit)`.
-///
-/// This is the single-scheduler entry point; a sharded fleet runs one
-/// embedded engine per shard — see [`serve_fleet`](crate::serve_fleet).
-///
-/// # Panics
-///
-/// Panics on an invalid configuration (see [`ServeConfig::validate`]) or if
-/// a detection system panics on a worker thread.
-pub fn serve(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> ServeReport {
-    if cfg.recorder.enabled {
-        cfg.validate();
-        // Config-enabled recording without a caller-held handle: the store
-        // is dropped with the run. Callers that want to query or replay
-        // pass their own recorder via [`serve_with_recorder`].
-        let recorder = cfg.recorder.build();
-        return serve_with_recorder(streams, cfg, &recorder);
-    }
-    cfg.validate();
-    let mut engine = Engine::new(streams, cfg, 0.0, false, Box::new(NullRecorder));
-    engine.run_until(f64::INFINITY);
-    let report = engine.finish_report();
-    engine.shutdown();
-    report
-}
-
-/// Runs the serving loop with every event booked into `recorder` (as
-/// shard 0), leaving the caller holding the store for telemetry queries,
-/// saving, and time-travel replay.
-///
-/// The recorder rides outside the scheduling loop: a recorded run books
-/// the **same** virtual-time decisions and produces a bit-identical
-/// [`ServeReport`] to an unrecorded one.
-pub fn serve_with_recorder(
-    streams: Vec<StreamSpec>,
-    cfg: &ServeConfig,
-    recorder: &SharedRecorder,
-) -> ServeReport {
-    cfg.validate();
-    let mut engine = Engine::new(streams, cfg, 0.0, false, Box::new(recorder.handle(0)));
-    engine.run_until(f64::INFINITY);
-    let report = engine.finish_report();
-    engine.shutdown();
-    recorder.seal_open_chunks();
-    report
-}
-
-/// A unit of work shipped to the thread pool: the stream's system travels
-/// with its stage instruction and comes back suspended (or finished).
-///
-/// Frames cross the thread boundary as `Arc` handles — dispatching a
-/// frame never deep-clones its annotations, and the per-stream
-/// `FrameScratch` owned by each staged system does the one (buffer-reusing)
-/// copy on `begin_frame`.
-struct Job {
-    stream: usize,
-    kind: JobKind,
-    system: Box<dyn StagedDetector>,
-}
-
-enum JobKind {
-    /// Begin the frame and execute its proposal stage (if it has one),
-    /// suspending at the refinement boundary.
-    Proposal { frame: Arc<Frame> },
-    /// Resume at the refinement boundary and finish the frame.
-    Refine { work: RefinementWork },
-}
-
-/// Where a job left its system.
+/// Where a frame's proposal pass left its system.
 enum StageOutcome {
     /// Suspended at the refinement boundary; carries the *executed*
     /// proposal cost and the priced pending refinement work.
@@ -199,46 +125,48 @@ enum StageOutcome {
     Done(FrameOutput),
 }
 
-/// A per-stream slot holding a suspended system and where its stage
-/// left off (`None` until the pool reports back).
-type StageSlot = Option<(Box<dyn StagedDetector>, StageOutcome)>;
-
-struct JobResult {
-    stream: usize,
-    system: Box<dyn StagedDetector>,
-    outcome: Result<StageOutcome, String>,
-}
-
-fn run_stage(system: &mut Box<dyn StagedDetector>, kind: JobKind) -> StageOutcome {
-    match kind {
-        JobKind::Proposal { frame } => {
-            system.begin_frame(&frame);
-            let mut proposal_macs = 0.0;
-            loop {
-                match system.step() {
-                    StageStep::NeedsProposal(work) => {
-                        // Accumulate: the protocol permits multi-pass
-                        // proposal stages, each priced separately.
-                        proposal_macs += system.complete_proposal(work).macs;
-                    }
-                    StageStep::NeedsRefinement(refine) => {
-                        return StageOutcome::AtRefinement {
-                            proposal_macs,
-                            refine,
-                        };
-                    }
-                    StageStep::Done(out) => return StageOutcome::Done(out),
-                }
+/// Begins `frame` and executes its proposal stage (if it has one),
+/// suspending at the refinement boundary.
+fn run_proposal(system: &mut dyn StagedDetector, frame: &Frame) -> StageOutcome {
+    system.begin_frame(frame);
+    let mut proposal_macs = 0.0;
+    loop {
+        match system.step() {
+            StageStep::NeedsProposal(work) => {
+                // Accumulate: the protocol permits multi-pass proposal
+                // stages, each priced separately.
+                proposal_macs += system.complete_proposal(work).macs;
             }
-        }
-        JobKind::Refine { work } => {
-            system.complete_refinement(work);
-            match system.step() {
-                StageStep::Done(out) => StageOutcome::Done(out),
-                _ => panic!("refinement stage did not finish the frame"),
+            StageStep::NeedsRefinement(refine) => {
+                return StageOutcome::AtRefinement {
+                    proposal_macs,
+                    refine,
+                };
             }
+            StageStep::Done(out) => return StageOutcome::Done(out),
         }
     }
+}
+
+/// Resumes a system suspended at its refinement boundary and finishes
+/// the frame.
+fn run_refinement(system: &mut dyn StagedDetector, work: RefinementWork) -> FrameOutput {
+    system.complete_refinement(work);
+    match system.step() {
+        StageStep::Done(out) => out,
+        _ => panic!("refinement stage did not finish the frame"),
+    }
+}
+
+/// A frame whose per-frame refinement ran, waiting to be booked at its
+/// priced completion time.
+struct Refined {
+    stream: usize,
+    frame_idx: usize,
+    arrival_s: f64,
+    completion_s: f64,
+    system: Box<dyn StagedDetector>,
+    out: FrameOutput,
 }
 
 enum WorkerState {
@@ -262,13 +190,13 @@ pub(crate) struct StreamRt {
     /// Set when the stream was migrated away to another shard; the slot
     /// stays as an inert tombstone so local indices remain stable.
     departed: bool,
-    frames: Vec<(f64, Arc<Frame>)>,
+    frames: Vec<(f64, Frame)>,
     /// Next frame (index into `frames`) that has not yet arrived.
     next_arrival: usize,
     /// Arrived, not yet scheduled frames (indices into `frames`).
     queue: VecDeque<usize>,
-    /// The stream's pipeline; `None` while a frame is on the thread pool
-    /// or suspended at a stage boundary.
+    /// The stream's pipeline; `None` while a frame is in flight: claimed
+    /// by a batch being priced, or suspended in a refinement fuse pool.
     system: Option<Box<dyn StagedDetector>>,
     /// Virtual time until which the stream's pipeline is occupied.
     busy_until: f64,
@@ -302,9 +230,9 @@ pub(crate) struct StreamRt {
 /// shard continues it with exact frame conservation.
 ///
 /// Extraction is only possible at a **stage-boundary suspend point**: the
-/// pipeline must be parked in its slot (no stage job in flight on the
-/// thread pool, no frame waiting in a refinement fuse pool), which is
-/// precisely when all cross-frame state is consolidated in the system box.
+/// pipeline must be parked in its slot (no frame waiting in a refinement
+/// fuse pool), which is precisely when all cross-frame state is
+/// consolidated in the system box.
 pub(crate) struct MigratedStream {
     rt: StreamRt,
 }
@@ -359,8 +287,9 @@ impl PendingRefine {
 }
 
 /// The embeddable per-shard scheduler: one virtual-time event loop over
-/// one worker pool. [`serve`] runs a single engine to completion;
-/// [`serve_fleet`](crate::serve_fleet) runs one per shard, advancing them
+/// a set of virtual worker slots, executing stage work inline on the
+/// thread that owns it. [`serve_fleet`](crate::serve_fleet) runs one per
+/// shard ([`serve`](crate::serve) is the 1-shard case), advancing them
 /// in lock-step epochs via [`run_until`](Engine::run_until) and moving
 /// streams between them with [`extract_stream`](Engine::extract_stream) /
 /// [`admit_stream`](Engine::admit_stream).
@@ -382,9 +311,6 @@ pub(crate) struct Engine {
     rr_cursor: usize,
     batch_stats: BatchStats,
     last_completion: f64,
-    job_tx: Option<Sender<Job>>,
-    result_rx: Receiver<JobResult>,
-    pool: Vec<thread::JoinHandle<()>>,
     // Control plane: everything below is driven purely by virtual time.
     scale_policy: Box<dyn ScalePolicy>,
     admission: Box<dyn AdmissionPolicy>,
@@ -435,12 +361,10 @@ pub(crate) struct Engine {
     // active-set resizes.
     /// Per-slot batch item buffers lent to `PlannedBatch`.
     slot_items: Vec<Vec<(usize, usize, f64)>>,
-    /// Job staging buffer (proposal and refinement dispatches alternate).
-    job_buf: Vec<Job>,
-    /// Pool of per-stream result buffers for `run_stage_jobs`.
-    result_pool: Vec<Vec<StageSlot>>,
-    /// Per-stream refinement completion metadata buffer.
-    refine_meta_buf: Vec<Option<(usize, f64, f64)>>,
+    /// One batch's systems and proposal outcomes, in batch order.
+    staged_buf: Vec<(Box<dyn StagedDetector>, StageOutcome)>,
+    /// Per-frame refinements awaiting their completion booking.
+    refined_buf: Vec<Refined>,
     /// Stream selection buffer for `pick_batch_into`.
     chosen_buf: Vec<usize>,
     /// Flight-recorder sink ([`NullRecorder`] when recording is off —
@@ -483,7 +407,7 @@ impl Engine {
                     frames: spec
                         .source
                         .into_iter()
-                        .map(|sf| (sf.arrival_s, Arc::new(sf.frame)))
+                        .map(|sf| (sf.arrival_s, sf.frame))
                         .collect(),
                     next_arrival: 0,
                     queue: VecDeque::new(),
@@ -516,9 +440,9 @@ impl Engine {
             }
         };
         let admission = build_admission(&cfg.admission, &priorities);
-        // With autoscaling on, slots (and real threads) are provisioned up
-        // to the ceiling; the initial configured count seeds the active
-        // set within the controller's bounds.
+        // With autoscaling on, slots are provisioned up to the ceiling;
+        // the initial configured count seeds the active set within the
+        // controller's bounds.
         let (slots, active_workers) = if autoscaling {
             (
                 cfg.workers.max(cfg.autoscale.max_workers),
@@ -529,41 +453,6 @@ impl Engine {
             (cfg.workers, cfg.workers)
         };
 
-        let (job_tx, job_rx) = channel::<Job>();
-        let (result_tx, result_rx) = channel::<JobResult>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let pool = (0..slots)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                thread::spawn(move || loop {
-                    let job = match job_rx.lock().expect("job queue poisoned").recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // serving finished
-                    };
-                    let Job {
-                        stream,
-                        kind,
-                        mut system,
-                    } = job;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_stage(&mut system, kind)
-                    }))
-                    .map_err(|e| panic_message(&e));
-                    if result_tx
-                        .send(JobResult {
-                            stream,
-                            system,
-                            outcome,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                })
-            })
-            .collect();
-
         Self {
             streams,
             clock: start_clock,
@@ -573,9 +462,6 @@ impl Engine {
             rr_cursor: 0,
             batch_stats: BatchStats::default(),
             last_completion: 0.0,
-            job_tx: Some(job_tx),
-            result_rx,
-            pool,
             cfg: *cfg,
             scale_policy,
             admission,
@@ -602,9 +488,8 @@ impl Engine {
             downgrade_events: Vec::new(),
             batch_log: Vec::new(),
             slot_items: (0..slots).map(|_| Vec::new()).collect(),
-            job_buf: Vec::new(),
-            result_pool: Vec::new(),
-            refine_meta_buf: Vec::new(),
+            staged_buf: Vec::new(),
+            refined_buf: Vec::new(),
             chosen_buf: Vec::new(),
             recorder,
         }
@@ -708,7 +593,7 @@ impl Engine {
 
     /// Local slots of streams that can migrate right now: live, with
     /// their pipeline parked in its slot (a stage-boundary suspend point —
-    /// no job on the pool, no frame in a fuse pool).
+    /// no frame in a fuse pool).
     pub(crate) fn migratable_streams(&self) -> impl Iterator<Item = usize> + '_ {
         self.streams
             .iter()
@@ -787,7 +672,7 @@ impl Engine {
 
     /// Lifts a stream out of this engine for migration, leaving an inert
     /// tombstone in its slot. Returns `None` if the stream is not at a
-    /// suspend point (stage job in flight or frame in a fuse pool) — the
+    /// suspend point (frame in a fuse pool) — the
     /// rebalancer simply tries again at the next tick.
     pub(crate) fn extract_stream(&mut self, local: usize) -> Option<MigratedStream> {
         let s = &mut self.streams[local];
@@ -1034,40 +919,6 @@ impl Engine {
         }
     }
 
-    /// Ships a set of stage jobs (at most one per stream) to the pool and
-    /// collects the suspended systems, indexed by stream. The job buffer
-    /// is drained in place; the returned result buffer comes from a reuse
-    /// pool — hand it back with [`return_result_buf`](Self::return_result_buf).
-    ///
-    /// Real execution order on the pool is free to vary: the virtual-time
-    /// story was already fixed by the scheduling decisions, so determinism
-    /// is unaffected.
-    fn run_stage_jobs(&mut self, jobs: &mut Vec<Job>) -> Vec<StageSlot> {
-        let in_flight = jobs.len();
-        let job_tx = self.job_tx.as_ref().expect("pool alive");
-        for job in jobs.drain(..) {
-            job_tx.send(job).expect("worker pool hung up");
-        }
-        let mut results = self.result_pool.pop().unwrap_or_default();
-        results.clear();
-        results.resize_with(self.streams.len(), || None);
-        for _ in 0..in_flight {
-            let r = self.result_rx.recv().expect("worker pool hung up");
-            match r.outcome {
-                Ok(outcome) => results[r.stream] = Some((r.system, outcome)),
-                Err(msg) => panic!("stream {} system panicked: {msg}", r.stream),
-            }
-        }
-        results
-    }
-
-    /// Returns a result buffer taken from [`run_stage_jobs`](Self::run_stage_jobs)
-    /// to the reuse pool.
-    fn return_result_buf(&mut self, mut buf: Vec<StageSlot>) {
-        buf.clear();
-        self.result_pool.push(buf);
-    }
-
     /// Books a finished frame back into its stream at `completion_s`.
     fn complete_frame(
         &mut self,
@@ -1230,13 +1081,13 @@ impl Engine {
             return;
         }
 
-        // Proposal stage: run every planned frame's proposal pass for real
-        // on the pool; each comes back suspended at its refinement
-        // boundary with executed costs. Frames ship as `Arc` handles.
-        let mut jobs = std::mem::take(&mut self.job_buf);
-        jobs.clear();
         let downgrade = self.cfg.admission.downgrade;
-        for batch in &planned {
+        let mut staged = std::mem::take(&mut self.staged_buf);
+        let mut refined = std::mem::take(&mut self.refined_buf);
+        for batch in planned {
+            // Proposal stage: run every frame's proposal pass; each stops
+            // suspended at its refinement boundary with executed costs.
+            staged.clear();
             for &(stream, frame_idx, _) in &batch.items {
                 let s = &mut self.streams[stream];
                 let mut system = s.system.take().expect("stream system in flight");
@@ -1246,29 +1097,11 @@ impl Engine {
                 if downgrade {
                     system.set_degraded(s.degraded);
                 }
-                jobs.push(Job {
-                    stream,
-                    kind: JobKind::Proposal {
-                        frame: Arc::clone(&s.frames[frame_idx].1),
-                    },
-                    system,
-                });
+                let outcome = run_proposal(&mut *system, &s.frames[frame_idx].1);
+                staged.push((system, outcome));
             }
-        }
-        let mut staged = self.run_stage_jobs(&mut jobs);
-
-        // Price each batch's fused proposal dispatch, then resume the
-        // refinement stage per the fusion mode. The drained job buffer is
-        // reused for the refinement dispatches.
-        let mut refine_jobs = jobs;
-        // `(frame_idx, arrival_s, completion_s)` for in-flight refinements.
-        let mut refine_meta = std::mem::take(&mut self.refine_meta_buf);
-        refine_meta.clear();
-        refine_meta.resize(self.streams.len(), None);
-        for batch in planned {
             let mut shared_prop_macs = 0.0;
-            for &(stream, _, _) in &batch.items {
-                let (_, outcome) = staged[stream].as_ref().expect("proposal result collected");
+            for (_, outcome) in &staged {
                 shared_prop_macs += match outcome {
                     StageOutcome::AtRefinement { proposal_macs, .. } => *proposal_macs,
                     StageOutcome::Done(out) => out.ops.proposal,
@@ -1283,10 +1116,12 @@ impl Engine {
             self.gpu_dispatch_s += shared;
             let ready = batch.start + shared;
 
+            // Resume the refinement stage per the fusion mode.
             let mut cursor = ready;
             let mut held_open = false;
-            for &(stream, frame_idx, arrival) in &batch.items {
-                let (system, outcome) = staged[stream].take().expect("proposal result collected");
+            for (&(stream, frame_idx, arrival), (mut system, outcome)) in
+                batch.items.iter().zip(staged.drain(..))
+            {
                 let t = self.cfg.timing;
                 match outcome {
                     StageOutcome::AtRefinement { refine, .. }
@@ -1322,11 +1157,14 @@ impl Engine {
                             self.record_refinement_dispatch(cursor, batch.worker, &[stream], 0);
                         }
                         cursor += frame_time;
-                        refine_meta[stream] = Some((frame_idx, arrival, cursor));
-                        refine_jobs.push(Job {
+                        let out = run_refinement(&mut *system, refine);
+                        refined.push(Refined {
                             stream,
-                            kind: JobKind::Refine { work: refine },
+                            frame_idx,
+                            arrival_s: arrival,
+                            completion_s: cursor,
                             system,
+                            out,
                         });
                     }
                     StageOutcome::Done(out) => {
@@ -1393,27 +1231,22 @@ impl Engine {
             // Return the lent item buffer to the batch's slot.
             self.slot_items[batch.worker] = batch.items;
         }
-        self.return_result_buf(staged);
+        self.staged_buf = staged;
 
-        // Run the per-frame refinements for real and book the results at
-        // the completion times priced above.
-        if !refine_jobs.is_empty() {
-            let mut finished = self.run_stage_jobs(&mut refine_jobs);
-            for stream in 0..self.streams.len() {
-                if let Some((frame_idx, arrival, completion)) = refine_meta[stream] {
-                    let (system, outcome) = finished[stream]
-                        .take()
-                        .expect("refinement result collected");
-                    let StageOutcome::Done(out) = outcome else {
-                        panic!("stream {stream} refinement did not finish its frame");
-                    };
-                    self.complete_frame(stream, frame_idx, arrival, completion, system, out);
-                }
-            }
-            self.return_result_buf(finished);
+        // Book the per-frame refinements at the completion times priced
+        // above, in stream order (a stream has at most one frame in flight).
+        refined.sort_unstable_by_key(|r| r.stream);
+        for r in refined.drain(..) {
+            self.complete_frame(
+                r.stream,
+                r.frame_idx,
+                r.arrival_s,
+                r.completion_s,
+                r.system,
+                r.out,
+            );
         }
-        self.job_buf = refine_jobs;
-        self.refine_meta_buf = refine_meta;
+        self.refined_buf = refined;
     }
 
     /// Flushes the refinement fuse pool: every deadline due by `now` fires
@@ -1443,47 +1276,35 @@ impl Engine {
     }
 
     /// Resumes the frames of one fused refinement dispatch (priced at `td`
-    /// with a shared launch of `gpu` virtual seconds) for real, books
-    /// completions, and releases the workers whose held batches fully
-    /// dispatched.
+    /// with a shared launch of `gpu` virtual seconds), books completions,
+    /// and releases the workers whose held batches fully dispatched.
     ///
     /// Shared by the engine's own [`fire_refinements`](Self::fire_refinements)
-    /// and, through [`complete_external_refinement`], the fleet's
-    /// cross-shard dispatches — a shard executes and books its own frames;
-    /// only the launch pricing is shared fleet-wide.
-    ///
-    /// [`complete_external_refinement`]: Self::complete_external_refinement
-    fn resume_refinements(&mut self, td: f64, gpu: f64, mut dispatch: Vec<PendingRefine>) {
-        // Resume every suspended frame for real, then book completions:
-        // the dispatch returns at `td + gpu`, after which each stream's
+    /// and the fleet's cross-shard dispatches, whose frames were lifted by
+    /// [`take_ready_refinements`](Self::take_ready_refinements): a shard
+    /// executes and books its own frames, while the fleet accounts the
+    /// shared launch's GPU time and batch statistics once.
+    pub(crate) fn resume_refinements(&mut self, td: f64, gpu: f64, dispatch: Vec<PendingRefine>) {
+        // The dispatch returns at `td + gpu`, after which each stream's
         // own post-processing (frame handling + tracker CPU) runs in
         // parallel across streams.
         let t = self.cfg.timing;
-        let mut jobs = std::mem::take(&mut self.job_buf);
-        jobs.clear();
-        jobs.extend(dispatch.iter_mut().map(|p| Job {
-            stream: p.stream,
-            kind: JobKind::Refine { work: p.work },
-            system: std::mem::replace(
-                &mut p.system,
-                Box::new(PlaceholderSystem) as Box<dyn StagedDetector>,
-            ),
-        }));
-        let mut finished = self.run_stage_jobs(&mut jobs);
-        self.job_buf = jobs;
+        let completion = td + gpu + t.frame_overhead_s + t.tracker_overhead_s;
         let mut worker_done: Vec<(usize, f64)> = Vec::new();
         for p in dispatch {
-            let (system, outcome) = finished[p.stream]
-                .take()
-                .expect("refinement result collected");
-            let StageOutcome::Done(out) = outcome else {
-                panic!("stream {} refinement did not finish its frame", p.stream);
-            };
-            let completion = td + gpu + t.frame_overhead_s + t.tracker_overhead_s;
-            self.complete_frame(p.stream, p.frame_idx, p.arrival_s, completion, system, out);
-            worker_done.push((p.worker, completion));
+            let PendingRefine {
+                stream,
+                worker,
+                frame_idx,
+                arrival_s,
+                work,
+                mut system,
+                ..
+            } = p;
+            let out = run_refinement(&mut *system, work);
+            self.complete_frame(stream, frame_idx, arrival_s, completion, system, out);
+            worker_done.push((worker, completion));
         }
-        self.return_result_buf(finished);
 
         // Release every worker whose held batch fully dispatched: it
         // stays busy until the last of its frames completes, whether
@@ -1501,23 +1322,6 @@ impl Engine {
             self.hold_floor[w] = 0.0;
             self.workers[w] = WorkerState::Busy { until };
         }
-    }
-
-    /// Executes this engine's share of a fleet-level fused refinement
-    /// dispatch: the frames in `dispatch` were lifted from this engine's
-    /// fuse pool by [`take_ready_refinements`](Self::take_ready_refinements);
-    /// the shared launch (priced fleet-wide from the MACs of **all**
-    /// contributing shards) returns at `td + gpu`. The fleet accounts the
-    /// launch's GPU time and batch statistics once, fleet-level — only
-    /// per-frame completions and worker releases happen here.
-    pub(crate) fn complete_external_refinement(
-        &mut self,
-        td: f64,
-        gpu: f64,
-        dispatch: Vec<PendingRefine>,
-    ) {
-        debug_assert!(self.external_refine, "external dispatch on internal engine");
-        self.resume_refinements(td, gpu, dispatch);
     }
 
     /// Records one refinement dispatch; `streams` are local slots, logged
@@ -1570,7 +1374,7 @@ impl Engine {
     }
 
     /// Streams that could still contribute a frame to some batch: frames
-    /// queued, frames yet to arrive, or a frame in flight on the pool.
+    /// queued, frames yet to arrive, or a frame in flight.
     fn live_stream_count(&self) -> usize {
         self.streams
             .iter()
@@ -1761,51 +1565,5 @@ impl Engine {
     /// books into the shared store deterministically at any thread count.
     pub(crate) fn flush_recorder(&mut self) {
         self.recorder.flush();
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        self.recorder.flush();
-        drop(self.job_tx.take());
-        for handle in self.pool.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Stand-in swapped into a [`PendingRefine`] while its real system is out
-/// on the pool; never stepped.
-struct PlaceholderSystem;
-
-impl StagedDetector for PlaceholderSystem {
-    fn name(&self) -> String {
-        "placeholder".into()
-    }
-
-    fn reset(&mut self) {}
-
-    fn begin_frame(&mut self, _frame: &Frame) {
-        unreachable!("placeholder system is never driven")
-    }
-
-    fn step(&mut self) -> StageStep {
-        unreachable!("placeholder system is never driven")
-    }
-
-    fn complete_proposal(&mut self, _work: catdet_core::ProposalWork) -> catdet_core::ProposalWork {
-        unreachable!("placeholder system is never driven")
-    }
-
-    fn complete_refinement(&mut self, _work: RefinementWork) -> RefinementWork {
-        unreachable!("placeholder system is never driven")
-    }
-}
-
-pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
     }
 }

@@ -19,7 +19,7 @@ fn main() {
     let frames = 30;
 
     // 1. Scaling out: the same workload on 1, 2 and 4 shards. Each shard
-    //    brings its own worker pool, so the fleet's service capacity
+    //    brings its own workers, so the fleet's service capacity
     //    scales with the shard count.
     println!("== scale-out: 2 workers per shard, 1 -> 4 shards ==\n");
     for shards in [1, 2, 4] {

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod scale;
 pub mod tables;
 

@@ -7,6 +7,14 @@ use catdet_net::{LinkParams, NetParams};
 use catdet_recorder::SharedRecorder;
 use serde::{Deserialize, Serialize};
 
+/// Upper bound on every setting that sizes per-unit state before a run
+/// starts: worker slots ([`ServeConfig::workers`],
+/// [`AutoscaleConfig::max_workers`]), shard engines
+/// ([`ShardConfig::shards`]) and each stream's forecast history
+/// ([`ForecastConfig::history_buckets`]). Past it, that up-front
+/// allocation alone can abort the process.
+pub const SIZING_LIMIT: usize = 1 << 16;
+
 /// Which stream a free worker serves next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulePolicy {
@@ -221,6 +229,10 @@ impl AutoscaleConfig {
         assert!(
             self.max_workers >= self.min_workers,
             "autoscale ceiling must be at least the floor"
+        );
+        assert!(
+            self.max_workers <= SIZING_LIMIT,
+            "autoscale ceiling must be at most {SIZING_LIMIT}"
         );
         assert!(
             self.control_interval_s > 0.0 && self.control_interval_s.is_finite(),
@@ -442,7 +454,7 @@ pub struct ShardConfig {
     /// auto (the host's available parallelism, capped at the shard
     /// count). Results are **bit-identical at every setting** — threads
     /// change wall-clock time only, never the simulation (the
-    /// fleet-determinism CI job pins this).
+    /// cli-determinism CI job pins this).
     pub threads: usize,
 }
 
@@ -519,6 +531,7 @@ impl ShardConfig {
     /// Panics if the configuration is unusable.
     pub fn validate(&self) {
         assert!(self.shards >= 1, "need at least one shard");
+        assert!(self.shards <= SIZING_LIMIT, "at most {SIZING_LIMIT} shards");
         assert!(
             self.rebalance_interval_s >= 0.0 && self.rebalance_interval_s.is_finite(),
             "rebalance interval must be finite and non-negative"
@@ -985,6 +998,10 @@ impl ServeConfig {
     /// Panics if the configuration is unusable.
     pub fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
+        assert!(
+            self.workers <= SIZING_LIMIT,
+            "at most {SIZING_LIMIT} workers"
+        );
         assert!(self.max_batch >= 1, "need a batch size of at least one");
         assert!(
             self.queue_capacity >= 1,

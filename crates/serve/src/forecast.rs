@@ -31,6 +31,7 @@
 //! forecast invariant under how arrivals interleave with control ticks
 //! inside the current bucket.
 
+use crate::config::SIZING_LIMIT;
 use serde::{Deserialize, Serialize};
 
 /// Forecaster configuration: history shape, smoothing factors, horizon.
@@ -112,6 +113,10 @@ impl ForecastConfig {
         assert!(
             self.history_buckets >= 2,
             "forecast history needs at least two buckets"
+        );
+        assert!(
+            self.history_buckets <= SIZING_LIMIT,
+            "forecast history holds at most {SIZING_LIMIT} buckets"
         );
         assert!(
             self.alpha > 0.0 && self.alpha <= 1.0 && self.beta > 0.0 && self.beta <= 1.0,

@@ -12,6 +12,7 @@
 //! ```
 
 use catdet_recorder::{read_file, Event, EventKind, Query};
+use catdet_serve::config::SIZING_LIMIT;
 use catdet_serve::{
     bursty_workload, mixed_workload, ramp_workload, serve, serve_fleet, serve_fleet_with_recorder,
     serve_net_fleet, serve_net_fleet_with_recorder, serve_with_recorder, sine_workload,
@@ -499,6 +500,19 @@ fn parse_args_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if args.queue == 0 {
         return Err("--queue must be at least 1".into());
+    }
+    // Each of these sizes per-unit state before the run starts.
+    for (flag, value) in [
+        ("--workers", args.workers),
+        ("--max-workers", args.max_workers),
+        ("--shards", args.shards),
+        ("--forecast-buckets", args.forecast_buckets),
+    ] {
+        if value > SIZING_LIMIT {
+            return Err(format!(
+                "{flag} must be at most {SIZING_LIMIT} (got {value})"
+            ));
+        }
     }
     if !args.window_ms.is_finite() || args.window_ms < 0.0 {
         return Err(format!(
@@ -1289,6 +1303,21 @@ mod tests {
         let args = parse(&["--rebalance", "predicted", "--forecast-buckets", "16"]).unwrap();
         assert_eq!(args.rebalance_signal, RebalanceSignal::Predicted);
         assert_eq!(args.forecast_buckets, 16);
+    }
+
+    #[test]
+    fn sizing_flags_are_bounded() {
+        for flag in [
+            "--workers",
+            "--max-workers",
+            "--shards",
+            "--forecast-buckets",
+        ] {
+            let parse_at = |n: usize| parse(&["--autoscale", "predictive", flag, &n.to_string()]);
+            let err = parse_at(SIZING_LIMIT + 1).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            assert!(parse_at(SIZING_LIMIT).is_ok(), "{flag} {SIZING_LIMIT}");
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 mod common;
 
 use catdet_serve::{
-    mixed_workload, serve, serve_fleet, AdmissionConfig, AutoscaleConfig, FleetReport,
-    LatencyStats, PartitionKind, ServeConfig, ShardConfig, StreamSpec, SystemKind,
+    bursty_workload, mixed_workload, serve, serve_fleet, step_workload, AdmissionConfig,
+    AutoscaleConfig, BurstProfile, FleetReport, LatencyStats, PartitionKind, ServeConfig,
+    ShardConfig, StreamSpec, SystemKind,
 };
 use common::null_spec_steady;
 use proptest::prelude::*;
@@ -559,5 +560,36 @@ proptest! {
         assert_conservation(&report, total);
         let again = serve_fleet(build(), &cfg);
         prop_assert_eq!(report, again);
+    }
+}
+
+/// The partition layer's scaling claim: with one worker per shard, 8
+/// shards serve at least twice the 1-shard virtual throughput, on a
+/// sustained step and on quiet/stampede cycles.
+#[test]
+fn eight_shards_serve_at_least_twice_one_shards_throughput() {
+    let throughput = |streams: Vec<StreamSpec>, shards: usize| {
+        let cfg = ServeConfig::new()
+            .with_workers(1)
+            .with_max_batch(4)
+            .with_queue_capacity(32)
+            .with_shard(
+                ShardConfig::sharded(shards)
+                    .with_rebalance_interval_s(0.1)
+                    .with_migration_cost_frames(4),
+            );
+        serve_fleet(streams, &cfg).throughput_fps()
+    };
+    let step = || step_workload(8, 24, 2019, SystemKind::CatdetA, BurstProfile::demo(), 1.0);
+    let bursty = || bursty_workload(8, 24, 2019, SystemKind::CatdetA, BurstProfile::demo());
+    for (name, build) in [
+        ("step", &step as &dyn Fn() -> Vec<StreamSpec>),
+        ("bursty", &bursty),
+    ] {
+        let speedup = throughput(build(), 8) / throughput(build(), 1);
+        assert!(
+            speedup >= 2.0,
+            "{name}: 8 shards serve only {speedup:.2}x the 1-shard throughput"
+        );
     }
 }

@@ -22,8 +22,9 @@
 mod common;
 
 use catdet_serve::{
-    serve_fleet, ArrivalHistory, ForecastConfig, PartitionKind, RateForecaster, ServeConfig,
-    ShardConfig,
+    bursty_workload, serve_fleet, serve_fleet_with_recorder, step_workload, ArrivalHistory,
+    AutoscaleConfig, BurstProfile, FleetReport, ForecastConfig, PartitionKind, RateForecaster,
+    RebalanceSignal, ServeConfig, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
 };
 use proptest::prelude::*;
 
@@ -230,4 +231,106 @@ fn predicted_rebalancing_migrates_and_stays_deterministic() {
         report.migration_timeline()
     );
     assert_eq!(report, serve_fleet(streams(), &cfg));
+}
+
+/// The duel's arrival regime: a quiet trickle and 10 fps stampedes, sized
+/// so the in-burst load sits just under the fleet's max-worker capacity,
+/// where *when* capacity arrives decides the tail and the drops.
+fn duel_profile() -> BurstProfile {
+    BurstProfile {
+        quiet_fps: 2.0,
+        burst_fps: 10.0,
+        quiet_s: 2.0,
+        burst_s: 2.0,
+    }
+}
+
+/// Two shards with bounded queues and live rebalancing. Only the control
+/// plane differs between the arms: hysteresis autoscaling with backlog
+/// rebalancing, or predictive autoscaling with predicted-load rebalancing.
+fn duel_config(predictive: bool, threads: usize) -> ServeConfig {
+    let (mut autoscale, signal) = if predictive {
+        (
+            AutoscaleConfig::predictive(1, 6),
+            RebalanceSignal::Predicted,
+        )
+    } else {
+        (AutoscaleConfig::hysteresis(1, 6), RebalanceSignal::Backlog)
+    };
+    // The CatdetA preset's per-frame virtual service time on this fleet
+    // shape, batching included: the predictive controller's capacity model.
+    autoscale.service_s_per_frame = 0.065;
+    // A scale-down threshold both arms can reach. The stock 0.15 s sits
+    // below this preset's batched service latency and would pin the
+    // hysteresis arm at its breach-time overshoot.
+    autoscale.down_p99_s = 0.35;
+    ServeConfig::new()
+        .with_workers(1)
+        .with_max_batch(4)
+        .with_queue_capacity(12)
+        .with_autoscale(autoscale)
+        .with_shard(
+            ShardConfig::sharded(2)
+                .with_rebalance_interval_s(0.25)
+                .with_migration_cost_frames(4)
+                .with_rebalance_signal(signal)
+                .with_threads(threads),
+        )
+}
+
+fn duel_bursty() -> Vec<StreamSpec> {
+    bursty_workload(16, 70, 2019, SystemKind::CatdetA, duel_profile())
+}
+
+/// Predictive vs reactive control on the same workload and fleet: the
+/// predictive arm must win merged p99 and drop rate while spending the
+/// same worker-seconds (±5%), so the win comes from timing, not from
+/// extra capacity.
+#[test]
+fn predictive_control_plane_beats_reactive_at_equal_spend() {
+    // The step lands at 4 s, once the forecaster has history to read.
+    let step = || step_workload(16, 70, 2019, SystemKind::CatdetA, duel_profile(), 4.0);
+    for (name, build) in [
+        ("step", &step as &dyn Fn() -> Vec<StreamSpec>),
+        ("bursty", &duel_bursty),
+    ] {
+        let reactive = serve_fleet(build(), &duel_config(false, 1));
+        let predictive = serve_fleet(build(), &duel_config(true, 1));
+        let p99 = |r: &FleetReport| r.merged_latency().expect("frames were served").p99_s;
+        assert!(
+            p99(&predictive) < p99(&reactive),
+            "{name}: predictive p99 {:.3} s did not beat reactive {:.3} s",
+            p99(&predictive),
+            p99(&reactive)
+        );
+        let (ours, theirs) = (predictive.drop_rate(), reactive.drop_rate());
+        assert!(
+            ours < theirs || (ours == 0.0 && theirs == 0.0),
+            "{name}: predictive drop rate {ours:.4} did not beat reactive {theirs:.4}"
+        );
+        let ratio = predictive.worker_seconds() / reactive.worker_seconds();
+        assert!(
+            (ratio - 1.0).abs() <= 0.05,
+            "{name}: worker-seconds ratio {ratio:.3} is outside 1 +/- 0.05"
+        );
+    }
+}
+
+/// Forecasts, forecast-driven migrations and their recording do not
+/// depend on how many OS threads step the shards.
+#[test]
+fn predictive_duel_is_identical_at_1_and_4_threads() {
+    let run = |threads: usize| {
+        let recorder = SharedRecorder::new(512, usize::MAX, 8);
+        let report =
+            serve_fleet_with_recorder(duel_bursty(), &duel_config(true, threads), &recorder);
+        (report, recorder.with_store(|s| catdet_recorder::encode(s)))
+    };
+    let (report_1, bytes_1) = run(1);
+    let (report_4, bytes_4) = run(4);
+    assert!(report_1 == report_4, "reports diverged at 1 vs 4 threads");
+    assert!(
+        bytes_1 == bytes_4,
+        "recorder stores diverged at 1 vs 4 threads"
+    );
 }

@@ -7,9 +7,9 @@
 mod common;
 
 use catdet_serve::{
-    mixed_workload, replay_stream, serve, serve_fleet_with_recorder, serve_with_recorder, Event,
-    EventKind, LatencyStats, Query, ReplayError, ServeConfig, ShardConfig, SharedRecorder,
-    StreamSpec, SystemKind,
+    bursty_workload, mixed_workload, replay_stream, serve, serve_fleet_with_recorder,
+    serve_with_recorder, BurstProfile, Event, EventKind, LatencyStats, Query, ReplayError,
+    ServeConfig, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
 };
 use common::null_spec_steady;
 use proptest::prelude::*;
@@ -192,6 +192,33 @@ fn fleet_recording_partitions_by_shard_and_matches_merged_report() {
     assert_eq!(summary.p95_s, reference.p95_s);
     assert_eq!(summary.p99_s, reference.p99_s);
     assert_eq!(summary.max_s, reference.max_s);
+}
+
+/// The column codec's density on a fully recorded sharded run: every
+/// event kind, periodic snapshots, unbounded retention. The budget is
+/// 1.5× the 14.12 bytes/event this run encoded when it was set.
+#[test]
+fn codec_stays_within_bytes_per_event_budget() {
+    let cfg = ServeConfig::new()
+        .with_workers(1)
+        .with_max_batch(4)
+        .with_queue_capacity(10_000)
+        .with_shard(
+            ShardConfig::sharded(4)
+                .with_rebalance_interval_s(0.1)
+                .with_migration_cost_frames(4),
+        );
+    let streams = bursty_workload(16, 120, 2019, SystemKind::CatdetA, BurstProfile::demo());
+    let recorder = SharedRecorder::new(512, usize::MAX, 8);
+    serve_fleet_with_recorder(streams, &cfg, &recorder);
+    let stats = recorder.stats();
+    let per_event = stats.encoded_bytes as f64 / stats.events as f64;
+    assert!(
+        per_event <= 21.2,
+        "{} bytes over {} events is {per_event:.2} bytes/event (budget 21.2)",
+        stats.encoded_bytes,
+        stats.events
+    );
 }
 
 proptest! {

@@ -20,12 +20,12 @@ use catdet::core::{
     OpsBreakdown, PolicedPipeline, PolicyConfig, PolicyDecision, SingleModelSystem, StageStep,
     StagedDetector, SystemConfig,
 };
-use catdet::data::{citypersons_like, kitti_like, Frame, VideoDataset};
+use catdet::data::{citypersons_like, kitti_like, Frame, Sequence, VideoDataset};
 use catdet::detector::{zoo, DetectorModel, SimulatedDetector};
 use catdet::geom::coverage::masked_fraction;
-use catdet::geom::Box2;
+use catdet::geom::{nms_indices_naive, Box2};
 use catdet::metrics::Detection;
-use catdet::sim::ActorClass;
+use catdet::sim::{ActorClass, GroundTruthObject};
 use catdet::track::{TrackDetection, Tracker, TrackerConfig};
 use proptest::prelude::*;
 
@@ -41,6 +41,8 @@ struct MonoCatdet {
     cfg: SystemConfig,
     width: f32,
     height: f32,
+    /// Whether NMS and region gating run the kept naive references.
+    naive: bool,
 }
 
 impl MonoCatdet {
@@ -53,7 +55,43 @@ impl MonoCatdet {
             cfg,
             width,
             height,
+            naive: false,
         }
+    }
+
+    /// The same monolith over the library's kept naive references: the
+    /// quadratic NMS sweep, dense tracker association and quadratic
+    /// region gating.
+    fn naive(proposal: DetectorModel, refinement: DetectorModel, width: f32, height: f32) -> Self {
+        let mut mono = Self::new(proposal, refinement, width, height);
+        mono.tracker = Tracker::new(
+            TrackerConfig::paper()
+                .with_input_threshold(mono.cfg.t_thresh)
+                .with_naive_association(),
+        );
+        mono.naive = true;
+        mono
+    }
+
+    fn nms(&self, detections: &[Detection]) -> Vec<Detection> {
+        if !self.naive {
+            return nms_per_class(detections, self.cfg.nms_iou);
+        }
+        let mut kept = Vec::with_capacity(detections.len());
+        for class in ActorClass::ALL {
+            let of_class: Vec<usize> = (0..detections.len())
+                .filter(|&i| detections[i].class == class)
+                .collect();
+            let scored: Vec<(Box2, f32)> = of_class
+                .iter()
+                .map(|&i| (detections[i].bbox, detections[i].score))
+                .collect();
+            for idx in nms_indices_naive(&scored, self.cfg.nms_iou) {
+                kept.push(detections[of_class[idx]]);
+            }
+        }
+        kept.sort_by(|a, b| b.score.total_cmp(&a.score));
+        kept
     }
 
     fn process_frame(&mut self, frame: &Frame) -> FrameOutput {
@@ -67,19 +105,29 @@ impl MonoCatdet {
             .into_iter()
             .filter(|d| d.score >= self.cfg.c_thresh)
             .collect();
-        let props = nms_per_class(&props, self.cfg.nms_iou);
+        let props = self.nms(&props);
         let proposal_regions: Vec<Box2> = props.iter().map(|d| d.bbox).collect();
 
         let mut regions = tracker_regions.clone();
         regions.extend_from_slice(&proposal_regions);
-        let refined = self.refinement.detect_regions(
-            frame.sequence_id,
-            frame.index,
-            &frame.ground_truth,
-            &regions,
-            self.cfg.margin,
-        );
-        let detections = nms_per_class(&refined, self.cfg.nms_iou);
+        let refined = if self.naive {
+            self.refinement.detect_regions_reference(
+                frame.sequence_id,
+                frame.index,
+                &frame.ground_truth,
+                &regions,
+                self.cfg.margin,
+            )
+        } else {
+            self.refinement.detect_regions(
+                frame.sequence_id,
+                frame.index,
+                &frame.ground_truth,
+                &regions,
+                self.cfg.margin,
+            )
+        };
+        let detections = self.nms(&refined);
 
         let track_inputs: Vec<TrackDetection<ActorClass>> = detections
             .iter()
@@ -373,6 +421,112 @@ fn staged_single_model_matches_monolithic_reference() {
                     step_through(&mut staged, frame, false),
                     expect,
                     "stage-driven single model diverged on {} seq {} frame {}",
+                    ds.name,
+                    seq.id,
+                    frame.index
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fast paths == naive references: grid-indexed NMS, gated association
+// and gated region lookup against the kept quadratic sweeps, including a
+// crowd dense enough that every sweep bites.
+// ---------------------------------------------------------------------
+
+/// Deterministic hash → `[0, 1)` (splitmix64 finalizer).
+fn unit_hash(mut x: u64) -> f32 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    (x >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// One sequence of `objects` small, drifting, unoccluded boxes on a
+/// 2048×1024 frame: far denser than the street simulator gets.
+fn dense_crowd(frames: usize, objects: usize) -> VideoDataset {
+    let (width, height) = (2048.0f32, 1024.0f32);
+    let cols = (objects as f32).sqrt().ceil() as usize;
+    let rows = objects.div_ceil(cols) as f32;
+    let frames = (0..frames)
+        .map(|index| {
+            let t = index as f32;
+            let ground_truth = (0..objects)
+                .map(|i| {
+                    let key = i as u64;
+                    let h = 28.0 + 44.0 * unit_hash(key ^ 0x51);
+                    let (class, aspect) = if unit_hash(key ^ 0xC1) < 0.3 {
+                        (ActorClass::Car, 1.3 + 0.6 * unit_hash(key ^ 0x77))
+                    } else {
+                        (ActorClass::Pedestrian, 0.35 + 0.2 * unit_hash(key ^ 0x77))
+                    };
+                    let phase = unit_hash(key ^ 0x1F) * std::f32::consts::TAU;
+                    let speed = 0.05 + 0.15 * unit_hash(key ^ 0x2F);
+                    let (col, row) = ((i % cols) as f32, (i / cols) as f32);
+                    let cx = (col + 0.5) / cols as f32 * (width - 120.0)
+                        + 40.0 * (speed * t + phase).sin()
+                        + 20.0;
+                    let cy = (row + 0.5) / rows * (height - 120.0)
+                        + 25.0 * (speed * t + 1.7 * phase).cos()
+                        + 20.0;
+                    let bbox = Box2::from_cxcywh(cx, cy, h * aspect, h).clip(width, height);
+                    GroundTruthObject {
+                        track_id: key,
+                        class,
+                        bbox,
+                        full_bbox: bbox,
+                        occlusion: 0.0,
+                        truncation: 0.0,
+                        depth: 2262.5 * 1.75 / h,
+                    }
+                })
+                .collect();
+            Frame {
+                sequence_id: 0,
+                index,
+                ground_truth,
+                labeled: true,
+            }
+        })
+        .collect();
+    VideoDataset::new(
+        "dense-crowd",
+        width,
+        height,
+        vec![ActorClass::Car, ActorClass::Pedestrian],
+        vec![Sequence::new(0, 30.0, frames)],
+    )
+}
+
+#[test]
+fn fast_paths_match_naive_reference_monolith() {
+    let datasets = [
+        kitti_like().sequences(1).frames_per_sequence(40).build(),
+        citypersons_like()
+            .sequences(2)
+            .frames_per_sequence(15)
+            .build(),
+        dense_crowd(15, 140),
+    ];
+    for ds in &datasets {
+        let (w, h) = (ds.width, ds.height);
+        for seq in ds.sequences() {
+            let mut optimized = CaTDetSystem::new(
+                zoo::resnet10a(2),
+                zoo::resnet50(2),
+                w,
+                h,
+                SystemConfig::paper(),
+            );
+            let mut reference = MonoCatdet::naive(zoo::resnet10a(2), zoo::resnet50(2), w, h);
+            for frame in seq.frames() {
+                assert_eq!(
+                    drive_frame(&mut optimized, frame),
+                    reference.process_frame(frame),
+                    "fast paths diverged from the naive references on {} seq {} frame {}",
                     ds.name,
                     seq.id,
                     frame.index

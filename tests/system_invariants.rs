@@ -2,11 +2,13 @@
 //! small (fast) datasets.
 
 use catdet::core::{
-    evaluate_collected, run_collect, CaTDetSystem, CascadedSystem, CollectedRun, DetectionSystem,
-    SingleModelSystem, SystemConfig,
+    drive_frame, evaluate_collected, run_collect, CaTDetSystem, CascadedSystem, CollectedRun,
+    DetectionSystem, PolicedPipeline, PolicyConfig, SingleModelSystem, SystemConfig,
 };
 use catdet::data::{kitti_like, Difficulty, VideoDataset};
 use catdet::detector::zoo;
+use catdet::metrics::DelayAccumulator;
+use catdet::sim::ActorClass;
 
 fn small_kitti() -> VideoDataset {
     kitti_like().sequences(4).frames_per_sequence(120).build()
@@ -135,5 +137,52 @@ fn moderate_is_never_harder_than_it_looks() {
     assert!(
         h <= m + 0.01,
         "Hard {h:.3} should not exceed Moderate {m:.3}"
+    );
+}
+
+#[test]
+fn confidence_trigger_saves_compute_at_bounded_delay() {
+    // Detect-or-track: coasting on confident tracks must save at least 30%
+    // of always-detect's modelled MACs per frame, at no more than 3 frames
+    // of extra mean delay (Car, Hard, score >= 0.5).
+    let ds = kitti_like()
+        .sequences(4)
+        .frames_per_sequence(80)
+        .seed(2019)
+        .build();
+    let measure = |policy: PolicyConfig| {
+        let (mut macs, mut frames) = (0.0, 0usize);
+        let mut delay = DelayAccumulator::new();
+        for seq in ds.sequences() {
+            let mut system = PolicedPipeline::new(Box::new(CaTDetSystem::catdet_a()), policy);
+            for frame in seq.frames() {
+                let out = drive_frame(&mut system, frame);
+                macs += out.ops.total();
+                frames += 1;
+                delay.add_frame(
+                    seq.id,
+                    frame.index,
+                    &frame.ground_truth,
+                    &out.detections,
+                    Difficulty::Hard,
+                );
+            }
+        }
+        let mean_delay = delay
+            .mean_delay_at(ActorClass::Car, 0.5)
+            .expect("KITTI-like video has evaluable cars");
+        (macs / frames as f64, mean_delay)
+    };
+    let (always_macs, always_delay) = measure(PolicyConfig::always_detect());
+    let (trigger_macs, trigger_delay) = measure(PolicyConfig::confidence_trigger(1.0));
+    let saving = 1.0 - trigger_macs / always_macs;
+    assert!(
+        saving >= 0.30,
+        "confidence trigger saves only {:.1}% of MACs/frame",
+        100.0 * saving
+    );
+    assert!(
+        trigger_delay - always_delay <= 3.0,
+        "mean delay grew {always_delay:.2} -> {trigger_delay:.2} frames"
     );
 }

@@ -12,7 +12,6 @@
 
 use crate::config::AutoscaleConfig;
 use crate::forecast::ForecastConfig;
-use crate::report::LatencyStats;
 use serde::{Deserialize, Serialize};
 
 /// What the scheduler measured over one control window.
@@ -379,9 +378,17 @@ impl ScalePolicy for PredictiveScale {
 }
 
 /// Nearest-rank p99 over one control window's completed latencies
-/// (`None` for an empty window).
-pub(crate) fn window_p99(latencies: &[f64]) -> Option<f64> {
-    LatencyStats::from_samples(latencies).map(|l| l.p99_s)
+/// (`None` for an empty window): the rank
+/// [`LatencyStats::from_samples`](crate::LatencyStats::from_samples)
+/// reads, selected in place. Reorders `latencies`.
+pub(crate) fn window_p99(latencies: &mut [f64]) -> Option<f64> {
+    if latencies.is_empty() {
+        return None;
+    }
+    let rank = (0.99 * latencies.len() as f64).ceil() as usize;
+    let (_, p99, _) =
+        latencies.select_nth_unstable_by(rank.clamp(1, latencies.len()) - 1, f64::total_cmp);
+    Some(*p99)
 }
 
 #[cfg(test)]
@@ -559,8 +566,14 @@ mod tests {
 
     #[test]
     fn window_p99_matches_latency_stats() {
-        assert_eq!(window_p99(&[]), None);
-        let samples: Vec<f64> = (1..=200).map(|i| i as f64).collect();
-        assert_eq!(window_p99(&samples), Some(198.0));
+        assert_eq!(window_p99(&mut []), None);
+        let mut samples: Vec<f64> = (1..=200).map(|i| i as f64).collect();
+        assert_eq!(window_p99(&mut samples), Some(198.0));
+        // Unsorted windows with ties, at sizes around the rank's rounding.
+        for n in 1..=150usize {
+            let mut window: Vec<f64> = (0..n).map(|i| ((i * 37) % 23) as f64 * 0.5).collect();
+            let want = crate::LatencyStats::from_samples(&window).map(|l| l.p99_s);
+            assert_eq!(window_p99(&mut window), want, "window of {n}");
+        }
     }
 }

@@ -884,6 +884,10 @@ fn pick_rebalance_pair(loads: &[usize], migration_cost_frames: usize) -> Option<
 /// forecast horizon (predictive) — with the predicted signal,
 /// `migration_cost_frames` is priced against the *predicted* gain, and a
 /// shard about to burst sheds a stream before its queues show damage.
+/// Forecasts read through each stream's per-tick memo, so the candidate
+/// scan re-estimates nothing the load sum already did; and when the tick
+/// lands on the engines' own control tick, the shard threads have already
+/// made every forecast this serial step reads.
 ///
 /// Three guards make the controller thrash-free:
 /// * only streams whose load is **strictly smaller than the imbalance**

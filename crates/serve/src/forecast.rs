@@ -231,25 +231,83 @@ impl ArrivalHistory {
     /// `now_s`, independent of how arrivals were interleaved with reads.
     pub fn complete_rates(&self, now_s: f64, out: &mut Vec<f64>) {
         out.clear();
+        out.extend(self.rates(now_s));
+    }
+
+    /// The rates [`complete_rates`](Self::complete_rates) collects, read
+    /// from the ring in place.
+    fn rates(&self, now_s: f64) -> CompleteRates<'_> {
+        let mut rates = CompleteRates {
+            counts: &self.counts,
+            bucket_s: self.bucket_s,
+            idx: 0,
+            stored: 0,
+            zeros: 0,
+        };
         if self.filled == 0 {
-            return;
+            return rates;
         }
         let len = self.counts.len();
         let cur = self.bucket_index(now_s);
         let oldest = self.newest - (self.filled as i64 - 1);
         let lo = oldest.max(cur - len as i64);
         let hi = cur - 1;
-        for b in lo..=hi {
-            let count = if b <= self.newest {
-                let offset = (self.newest - b) as usize;
-                self.counts[(self.head + len - offset) % len]
-            } else {
-                0
-            };
-            out.push(f64::from(count) / self.bucket_s);
+        // Buckets `lo..=hi` split into a stored prefix (up to the newest
+        // recorded bucket) and a known-zero suffix after it.
+        if lo <= self.newest {
+            let offset = (self.newest - lo) as usize;
+            rates.idx = (self.head + len - offset) % len;
+            rates.stored = (hi.min(self.newest) - lo + 1).max(0) as usize;
         }
+        rates.zeros = (hi - lo.max(self.newest + 1) + 1).max(0) as usize;
+        rates
     }
 }
+
+/// Iterator over a history's complete-bucket rates, oldest first: walks
+/// the stored buckets around the ring, then yields the zero-rate buckets
+/// after the newest arrival. Allocates nothing.
+#[derive(Clone)]
+struct CompleteRates<'a> {
+    counts: &'a [u32],
+    bucket_s: f64,
+    /// Ring position of the next stored bucket.
+    idx: usize,
+    /// Stored buckets left to yield.
+    stored: usize,
+    /// Zero-rate buckets left to yield after the stored ones.
+    zeros: usize,
+}
+
+impl Iterator for CompleteRates<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let count = if self.stored > 0 {
+            self.stored -= 1;
+            let count = self.counts[self.idx];
+            self.idx = if self.idx + 1 == self.counts.len() {
+                0
+            } else {
+                self.idx + 1
+            };
+            count
+        } else if self.zeros > 0 {
+            self.zeros -= 1;
+            0
+        } else {
+            return None;
+        };
+        Some(f64::from(count) / self.bucket_s)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.stored + self.zeros;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for CompleteRates<'_> {}
 
 /// Which arrival regime the forecaster believes the stream is in (and
 /// will be in over the horizon).
@@ -345,27 +403,40 @@ impl RateForecaster {
     }
 
     /// Forecasts the arrival rate over the configured horizon from the
-    /// complete buckets of `history` at virtual time `now_s`.
+    /// complete buckets of `history` at virtual time `now_s`. Reads the
+    /// ring in place and allocates nothing.
     pub fn forecast(&self, history: &ArrivalHistory, now_s: f64) -> Forecast {
-        let mut rates = Vec::new();
-        history.complete_rates(now_s, &mut rates);
-        self.forecast_rates(&rates, now_s)
+        self.estimate(history.rates(now_s), now_s)
     }
 
-    /// The estimator body, over an explicit complete-bucket rate series
-    /// (oldest first). Split out so tests can drive synthetic series.
+    /// The estimator over an explicit complete-bucket rate series (oldest
+    /// first), so tests can drive synthetic series.
     pub fn forecast_rates(&self, rates: &[f64], now_s: f64) -> Forecast {
-        if rates.is_empty() {
+        self.estimate(rates.iter().copied(), now_s)
+    }
+
+    /// The estimator body: at most two passes over `rates`, each
+    /// accumulation in series order.
+    fn estimate<I>(&self, rates: I, now_s: f64) -> Forecast
+    where
+        I: ExactSizeIterator<Item = f64> + Clone,
+    {
+        let n = rates.len();
+        let mut rest = rates.clone();
+        let Some(first) = rest.next() else {
             return Forecast::none();
-        }
-        let min_r = rates.iter().copied().fold(f64::INFINITY, f64::min);
-        let max_r = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        };
+        // The min/max folds start from ±∞, as `Iterator::fold` would.
+        let mut min_r = f64::INFINITY.min(first);
+        let mut max_r = f64::NEG_INFINITY.max(first);
 
         // Holt's linear smoothing over the bucket rates.
-        let mut level = rates[0];
+        let mut level = first;
         let mut trend = 0.0;
         let mut abs_err = 0.0;
-        for &r in &rates[1..] {
+        for r in rest {
+            min_r = min_r.min(r);
+            max_r = max_r.max(r);
             let pred = level + trend;
             abs_err += (r - pred).abs();
             let prev = level;
@@ -373,12 +444,8 @@ impl RateForecaster {
             trend = self.cfg.beta * (level - prev) + (1.0 - self.cfg.beta) * trend;
         }
         level = level.clamp(min_r, max_r);
-        let coverage = rates.len() as f64 / self.cfg.history_buckets as f64;
-        let mean_abs_err = if rates.len() > 1 {
-            abs_err / (rates.len() - 1) as f64
-        } else {
-            0.0
-        };
+        let coverage = n as f64 / self.cfg.history_buckets as f64;
+        let mean_abs_err = if n > 1 { abs_err / (n - 1) as f64 } else { 0.0 };
 
         // Burst-phase detection: when the rates split into two clusters,
         // measure completed run lengths and predict the next phase edge.
@@ -407,7 +474,7 @@ impl RateForecaster {
     #[allow(clippy::too_many_arguments)]
     fn forecast_phases(
         &self,
-        rates: &[f64],
+        rates: impl ExactSizeIterator<Item = f64>,
         now_s: f64,
         min_r: f64,
         max_r: f64,
@@ -420,39 +487,45 @@ impl RateForecaster {
             return None;
         }
         let mid = 0.5 * (min_r + max_r);
-        // Split the series into runs of the same phase (high >= mid).
-        let mut runs: Vec<(bool, usize)> = Vec::new();
-        for &r in rates {
+        // Split the series into runs of the same phase (high >= mid),
+        // tallying completed runs and each phase's rates; the arrays are
+        // indexed by phase, low 0 and high 1. Sums start from `Sum`'s
+        // neutral `-0.0` and add in series order, as `sum()` over the
+        // phase's rates would.
+        let mut runs = 0usize;
+        let (mut cur_phase, mut cur_len) = (false, 0usize);
+        let mut completed_len = [0usize; 2];
+        let mut completed_runs = [0usize; 2];
+        let mut phase_sum = [-0.0f64; 2];
+        let mut phase_count = [0usize; 2];
+        for r in rates {
             let high = r >= mid;
-            match runs.last_mut() {
-                Some((phase, len)) if *phase == high => *len += 1,
-                _ => runs.push((high, 1)),
+            if runs > 0 && high == cur_phase {
+                cur_len += 1;
+            } else {
+                if runs > 0 {
+                    completed_len[usize::from(cur_phase)] += cur_len;
+                    completed_runs[usize::from(cur_phase)] += 1;
+                }
+                runs += 1;
+                (cur_phase, cur_len) = (high, 1);
             }
+            phase_sum[usize::from(high)] += r;
+            phase_count[usize::from(high)] += 1;
         }
-        if runs.len() < 3 {
+        if runs < 3 {
             // Fewer than two completed runs: a step, not a cycle — let
             // the trend estimator handle it.
             return None;
         }
-        let (cur_phase, cur_len) = *runs.last().expect("non-empty runs");
-        let completed = &runs[..runs.len() - 1];
-        let mean_run = |phase: bool| {
-            let (sum, n) = completed
-                .iter()
-                .filter(|(p, _)| *p == phase)
-                .fold((0usize, 0usize), |(s, n), (_, l)| (s + l, n + 1));
-            (n > 0).then(|| sum as f64 / n as f64)
-        };
-        let expected_run = mean_run(cur_phase)?;
+        let (sum, n) = (
+            completed_len[usize::from(cur_phase)],
+            completed_runs[usize::from(cur_phase)],
+        );
+        let expected_run = (n > 0).then(|| sum as f64 / n as f64)?;
         // Phase means, the forecast values for either side of the edge.
-        let phase_mean = |phase: bool| {
-            let picked: Vec<f64> = rates
-                .iter()
-                .copied()
-                .filter(|&r| (r >= mid) == phase)
-                .collect();
-            picked.iter().sum::<f64>() / picked.len() as f64
-        };
+        let phase_mean =
+            |phase: bool| phase_sum[usize::from(phase)] / phase_count[usize::from(phase)] as f64;
         // Time left in the current run: buckets the run is expected to
         // span minus the time already spent in it (completed buckets of
         // the run plus the fraction elapsed in the current bucket).
@@ -532,6 +605,51 @@ mod tests {
         h.record(100.25);
         h.complete_rates(101.0, &mut rates);
         assert_eq!(rates, vec![0.0, 0.0, 1.0]);
+    }
+
+    /// The per-bucket ring lookup the in-place reader replaced.
+    fn indexed_rates(h: &ArrivalHistory, now_s: f64) -> Vec<f64> {
+        if h.filled == 0 {
+            return Vec::new();
+        }
+        let len = h.counts.len();
+        let cur = h.bucket_index(now_s);
+        let oldest = h.newest - (h.filled as i64 - 1);
+        (oldest.max(cur - len as i64)..cur)
+            .map(|b| {
+                let count = if b <= h.newest {
+                    h.counts[(h.head + len - (h.newest - b) as usize) % len]
+                } else {
+                    0
+                };
+                f64::from(count) / h.bucket_s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_reader_matches_indexed_ring_lookup() {
+        // Ring sizes around the wrap, gappy arrivals, and reads before,
+        // inside and long after the recorded window.
+        for buckets in [2, 3, 5, 8, 13] {
+            let c = cfg().with_bucket_s(0.5).with_history_buckets(buckets);
+            let mut h = ArrivalHistory::new(&c);
+            let mut rates = Vec::new();
+            let mut t = 0.3;
+            for i in 0..60u32 {
+                t += [0.1, 0.45, 0.05, 1.7, 0.2, 3.9][(i % 6) as usize];
+                h.record(t);
+                for now in [t - 2.0, t, t + 0.5, t + 1.3, t + 4.0, t + 40.0] {
+                    h.complete_rates(now, &mut rates);
+                    assert_eq!(
+                        rates,
+                        indexed_rates(&h, now),
+                        "{buckets} buckets, now {now}"
+                    );
+                    assert_eq!(h.rates(now).len(), rates.len());
+                }
+            }
+        }
     }
 
     #[test]

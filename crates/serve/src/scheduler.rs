@@ -61,7 +61,7 @@ use crate::autoscale::{
     ScaleEvent, ScalePolicy,
 };
 use crate::config::{DropPolicy, ScalePolicyKind, SchedulePolicy, ServeConfig};
-use crate::forecast::{ArrivalHistory, RateForecaster};
+use crate::forecast::{ArrivalHistory, Forecast, RateForecaster};
 use crate::replay::StreamSnapshot;
 use crate::report::{BatchRecord, BatchStage, BatchStats, LatencyStats, ServeReport, StreamReport};
 use crate::shard::RebalanceSignal;
@@ -71,6 +71,7 @@ use catdet_core::{
 };
 use catdet_data::{Frame, StreamSource};
 use catdet_recorder::{Event, FlightRecorder, STAGE_PROPOSAL, STAGE_REFINEMENT};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -218,6 +219,11 @@ pub(crate) struct StreamRt {
     /// stream (not the engine) so it migrates with it and a forecast is
     /// identical before and after an `extract_stream`/`admit_stream` hop.
     history: ArrivalHistory,
+    /// The stream's last forecast and the tick time it was made for, so
+    /// each stream is estimated at most once per tick however many
+    /// readers ask. Cleared by every arrival the history records; it
+    /// travels with the stream like the history.
+    forecast_memo: Cell<Option<(f64, Forecast)>>,
     latencies: Vec<f64>,
     ops: OpsBreakdown,
     outputs: Vec<(usize, Vec<catdet_metrics::Detection>)>,
@@ -320,8 +326,10 @@ pub(crate) struct Engine {
     /// policy and the fleet's predicted-load rebalance signal.
     forecaster: RateForecaster,
     /// Control ticks aggregate forecasts into the [`ControlSample`] (and
-    /// book `Forecast` events) only when the predictive policy runs, so
-    /// every other policy's recorded byte stream is untouched.
+    /// book `Forecast` events) only when autoscaling is on and either the
+    /// predictive scale policy or the predicted rebalance signal reads
+    /// them, so every other configuration's recorded byte stream is
+    /// untouched.
     forecast_active: bool,
     /// Next control tick, `INFINITY` when autoscaling is off.
     next_control_s: f64,
@@ -351,6 +359,8 @@ pub(crate) struct Engine {
     win_arrived: usize,
     win_shed: usize,
     win_latencies: Vec<(f64, f64)>,
+    /// One tick's window latencies, reused across ticks.
+    window_buf: Vec<f64>,
     scale_events: Vec<ScaleEvent>,
     admission_events: Vec<AdmissionEvent>,
     downgrade_events: Vec<DowngradeEvent>,
@@ -421,6 +431,7 @@ impl Engine {
                     skipped: 0,
                     degraded: false,
                     history: ArrivalHistory::new(&cfg.forecast),
+                    forecast_memo: Cell::new(None),
                     latencies: Vec::new(),
                     ops: OpsBreakdown::default(),
                     outputs: Vec::new(),
@@ -483,6 +494,7 @@ impl Engine {
             win_arrived: 0,
             win_shed: 0,
             win_latencies: Vec::new(),
+            window_buf: Vec::new(),
             scale_events: Vec::new(),
             admission_events: Vec::new(),
             downgrade_events: Vec::new(),
@@ -611,10 +623,23 @@ impl Engine {
         self.streams[local].queue.len()
     }
 
+    /// One stream's forecast at tick `t`, through its memo: a forecast is
+    /// a pure function of (config, history, `t`), so a memo hit is
+    /// bit-identical to estimating again.
+    fn stream_forecast(&self, s: &StreamRt, t: f64) -> Forecast {
+        if let Some((at, f)) = s.forecast_memo.get() {
+            if at.to_bits() == t.to_bits() {
+                return f;
+            }
+        }
+        let f = self.forecaster.forecast(&s.history, t);
+        s.forecast_memo.set(Some((t, f)));
+        f
+    }
+
     /// One stream's forecast arrivals (frames) over the forecast horizon.
     fn forecast_frames(&self, s: &StreamRt, t: f64) -> f64 {
-        let f = self.forecaster.forecast(&s.history, t);
-        f.rate_fps * self.forecaster.config().horizon_s
+        self.stream_forecast(s, t).rate_fps * self.forecaster.config().horizon_s
     }
 
     /// Queued backlog plus forecast arrivals over the forecast horizon,
@@ -647,7 +672,7 @@ impl Engine {
             if s.departed {
                 continue;
             }
-            let f = self.forecaster.forecast(&s.history, t);
+            let f = self.stream_forecast(s, t);
             rate += f.rate_fps;
             conf += f.confidence;
             live += 1;
@@ -697,6 +722,7 @@ impl Engine {
             skipped: 0,
             degraded: false,
             history: ArrivalHistory::new(&self.cfg.forecast),
+            forecast_memo: Cell::new(None),
             latencies: Vec::new(),
             ops: OpsBreakdown::default(),
             outputs: Vec::new(),
@@ -729,7 +755,8 @@ impl Engine {
             self.next_control_s += self.cfg.autoscale.control_interval_s;
             // Consume exactly the latencies whose frames completed by this
             // tick; later completions stay queued for the next window.
-            let mut window = Vec::new();
+            let window = &mut self.window_buf;
+            window.clear();
             self.win_latencies.retain(|&(completed_s, latency_s)| {
                 if completed_s <= t + EPS {
                     window.push(latency_s);
@@ -738,6 +765,7 @@ impl Engine {
                     true
                 }
             });
+            let window_p99_s = window_p99(window);
             let (forecast_rate_fps, forecast_confidence) = if self.forecast_active {
                 self.forecast_tick(t)
             } else {
@@ -753,7 +781,7 @@ impl Engine {
                 backlog: self.total_queued,
                 window_arrived: self.win_arrived,
                 window_shed: self.win_shed,
-                window_p99_s: window_p99(&window),
+                window_p99_s,
                 forecast_rate_fps,
                 forecast_confidence,
             };
@@ -814,6 +842,7 @@ impl Engine {
                     // forecaster tracks what the camera sends, not what
                     // the door lets through.
                     s.history.record(arrival_s);
+                    s.forecast_memo.set(None);
                 }
                 self.win_arrived += 1;
                 let ctx = AdmissionContext {

@@ -15,16 +15,23 @@
 //!   interleave with the chunks, the complete-bucket rates and the
 //!   forecast are a pure function of (arrivals so far, now).
 //!
+//! * **Reference equality** — the estimator reads the history ring in
+//!   place and allocates nothing; it equals the earlier vector-based
+//!   estimator (kept here as a test-only reference) bit for bit, on
+//!   recorded histories and on synthetic on/off series.
+//!
 //! A closing integration test drives the predicted rebalance signal
 //! through a real two-shard fleet: forecast-driven migrations happen,
-//! frames are conserved, and the run is bit-reproducible.
+//! frames are conserved, and the run is bit-reproducible. The predictive
+//! duel's recorded bytes are pinned, which catches a stale forecast memo.
 
 mod common;
 
 use catdet_serve::{
     bursty_workload, serve_fleet, serve_fleet_with_recorder, step_workload, ArrivalHistory,
-    AutoscaleConfig, BurstProfile, FleetReport, ForecastConfig, PartitionKind, RateForecaster,
-    RebalanceSignal, ServeConfig, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
+    AutoscaleConfig, BurstPhase, BurstProfile, EventKind, FleetReport, Forecast, ForecastConfig,
+    PartitionKind, Query, RateForecaster, RebalanceSignal, ServeConfig, ShardConfig,
+    SharedRecorder, StreamSpec, SystemKind,
 };
 use proptest::prelude::*;
 
@@ -333,4 +340,250 @@ fn predictive_duel_is_identical_at_1_and_4_threads() {
         bytes_1 == bytes_4,
         "recorder stores diverged at 1 vs 4 threads"
     );
+}
+
+/// The estimator as it stood before it read the history ring in place: a
+/// test-only reference, its body unchanged, that collects the run list
+/// and each phase's rates into vectors. The production estimator must
+/// equal it bit for bit.
+struct ReferenceForecaster {
+    cfg: ForecastConfig,
+}
+
+impl ReferenceForecaster {
+    fn forecast_rates(&self, rates: &[f64], now_s: f64) -> Forecast {
+        if rates.is_empty() {
+            return Forecast::none();
+        }
+        let min_r = rates.iter().copied().fold(f64::INFINITY, f64::min);
+        let max_r = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+
+        // Holt's linear smoothing over the bucket rates.
+        let mut level = rates[0];
+        let mut trend = 0.0;
+        let mut abs_err = 0.0;
+        for &r in &rates[1..] {
+            let pred = level + trend;
+            abs_err += (r - pred).abs();
+            let prev = level;
+            level = self.cfg.alpha * r + (1.0 - self.cfg.alpha) * pred;
+            trend = self.cfg.beta * (level - prev) + (1.0 - self.cfg.beta) * trend;
+        }
+        level = level.clamp(min_r, max_r);
+        let coverage = rates.len() as f64 / self.cfg.history_buckets as f64;
+        let mean_abs_err = if rates.len() > 1 {
+            abs_err / (rates.len() - 1) as f64
+        } else {
+            0.0
+        };
+
+        // Burst-phase detection: when the rates split into two clusters,
+        // measure completed run lengths and predict the next phase edge.
+        if let Some(f) = self.forecast_phases(rates, now_s, min_r, max_r, level, trend, coverage) {
+            return f;
+        }
+
+        // Unimodal: trend-extrapolate, clamped to the observed range.
+        let rate = (level + trend * self.cfg.horizon_s).clamp(min_r, max_r);
+        let fit = if max_r > 0.0 {
+            (1.0 - mean_abs_err / max_r).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        Forecast {
+            rate_fps: rate,
+            level_fps: level,
+            trend_fps_per_s: trend,
+            confidence: (coverage * fit).clamp(0.0, 1.0),
+            phase: BurstPhase::Steady,
+        }
+    }
+
+    /// The bimodal estimator: `None` when the rates do not show a usable
+    /// two-phase structure.
+    #[allow(clippy::too_many_arguments)]
+    fn forecast_phases(
+        &self,
+        rates: &[f64],
+        now_s: f64,
+        min_r: f64,
+        max_r: f64,
+        level: f64,
+        trend: f64,
+        coverage: f64,
+    ) -> Option<Forecast> {
+        let spread = max_r - min_r;
+        if rates.len() < 4 || max_r <= 0.0 || spread <= 0.5 * max_r {
+            return None;
+        }
+        let mid = 0.5 * (min_r + max_r);
+        // Split the series into runs of the same phase (high >= mid).
+        let mut runs: Vec<(bool, usize)> = Vec::new();
+        for &r in rates {
+            let high = r >= mid;
+            match runs.last_mut() {
+                Some((phase, len)) if *phase == high => *len += 1,
+                _ => runs.push((high, 1)),
+            }
+        }
+        if runs.len() < 3 {
+            // Fewer than two completed runs: a step, not a cycle — let
+            // the trend estimator handle it.
+            return None;
+        }
+        let (cur_phase, cur_len) = *runs.last().expect("non-empty runs");
+        let completed = &runs[..runs.len() - 1];
+        let mean_run = |phase: bool| {
+            let (sum, n) = completed
+                .iter()
+                .filter(|(p, _)| *p == phase)
+                .fold((0usize, 0usize), |(s, n), (_, l)| (s + l, n + 1));
+            (n > 0).then(|| sum as f64 / n as f64)
+        };
+        let expected_run = mean_run(cur_phase)?;
+        // Phase means, the forecast values for either side of the edge.
+        let phase_mean = |phase: bool| {
+            let picked: Vec<f64> = rates
+                .iter()
+                .copied()
+                .filter(|&r| (r >= mid) == phase)
+                .collect();
+            picked.iter().sum::<f64>() / picked.len() as f64
+        };
+        // Time left in the current run: buckets the run is expected to
+        // span minus the time already spent in it (completed buckets of
+        // the run plus the fraction elapsed in the current bucket).
+        let bucket_s = self.cfg.bucket_s;
+        let run_start_s = (now_s / bucket_s).floor() * bucket_s - cur_len as f64 * bucket_s;
+        let elapsed_s = now_s - run_start_s;
+        let remaining_s = expected_run * bucket_s - elapsed_s;
+        let edge_within_horizon = remaining_s <= self.cfg.horizon_s;
+        let forecast_high = if edge_within_horizon {
+            !cur_phase
+        } else {
+            cur_phase
+        };
+        let rate = phase_mean(forecast_high).clamp(min_r, max_r);
+        Some(Forecast {
+            rate_fps: rate,
+            level_fps: level,
+            trend_fps_per_s: trend,
+            confidence: coverage.clamp(0.0, 1.0),
+            phase: if forecast_high {
+                BurstPhase::Burst
+            } else {
+                BurstPhase::Quiet
+            },
+        })
+    }
+}
+
+/// Strategy: forecaster configurations whose history is long enough for
+/// the ring to wrap many times under [`arrivals_strategy`].
+fn ring_config_strategy() -> impl Strategy<Value = ForecastConfig> {
+    (config_strategy(), 2usize..64).prop_map(|(cfg, buckets)| cfg.with_history_buckets(buckets))
+}
+
+/// Strategy: an on/off rate series, two levels alternating in runs of
+/// random length, so the burst-phase branch runs on most cases.
+fn on_off_series_strategy() -> impl Strategy<Value = Vec<f64>> {
+    (
+        0.0f64..5.0,
+        5.0f64..60.0,
+        ANY_BOOL,
+        proptest::collection::vec(1usize..7, 1..12),
+    )
+        .prop_map(|(low, high, start_high, runs)| {
+            let mut series = Vec::new();
+            for (i, &len) in runs.iter().enumerate() {
+                let level = if (i % 2 == 0) == start_high {
+                    high
+                } else {
+                    low
+                };
+                series.extend(std::iter::repeat_n(level, len));
+            }
+            series
+        })
+}
+
+proptest! {
+    /// The in-place estimator equals the reference run over
+    /// `complete_rates`, for any configuration, arrivals and read time.
+    #[test]
+    fn forecast_matches_the_reference_estimator(
+        cfg in ring_config_strategy(),
+        arrivals in arrivals_strategy(),
+        settle in -1.0f64..3.0,
+    ) {
+        let mut h = ArrivalHistory::new(&cfg);
+        record_all(&mut h, &arrivals);
+        let now = arrivals.last().copied().unwrap_or(0.0) + settle;
+        let mut rates = Vec::new();
+        h.complete_rates(now, &mut rates);
+        let reference = ReferenceForecaster { cfg }.forecast_rates(&rates, now);
+        prop_assert_eq!(
+            forecast_bits(&RateForecaster::new(cfg).forecast(&h, now)),
+            forecast_bits(&reference)
+        );
+    }
+
+    /// On synthetic on/off series the explicit-series entry point equals
+    /// the reference, burst-phase branch included.
+    #[test]
+    fn on_off_series_match_the_reference_estimator(
+        cfg in ring_config_strategy(),
+        series in on_off_series_strategy(),
+        into_bucket in 0.0f64..1.0,
+    ) {
+        let now = (series.len() as f64 + into_bucket) * cfg.bucket_s;
+        let reference = ReferenceForecaster { cfg }.forecast_rates(&series, now);
+        prop_assert_eq!(
+            forecast_bits(&RateForecaster::new(cfg).forecast_rates(&series, now)),
+            forecast_bits(&reference)
+        );
+    }
+}
+
+/// FNV-1a, 64-bit: a stable fingerprint of recorder bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The predictive duel's recorded bytes, pinned. Forecast rows,
+/// forecast-driven migrations and scale events all land in the store, so
+/// a forecast that differs from a fresh estimate at any tick — a stale
+/// memo — changes the length or the hash.
+#[test]
+fn predictive_duel_recording_is_pinned() {
+    assert_eq!(
+        fnv1a64(b"a"),
+        0xaf63_dc4c_8601_ec8c,
+        "FNV-1a 64 test vector"
+    );
+    // (workload, bytes, FNV-1a 64, forecast rows, migrations, scale events)
+    for (name, len, hash, rows, migrations, scale_events) in [
+        ("bursty", 82_910, 0x30e1_7018_38f0_d2c2, 784, 14, 19),
+        ("step", 83_650, 0xb010_5c84_b7db_d2a7, 704, 6, 8),
+    ] {
+        let streams = match name {
+            "step" => step_workload(16, 70, 2019, SystemKind::CatdetA, duel_profile(), 4.0),
+            _ => duel_bursty(),
+        };
+        let recorder = SharedRecorder::new(512, usize::MAX, 8);
+        let report = serve_fleet_with_recorder(streams, &duel_config(true, 1), &recorder);
+        let bytes = recorder.with_store(|s| catdet_recorder::encode(s));
+        assert_eq!(bytes.len(), len, "{name}: recorded bytes");
+        assert_eq!(fnv1a64(&bytes), hash, "{name}: recorded bytes hash");
+        let forecast_rows = recorder.scan(&Query::all().kind(EventKind::Forecast)).len();
+        assert_eq!(forecast_rows, rows, "{name}: forecast rows");
+        assert_eq!(report.migrations.len(), migrations, "{name}: migrations");
+        assert_eq!(
+            report.scale_timeline().len(),
+            scale_events,
+            "{name}: scale events"
+        );
+    }
 }

@@ -138,14 +138,26 @@ impl PolicyConfig {
         self
     }
 
-    /// Panics on out-of-range knobs (mirrors the serve-config style).
-    pub fn validate(&self) {
-        assert!(self.stride >= 1, "policy stride must be at least 1");
-        assert!(
-            self.confidence.is_finite() && self.confidence >= 0.0,
-            "policy confidence threshold must be finite and non-negative"
-        );
-        assert!(self.max_coast >= 1, "policy max-coast must be at least 1");
+    /// Checks the knobs' ranges.
+    ///
+    /// # Errors
+    ///
+    /// The first out-of-range knob, as `(field, rule)`: the field's name
+    /// and the rule its value broke.
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
+        if self.stride < 1 {
+            return Err(("stride", "policy stride must be at least 1"));
+        }
+        if !(self.confidence.is_finite() && self.confidence >= 0.0) {
+            return Err((
+                "confidence",
+                "policy confidence threshold must be finite and non-negative",
+            ));
+        }
+        if self.max_coast < 1 {
+            return Err(("max_coast", "policy max-coast must be at least 1"));
+        }
+        Ok(())
     }
 }
 
@@ -247,8 +259,15 @@ pub struct PolicedPipeline {
 
 impl PolicedPipeline {
     /// Wraps a staged pipeline with a frame policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule if `cfg` is out of range (see
+    /// [`PolicyConfig::validate`]).
     pub fn new(inner: Box<dyn StagedDetector>, cfg: PolicyConfig) -> Self {
-        cfg.validate();
+        if let Err((_, rule)) = cfg.validate() {
+            panic!("{rule}");
+        }
         Self {
             inner,
             cfg,

@@ -53,19 +53,31 @@ impl NetParams {
         }
     }
 
-    /// Panics if any parameter is unusable.
-    pub fn validate(&self) {
-        self.link.validate();
-        assert!(
-            self.recv_window >= 1,
-            "receive window must hold at least one frame"
-        );
-        assert!(
-            self.drain_fps > 0.0 && self.drain_fps.is_finite(),
-            "drain rate must be finite and positive"
-        );
-        // DoorPolicy::new re-checks, but fail at config time, not later.
-        let _ = DoorPolicy::new(self.door_rate_fps, self.door_burst);
+    /// Checks every parameter's range, the link's included.
+    ///
+    /// # Errors
+    ///
+    /// The first unusable parameter, as `(field, rule)`: the rule its
+    /// value broke, and the field's name in `self` or, for a link
+    /// parameter, in [`LinkParams`].
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
+        self.link.validate()?;
+        if self.recv_window < 1 {
+            return Err(("recv_window", "receive window must hold at least one frame"));
+        }
+        if !(self.drain_fps > 0.0 && self.drain_fps.is_finite()) {
+            return Err(("drain_fps", "drain rate must be finite and positive"));
+        }
+        if !(self.door_rate_fps > 0.0 && self.door_rate_fps.is_finite()) {
+            return Err(("door_rate_fps", "door rate must be finite and positive"));
+        }
+        if !(self.door_burst >= 1.0 && self.door_burst.is_finite()) {
+            return Err((
+                "door_burst",
+                "door burst must be finite and at least one frame",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -240,8 +252,15 @@ struct ClientOutcome {
 
 /// Simulates every connection to completion and returns the delivered
 /// streams, the event log and the report. Pure in `(sources, params)`.
+///
+/// # Panics
+///
+/// Panics with the broken rule if `params` is unusable (see
+/// [`NetParams::validate`]).
 pub fn run_ingest(sources: &[StreamSource], params: &NetParams) -> IngestOutcome {
-    params.validate();
+    if let Err((_, rule)) = params.validate() {
+        panic!("{rule}");
+    }
     let mut ex = Executor::new();
     let results: Rc<RefCell<Vec<Option<ClientOutcome>>>> =
         Rc::new(RefCell::new((0..sources.len()).map(|_| None).collect()));

@@ -49,33 +49,44 @@ impl LinkParams {
         }
     }
 
-    /// Panics if the parameters are unusable.
-    pub fn validate(&self) {
-        assert!(
-            self.base_latency_s >= 0.0 && self.base_latency_s.is_finite(),
-            "link latency must be finite and non-negative"
-        );
-        assert!(
-            self.jitter_s >= 0.0 && self.jitter_s.is_finite(),
-            "link jitter must be finite and non-negative"
-        );
-        assert!(
-            self.bytes_per_s > 0.0 && self.bytes_per_s.is_finite(),
-            "link throughput must be finite and positive"
-        );
-        assert!(self.chunk_bytes >= 1, "chunks must hold at least one byte");
-        assert!(
-            (0.0..=1.0).contains(&self.reorder_rate),
-            "reorder rate must be a probability"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.disconnect_rate),
-            "disconnect rate must be a probability below 1"
-        );
-        assert!(
-            self.reconnect_delay_s > 0.0 && self.reconnect_delay_s.is_finite(),
-            "reconnect delay must be finite and positive"
-        );
+    /// Checks every parameter's range.
+    ///
+    /// # Errors
+    ///
+    /// The first unusable parameter, as `(field, rule)`: the field's name
+    /// and the rule its value broke.
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
+        if !(self.base_latency_s >= 0.0 && self.base_latency_s.is_finite()) {
+            return Err((
+                "base_latency_s",
+                "link latency must be finite and non-negative",
+            ));
+        }
+        if !(self.jitter_s >= 0.0 && self.jitter_s.is_finite()) {
+            return Err(("jitter_s", "link jitter must be finite and non-negative"));
+        }
+        if !(self.bytes_per_s > 0.0 && self.bytes_per_s.is_finite()) {
+            return Err(("bytes_per_s", "link throughput must be finite and positive"));
+        }
+        if self.chunk_bytes < 1 {
+            return Err(("chunk_bytes", "chunks must hold at least one byte"));
+        }
+        if !(0.0..=1.0).contains(&self.reorder_rate) {
+            return Err(("reorder_rate", "reorder rate must be a probability"));
+        }
+        if !(0.0..1.0).contains(&self.disconnect_rate) {
+            return Err((
+                "disconnect_rate",
+                "disconnect rate must be a probability below 1",
+            ));
+        }
+        if !(self.reconnect_delay_s > 0.0 && self.reconnect_delay_s.is_finite()) {
+            return Err((
+                "reconnect_delay_s",
+                "reconnect delay must be finite and positive",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -124,8 +135,15 @@ pub struct SimLink {
 impl SimLink {
     /// A fresh link; `seed` should mix the workload seed with the client
     /// id (see [`mix_seed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule if `params` is unusable (see
+    /// [`LinkParams::validate`]).
     pub fn new(params: LinkParams, seed: u64) -> Self {
-        params.validate();
+        if let Err((_, rule)) = params.validate() {
+            panic!("{rule}");
+        }
         Self {
             params,
             rng: ChaCha8Rng::seed_from_u64(seed),

@@ -6,6 +6,7 @@ use catdet_core::{GpuTimingModel, PolicyConfig};
 use catdet_net::{LinkParams, NetParams};
 use catdet_recorder::SharedRecorder;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Upper bound on every setting that sizes per-unit state before a run
 /// starts: worker slots ([`ServeConfig::workers`],
@@ -14,6 +15,47 @@ use serde::{Deserialize, Serialize};
 /// ([`ForecastConfig::history_buckets`]). Past it, that up-front
 /// allocation alone can abort the process.
 pub const SIZING_LIMIT: usize = 1 << 16;
+
+/// Shortest tick spacing, in virtual seconds, of the autoscale control
+/// loop ([`AutoscaleConfig::control_interval_s`]) and of live rebalancing
+/// ([`ShardConfig::rebalance_interval_s`], when on): at most 1,000 ticks
+/// per virtual second. Tick loops step by the interval until they pass
+/// the clock, so a far shorter one stalls a run.
+pub const MIN_TICK_S: f64 = 1e-3;
+
+/// A rule a configuration broke, from [`ServeConfig::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// Path of the offending field in [`ServeConfig`], e.g.
+    /// `autoscale.max_workers` or `ingest.disconnect_rate`.
+    pub field: String,
+    /// The rule its value broke.
+    pub rule: String,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.rule)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Returns a [`ConfigError`] naming `$field` from the enclosing function
+/// unless `$ok` holds. The rule is formatted only on failure, so checking
+/// a valid configuration allocates nothing.
+macro_rules! ensure {
+    ($ok:expr, $field:expr, $($rule:tt)+) => {
+        let ok: bool = $ok;
+        if !ok {
+            return Err($crate::config::ConfigError {
+                field: $field.into(),
+                rule: format!($($rule)+),
+            });
+        }
+    };
+}
+pub(crate) use ensure;
 
 /// Which stream a free worker serves next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,6 +70,9 @@ pub enum SchedulePolicy {
 }
 
 impl SchedulePolicy {
+    /// Every policy, in CLI listing order.
+    pub const ALL: [Self; 2] = [SchedulePolicy::RoundRobin, SchedulePolicy::LeastBacklog];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -38,11 +83,7 @@ impl SchedulePolicy {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "round-robin" => Some(SchedulePolicy::RoundRobin),
-            "least-backlog" => Some(SchedulePolicy::LeastBacklog),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -57,6 +98,9 @@ pub enum DropPolicy {
 }
 
 impl DropPolicy {
+    /// Every policy, in CLI listing order.
+    pub const ALL: [Self; 2] = [DropPolicy::Newest, DropPolicy::Oldest];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -67,11 +111,7 @@ impl DropPolicy {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "newest" => Some(DropPolicy::Newest),
-            "oldest" => Some(DropPolicy::Oldest),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -93,6 +133,14 @@ pub enum ScalePolicyKind {
 }
 
 impl ScalePolicyKind {
+    /// Every controller, in CLI listing order.
+    pub const ALL: [Self; 4] = [
+        ScalePolicyKind::Fixed,
+        ScalePolicyKind::Hysteresis,
+        ScalePolicyKind::Proportional,
+        ScalePolicyKind::Predictive,
+    ];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -105,13 +153,7 @@ impl ScalePolicyKind {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "fixed" => Some(ScalePolicyKind::Fixed),
-            "hysteresis" => Some(ScalePolicyKind::Hysteresis),
-            "proportional" => Some(ScalePolicyKind::Proportional),
-            "predictive" => Some(ScalePolicyKind::Predictive),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -223,30 +265,50 @@ impl AutoscaleConfig {
         self.policy != ScalePolicyKind::Fixed
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
-        assert!(self.min_workers >= 1, "autoscale floor must be at least 1");
-        assert!(
+    fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(
+            self.min_workers >= 1,
+            "autoscale.min_workers",
+            "autoscale floor must be at least 1"
+        );
+        ensure!(
             self.max_workers >= self.min_workers,
+            "autoscale.max_workers",
             "autoscale ceiling must be at least the floor"
         );
-        assert!(
+        ensure!(
             self.max_workers <= SIZING_LIMIT,
+            "autoscale.max_workers",
             "autoscale ceiling must be at most {SIZING_LIMIT}"
         );
-        assert!(
+        ensure!(
             self.control_interval_s > 0.0 && self.control_interval_s.is_finite(),
+            "autoscale.control_interval_s",
             "control interval must be finite and positive"
         );
-        assert!(self.scale_step >= 1, "scale step must be at least 1");
-        assert!(
+        ensure!(
+            self.control_interval_s >= MIN_TICK_S,
+            "autoscale.control_interval_s",
+            "control interval must be at least {MIN_TICK_S} s"
+        );
+        ensure!(
+            self.scale_step >= 1,
+            "autoscale.scale_step",
+            "scale step must be at least 1"
+        );
+        ensure!(
             self.service_s_per_frame > 0.0 && self.service_s_per_frame.is_finite(),
+            "autoscale.service_s_per_frame",
             "service time estimate must be finite and positive"
         );
-        assert!(
-            self.up_shed_rate >= 0.0 && self.up_p99_s >= 0.0 && self.down_p99_s >= 0.0,
-            "thresholds must be non-negative"
-        );
+        for (field, threshold) in [
+            ("autoscale.up_shed_rate", self.up_shed_rate),
+            ("autoscale.up_p99_s", self.up_p99_s),
+            ("autoscale.down_p99_s", self.down_p99_s),
+        ] {
+            ensure!(threshold >= 0.0, field, "thresholds must be non-negative");
+        }
+        Ok(())
     }
 }
 
@@ -269,6 +331,13 @@ pub enum AdmissionKind {
 }
 
 impl AdmissionKind {
+    /// Every policy, in CLI listing order.
+    pub const ALL: [Self; 3] = [
+        AdmissionKind::AdmitAll,
+        AdmissionKind::TokenBucket,
+        AdmissionKind::Priority,
+    ];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -280,12 +349,7 @@ impl AdmissionKind {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "admit-all" => Some(AdmissionKind::AdmitAll),
-            "token-bucket" => Some(AdmissionKind::TokenBucket),
-            "priority" => Some(AdmissionKind::Priority),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -346,24 +410,28 @@ impl AdmissionConfig {
         self
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
-        assert!(
+    fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(
             !self.downgrade || self.kind == AdmissionKind::Priority,
+            "admission.downgrade",
             "downgrade-before-drop needs the priority admission policy"
         );
-        assert!(
+        ensure!(
             self.rate_fps > 0.0 && self.rate_fps.is_finite(),
+            "admission.rate_fps",
             "admission rate must be finite and positive"
         );
-        assert!(
+        ensure!(
             self.burst >= 1.0 && self.burst.is_finite(),
+            "admission.burst",
             "admission burst must be at least one frame"
         );
-        assert!(
+        ensure!(
             self.backlog_watermark >= 1,
+            "admission.backlog_watermark",
             "backlog watermark must be at least 1"
         );
+        Ok(())
     }
 }
 
@@ -390,6 +458,13 @@ pub enum PartitionKind {
 }
 
 impl PartitionKind {
+    /// Every policy, in CLI listing order.
+    pub const ALL: [Self; 3] = [
+        PartitionKind::StaticHash,
+        PartitionKind::LeastLoaded,
+        PartitionKind::ConsistentHash,
+    ];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -401,12 +476,7 @@ impl PartitionKind {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "static-hash" => Some(PartitionKind::StaticHash),
-            "least-loaded" => Some(PartitionKind::LeastLoaded),
-            "consistent-hash" => Some(PartitionKind::ConsistentHash),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -528,14 +598,24 @@ impl ShardConfig {
         self
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
-        assert!(self.shards >= 1, "need at least one shard");
-        assert!(self.shards <= SIZING_LIMIT, "at most {SIZING_LIMIT} shards");
-        assert!(
+    fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.shards >= 1, "shard.shards", "need at least one shard");
+        ensure!(
+            self.shards <= SIZING_LIMIT,
+            "shard.shards",
+            "at most {SIZING_LIMIT} shards"
+        );
+        ensure!(
             self.rebalance_interval_s >= 0.0 && self.rebalance_interval_s.is_finite(),
+            "shard.rebalance_interval_s",
             "rebalance interval must be finite and non-negative"
         );
+        ensure!(
+            self.rebalance_interval_s == 0.0 || self.rebalance_interval_s >= MIN_TICK_S,
+            "shard.rebalance_interval_s",
+            "rebalance interval must be 0 (off) or at least {MIN_TICK_S} s"
+        );
+        Ok(())
     }
 }
 
@@ -612,17 +692,19 @@ impl RecorderConfig {
         )
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
-        assert!(
+    fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(
             self.chunk_events >= 1,
+            "recorder.chunk_events",
             "recorder chunks must hold at least one event"
         );
-        assert!(
+        ensure!(
             self.snapshot_every_frames == 0 || self.retention_chunks >= 1,
+            "recorder.retention_chunks",
             "zero retention cannot feed replay: snapshots need their recorded events kept; \
              raise the retention budget or disable snapshots"
         );
+        Ok(())
     }
 }
 
@@ -646,6 +728,9 @@ pub enum IngestKind {
 }
 
 impl IngestKind {
+    /// Every kind, in CLI listing order.
+    pub const ALL: [Self; 2] = [IngestKind::Direct, IngestKind::Net];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -656,11 +741,7 @@ impl IngestKind {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "direct" => Some(IngestKind::Direct),
-            "net" => Some(IngestKind::Net),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -802,10 +883,21 @@ impl IngestConfig {
         }
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
+    fn validate(&self) -> Result<(), ConfigError> {
         // Seed and window backing do not affect validity; placeholders.
-        self.net_params(0, 1).validate();
+        self.net_params(0, 1).validate().map_err(|(field, rule)| {
+            // Three link fields are named after the knob, not the wire.
+            let field = match field {
+                "base_latency_s" => "conn_latency_s",
+                "jitter_s" => "conn_jitter_s",
+                "bytes_per_s" => "link_bytes_per_s",
+                same => same,
+            };
+            ConfigError {
+                field: format!("ingest.{field}"),
+                rule: rule.into(),
+            }
+        })
     }
 }
 
@@ -995,33 +1087,51 @@ impl ServeConfig {
         self
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
-        assert!(self.workers >= 1, "need at least one worker");
-        assert!(
+    /// Checks every rule the configuration must satisfy: this is the one
+    /// place they are written.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, naming the offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.workers >= 1, "workers", "need at least one worker");
+        ensure!(
             self.workers <= SIZING_LIMIT,
+            "workers",
             "at most {SIZING_LIMIT} workers"
         );
-        assert!(self.max_batch >= 1, "need a batch size of at least one");
-        assert!(
+        ensure!(
+            self.max_batch >= 1,
+            "max_batch",
+            "need a batch size of at least one"
+        );
+        ensure!(
             self.queue_capacity >= 1,
+            "queue_capacity",
             "need queue capacity of at least one"
         );
-        assert!(
+        ensure!(
             self.batch_window_s >= 0.0 && self.batch_window_s.is_finite(),
+            "batch_window_s",
             "batch window must be finite and non-negative"
         );
-        assert!(
+        ensure!(
             self.refine_batch_window_s >= 0.0 && self.refine_batch_window_s.is_finite(),
+            "refine_batch_window_s",
             "refinement batch window must be finite and non-negative"
         );
-        self.policy.validate();
-        self.autoscale.validate();
-        self.forecast.validate();
-        self.admission.validate();
-        self.shard.validate();
-        self.recorder.validate();
-        self.ingest.validate();
+        self.policy
+            .validate()
+            .map_err(|(field, rule)| ConfigError {
+                field: format!("policy.{field}"),
+                rule: rule.into(),
+            })?;
+        self.autoscale.validate()?;
+        self.forecast.validate()?;
+        self.admission.validate()?;
+        self.shard.validate()?;
+        self.recorder.validate()?;
+        self.ingest.validate()
     }
 }
 
@@ -1047,7 +1157,7 @@ mod tests {
             .with_schedule(SchedulePolicy::LeastBacklog)
             .with_policy(PolicyConfig::confidence_trigger(1.5))
             .with_drop_policy(DropPolicy::Oldest);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.workers, 8);
         assert_eq!(cfg.max_batch, 16);
         assert_eq!(cfg.queue_capacity, 2);
@@ -1069,14 +1179,15 @@ mod tests {
     fn downgrade_without_priority_is_rejected() {
         ServeConfig::new()
             .with_admission(AdmissionConfig::admit_all().with_downgrade(true))
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
     fn downgrade_rides_the_priority_policy() {
         let cfg =
             ServeConfig::new().with_admission(AdmissionConfig::priority(16).with_downgrade(true));
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert!(cfg.admission.downgrade);
         assert!(
             !ServeConfig::new().admission.downgrade,
@@ -1089,13 +1200,14 @@ mod tests {
     fn negative_refine_window_is_rejected() {
         ServeConfig::new()
             .with_refine_batch_window_s(-0.001)
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_is_rejected() {
-        ServeConfig::new().with_workers(0).validate();
+        ServeConfig::new().with_workers(0).validate().unwrap();
     }
 
     #[test]
@@ -1129,7 +1241,7 @@ mod tests {
         let cfg = ServeConfig::new()
             .with_autoscale(AutoscaleConfig::hysteresis(2, 6))
             .with_admission(AdmissionConfig::token_bucket(15.0, 4.0));
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert!(cfg.autoscale.enabled());
         assert_eq!(cfg.autoscale.min_workers, 2);
         assert_eq!(cfg.autoscale.max_workers, 6);
@@ -1147,7 +1259,7 @@ mod tests {
                     .with_rebalance_signal(RebalanceSignal::Predicted)
                     .with_migration_cooldown_ticks(3),
             );
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.autoscale.policy, ScalePolicyKind::Predictive);
         assert!(cfg.autoscale.enabled());
         assert_eq!(cfg.forecast.horizon_s, 0.75);
@@ -1165,7 +1277,8 @@ mod tests {
     fn negative_forecast_horizon_is_rejected() {
         ServeConfig::new()
             .with_forecast(ForecastConfig::new().with_horizon_s(-1.0))
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -1173,7 +1286,8 @@ mod tests {
     fn inverted_autoscale_bounds_are_rejected() {
         ServeConfig::new()
             .with_autoscale(AutoscaleConfig::hysteresis(4, 2))
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -1181,7 +1295,8 @@ mod tests {
     fn zero_control_interval_is_rejected() {
         ServeConfig::new()
             .with_autoscale(AutoscaleConfig::hysteresis(1, 4).with_control_interval_s(0.0))
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -1192,7 +1307,7 @@ mod tests {
                 .with_retention_chunks(64)
                 .with_snapshot_every_frames(25),
         );
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert!(cfg.recorder.enabled);
         assert_eq!(cfg.recorder.chunk_events, 128);
         assert_eq!(cfg.recorder.retention_chunks, 64);
@@ -1205,7 +1320,8 @@ mod tests {
     fn zero_event_recorder_chunks_are_rejected() {
         ServeConfig::new()
             .with_recorder(RecorderConfig::on().with_chunk_events(0))
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -1217,6 +1333,50 @@ mod tests {
                     .with_retention_chunks(0)
                     .with_snapshot_every_frames(10),
             )
-            .validate();
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
+    fn sub_millisecond_ticks_are_rejected() {
+        let autoscale = |interval_s| {
+            ServeConfig::new().with_autoscale(
+                AutoscaleConfig::hysteresis(1, 4).with_control_interval_s(interval_s),
+            )
+        };
+        let err = autoscale(1e-300).validate().unwrap_err();
+        assert_eq!(err.field, "autoscale.control_interval_s");
+        assert_eq!(autoscale(MIN_TICK_S).validate(), Ok(()));
+        let rebalance = |interval_s| {
+            ServeConfig::new()
+                .with_shard(ShardConfig::sharded(2).with_rebalance_interval_s(interval_s))
+        };
+        let err = rebalance(1e-300).validate().unwrap_err();
+        assert_eq!(err.field, "shard.rebalance_interval_s");
+        assert_eq!(rebalance(MIN_TICK_S).validate(), Ok(()));
+        assert_eq!(rebalance(0.0).validate(), Ok(()), "0 turns rebalancing off");
+    }
+
+    #[test]
+    fn errors_name_the_field_path() {
+        let err = ServeConfig::new()
+            .with_policy(PolicyConfig::fixed_stride(0))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "policy.stride");
+        assert_eq!(
+            err.to_string(),
+            "policy.stride: policy stride must be at least 1"
+        );
+        let err = ServeConfig::new()
+            .with_ingest(IngestConfig::net().with_conn_jitter_s(-1.0))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "ingest.conn_jitter_s");
+        let err = ServeConfig::new()
+            .with_ingest(IngestConfig::net().with_door_burst(0.5))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "ingest.door_burst");
     }
 }

@@ -442,29 +442,37 @@ fn one_shard(cfg: &ServeConfig) -> ServeConfig {
 /// Panics on an invalid configuration, or with the original message if a
 /// detection system panics.
 pub fn serve_fleet(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> FleetReport {
-    if cfg.recorder.enabled {
-        cfg.validate();
-        // Config-enabled recording without a caller-held handle (see
-        // [`serve`](crate::serve)); pass a recorder via
-        // [`serve_fleet_with_recorder`] to keep the store.
-        let recorder = cfg.recorder.build();
-        return serve_fleet_with_recorder(streams, cfg, &recorder);
-    }
-    serve_fleet_impl(streams, cfg, None)
+    expect_valid(cfg);
+    // Config-enabled recording without a caller-held handle (see
+    // [`serve`](crate::serve)); pass a recorder via
+    // [`serve_fleet_with_recorder`] to keep the store.
+    let recorder = cfg.recorder.enabled.then(|| cfg.recorder.build());
+    serve_fleet_impl(streams, cfg, recorder.as_ref())
 }
 
 /// Runs a sharded fleet with every event booked into `recorder`: each
 /// shard's engine stamps its shard id, and migrations are recorded
 /// fleet-level. Scheduling decisions (and the returned [`FleetReport`])
 /// are bit-identical to an unrecorded run.
+///
+/// # Panics
+///
+/// As [`serve_fleet`].
 pub fn serve_fleet_with_recorder(
     streams: Vec<StreamSpec>,
     cfg: &ServeConfig,
     recorder: &SharedRecorder,
 ) -> FleetReport {
-    let report = serve_fleet_impl(streams, cfg, Some(recorder));
-    recorder.seal_open_chunks();
-    report
+    expect_valid(cfg);
+    serve_fleet_impl(streams, cfg, Some(recorder))
+}
+
+/// The entry points' check, made before any work: panics with the broken
+/// rule (see [`ServeConfig::validate`]) unless `cfg` is valid.
+pub(crate) fn expect_valid(cfg: &ServeConfig) {
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
 }
 
 /// One unit of pool work: advance shard `idx`'s engine to the barrier.
@@ -605,12 +613,12 @@ fn run_all(pool: Option<&ShardPool>, engines: &mut Vec<Engine>, limit: f64) -> b
     work_left
 }
 
-fn serve_fleet_impl(
+/// Runs a validated fleet, sealing `recorder`'s open chunks at the end.
+pub(crate) fn serve_fleet_impl(
     streams: Vec<StreamSpec>,
     cfg: &ServeConfig,
     recorder: Option<&SharedRecorder>,
 ) -> FleetReport {
-    cfg.validate();
     let sc = cfg.shard;
     let shards = sc.shards;
 
@@ -743,6 +751,9 @@ fn serve_fleet_impl(
     // The final drains, in shard-id order like every barrier's.
     flush_in_order(&mut engines);
     let shards = engines.iter_mut().map(Engine::finish_report).collect();
+    if let Some(r) = recorder {
+        r.seal_open_chunks();
+    }
     FleetReport {
         shards,
         migrations,

@@ -31,7 +31,7 @@
 //! forecast invariant under how arrivals interleave with control ticks
 //! inside the current bucket.
 
-use crate::config::SIZING_LIMIT;
+use crate::config::{ensure, ConfigError, SIZING_LIMIT};
 use serde::{Deserialize, Serialize};
 
 /// Forecaster configuration: history shape, smoothing factors, horizon.
@@ -104,32 +104,41 @@ impl ForecastConfig {
         self
     }
 
-    /// Panics if the configuration is unusable.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks the forecaster's rules for [`ServeConfig::validate`](crate::ServeConfig::validate).
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(
             self.bucket_s > 0.0 && self.bucket_s.is_finite(),
+            "forecast.bucket_s",
             "forecast bucket must be finite and positive"
         );
-        assert!(
+        ensure!(
             self.history_buckets >= 2,
+            "forecast.history_buckets",
             "forecast history needs at least two buckets"
         );
-        assert!(
+        ensure!(
             self.history_buckets <= SIZING_LIMIT,
+            "forecast.history_buckets",
             "forecast history holds at most {SIZING_LIMIT} buckets"
         );
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0 && self.beta > 0.0 && self.beta <= 1.0,
-            "forecast smoothing factors must be in (0, 1]"
-        );
-        assert!(
+        for (field, factor) in [("forecast.alpha", self.alpha), ("forecast.beta", self.beta)] {
+            ensure!(
+                factor > 0.0 && factor <= 1.0,
+                field,
+                "forecast smoothing factors must be in (0, 1]"
+            );
+        }
+        ensure!(
             self.horizon_s >= 0.0 && self.horizon_s.is_finite(),
+            "forecast.horizon_s",
             "forecast horizon must be finite and non-negative"
         );
-        assert!(
+        ensure!(
             (0.0..=1.0).contains(&self.min_confidence),
+            "forecast.min_confidence",
             "forecast confidence floor must be in [0, 1]"
         );
+        Ok(())
     }
 }
 
@@ -746,18 +755,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "forecast bucket must be finite and positive")]
     fn zero_bucket_is_rejected() {
-        ForecastConfig::new().with_bucket_s(0.0).validate();
+        ForecastConfig::new().with_bucket_s(0.0).validate().unwrap();
     }
 
     #[test]
     #[should_panic(expected = "at least two buckets")]
     fn one_bucket_history_is_rejected() {
-        ForecastConfig::new().with_history_buckets(1).validate();
+        ForecastConfig::new()
+            .with_history_buckets(1)
+            .validate()
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "confidence floor")]
     fn out_of_range_confidence_is_rejected() {
-        ForecastConfig::new().with_min_confidence(1.5).validate();
+        ForecastConfig::new()
+            .with_min_confidence(1.5)
+            .validate()
+            .unwrap();
     }
 }

@@ -10,7 +10,7 @@
 //! produced.
 
 use crate::config::{IngestKind, ServeConfig};
-use crate::fleet::{serve_fleet, serve_fleet_with_recorder, FleetReport};
+use crate::fleet::{expect_valid, serve_fleet_impl, FleetReport};
 use crate::scheduler::StreamSpec;
 use catdet_net::{run_ingest, IngestOutcome};
 use catdet_recorder::{Event, SharedRecorder};
@@ -64,8 +64,8 @@ fn record_conn_events(outcome: &IngestOutcome, recorder: &SharedRecorder) {
 /// door: every camera connection is simulated to completion first
 /// (CamLink wire, bounded receive window, per-client door rate limit),
 /// then the delivered streams are served exactly as
-/// [`serve_fleet`] would. The report carries the per-client
-/// [`IngestReport`](catdet_net::IngestReport).
+/// [`serve_fleet`](crate::serve_fleet) would. The report carries the
+/// per-client [`IngestReport`](catdet_net::IngestReport).
 ///
 /// `seed` keys all connection randomness; the entire run — ingest
 /// timeline, events, serving output — is a pure function of
@@ -73,33 +73,44 @@ fn record_conn_events(outcome: &IngestOutcome, recorder: &SharedRecorder) {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.ingest.kind` is not [`IngestKind::Net`], or on an
-/// invalid configuration.
+/// Panics on an invalid configuration, or if `cfg.ingest.kind` is not
+/// [`IngestKind::Net`].
 pub fn serve_net_fleet(specs: Vec<StreamSpec>, cfg: &ServeConfig, seed: u64) -> FleetReport {
-    if cfg.recorder.enabled {
-        cfg.validate();
-        let recorder = cfg.recorder.build();
-        return serve_net_fleet_with_recorder(specs, cfg, seed, &recorder);
-    }
-    let (specs, outcome) = ingest_pass(specs, cfg, seed);
-    let mut report = serve_fleet(specs, cfg);
-    report.ingest = Some(outcome.report);
-    report
+    expect_valid(cfg);
+    let recorder = cfg.recorder.enabled.then(|| cfg.recorder.build());
+    net_fleet(specs, cfg, seed, recorder.as_ref())
 }
 
 /// [`serve_net_fleet`] with every event — connection lifecycle included
 /// — booked into `recorder`. Connection events are recorded before any
 /// engine runs, so the store layout is bit-identical at every thread
 /// count.
+///
+/// # Panics
+///
+/// As [`serve_net_fleet`].
 pub fn serve_net_fleet_with_recorder(
     specs: Vec<StreamSpec>,
     cfg: &ServeConfig,
     seed: u64,
     recorder: &SharedRecorder,
 ) -> FleetReport {
+    expect_valid(cfg);
+    net_fleet(specs, cfg, seed, Some(recorder))
+}
+
+/// The ingest pre-pass, then the fleet, for a validated `cfg`.
+fn net_fleet(
+    specs: Vec<StreamSpec>,
+    cfg: &ServeConfig,
+    seed: u64,
+    recorder: Option<&SharedRecorder>,
+) -> FleetReport {
     let (specs, outcome) = ingest_pass(specs, cfg, seed);
-    record_conn_events(&outcome, recorder);
-    let mut report = serve_fleet_with_recorder(specs, cfg, recorder);
+    if let Some(r) = recorder {
+        record_conn_events(&outcome, r);
+    }
+    let mut report = serve_fleet_impl(specs, cfg, recorder);
     report.ingest = Some(outcome.report);
     report
 }

@@ -114,8 +114,9 @@ pub use autoscale::{
     ScalePolicy, ScaleReason,
 };
 pub use config::{
-    AdmissionConfig, AdmissionKind, AutoscaleConfig, DropPolicy, IngestConfig, IngestKind,
-    PartitionKind, RecorderConfig, ScalePolicyKind, SchedulePolicy, ServeConfig, ShardConfig,
+    AdmissionConfig, AdmissionKind, AutoscaleConfig, ConfigError, DropPolicy, IngestConfig,
+    IngestKind, PartitionKind, RecorderConfig, ScalePolicyKind, SchedulePolicy, ServeConfig,
+    ShardConfig,
 };
 pub use fleet::{
     serve, serve_fleet, serve_fleet_with_recorder, serve_with_recorder, FleetRefineRecord,

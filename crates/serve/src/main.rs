@@ -10,18 +10,23 @@
 //!              --autoscale hysteresis --min-workers 1 --max-workers 8 \
 //!              --admission priority --watermark 32 --admit-downgrade
 //! ```
+//!
+//! Every flag writes straight into a [`ServeConfig`] (or the workload
+//! around it) through one table, [`FLAGS`]; [`ServeConfig::validate`]
+//! then checks every range rule, and its error is mapped back to the flag
+//! that set the offending field.
 
 use catdet_recorder::{read_file, Event, EventKind, Query};
 use catdet_serve::config::SIZING_LIMIT;
 use catdet_serve::{
     bursty_workload, mixed_workload, ramp_workload, serve, serve_fleet, serve_fleet_with_recorder,
     serve_net_fleet, serve_net_fleet_with_recorder, serve_with_recorder, sine_workload,
-    AdmissionConfig, AdmissionKind, AdmissionReason, AutoscaleConfig, BurstPhase, BurstProfile,
-    ConnEventKind, DropPolicy, ForecastConfig, IngestConfig, IngestKind, PartitionKind,
-    PolicyConfig, PolicyDecision, PolicyKind, RebalanceSignal, RecorderConfig, ScalePolicyKind,
-    ScaleReason, SchedulePolicy, ServeConfig, ShardConfig, StreamSpec, SystemKind,
+    AdmissionKind, AdmissionReason, BurstPhase, BurstProfile, ConnEventKind, DropPolicy,
+    IngestKind, PartitionKind, PolicyDecision, PolicyKind, RebalanceSignal, ScalePolicyKind,
+    ScaleReason, SchedulePolicy, ServeConfig, StreamSpec, SystemKind,
 };
 use std::path::Path;
+use std::str::FromStr;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WorkloadKind {
@@ -32,6 +37,13 @@ enum WorkloadKind {
 }
 
 impl WorkloadKind {
+    const ALL: [Self; 4] = [
+        WorkloadKind::Mixed,
+        WorkloadKind::Bursty,
+        WorkloadKind::Ramp,
+        WorkloadKind::Sine,
+    ];
+
     fn name(&self) -> &'static str {
         match self {
             WorkloadKind::Mixed => "mixed",
@@ -42,152 +54,40 @@ impl WorkloadKind {
     }
 
     fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "mixed" => Some(WorkloadKind::Mixed),
-            "bursty" => Some(WorkloadKind::Bursty),
-            "ramp" => Some(WorkloadKind::Ramp),
-            "sine" => Some(WorkloadKind::Sine),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
+/// One serving invocation: the serving config, the workload it serves,
+/// and where to save the recording.
 #[derive(Debug)]
-struct Args {
+struct Cli {
+    cfg: ServeConfig,
     streams: usize,
-    workers: usize,
     frames: usize,
-    max_batch: usize,
-    window_ms: f64,
-    fuse_refinement: bool,
-    refine_window_ms: f64,
-    queue: usize,
-    schedule: SchedulePolicy,
-    drop: DropPolicy,
-    policy: PolicyKind,
-    policy_stride: usize,
-    policy_confidence: f64,
-    admit_downgrade: bool,
     system: SystemKind,
     seed: u64,
     workload: WorkloadKind,
-    autoscale: ScalePolicyKind,
-    min_workers: usize,
-    max_workers: usize,
-    interval_ms: f64,
-    admission: AdmissionKind,
-    admit_rate: f64,
-    admit_burst: f64,
-    watermark: usize,
-    shards: usize,
-    partition: PartitionKind,
-    rebalance_ms: f64,
-    migration_cost: usize,
-    rebalance_signal: RebalanceSignal,
-    migration_cooldown: usize,
-    no_fuse_across_shards: bool,
-    threads: usize,
-    record: Option<String>,
-    record_chunk_events: usize,
-    record_retention_chunks: usize,
-    record_snapshot_every: usize,
-    ingest: IngestKind,
     clients: usize,
-    conn_jitter_ms: f64,
-    disconnect_rate: f64,
-    reorder_rate: f64,
-    door_rate: f64,
-    door_burst: f64,
-    forecast_bucket_ms: f64,
-    forecast_buckets: usize,
-    forecast_horizon_ms: f64,
-    forecast_confidence: f64,
-    // Which flags the user actually passed — the net-only knobs conflict
-    // with direct ingest (and vice versa), and that is only decidable if
-    // defaults and explicit values are distinguishable.
-    streams_set: bool,
-    workload_set: bool,
-    policy_set: bool,
-    policy_stride_set: bool,
-    policy_confidence_set: bool,
-    clients_set: bool,
-    conn_jitter_set: bool,
-    disconnect_rate_set: bool,
-    reorder_rate_set: bool,
-    door_rate_set: bool,
-    door_burst_set: bool,
-    forecast_bucket_set: bool,
-    forecast_buckets_set: bool,
-    forecast_horizon_set: bool,
-    forecast_confidence_set: bool,
+    record: Option<String>,
+    /// `--conn-jitter-ms` as given, for the front-door banner (a
+    /// millisecond value does not always survive the trip through
+    /// seconds bit for bit).
+    jitter_ms: f64,
 }
 
-impl Default for Args {
+impl Default for Cli {
     fn default() -> Self {
         Self {
+            cfg: ServeConfig::new(),
             streams: 8,
-            workers: 4,
             frames: 60,
-            max_batch: 4,
-            window_ms: 0.0,
-            fuse_refinement: false,
-            refine_window_ms: 0.0,
-            queue: 64,
-            schedule: SchedulePolicy::RoundRobin,
-            drop: DropPolicy::Newest,
-            policy: PolicyKind::AlwaysDetect,
-            policy_stride: 3,
-            policy_confidence: 1.0,
-            admit_downgrade: false,
             system: SystemKind::CatdetA,
             seed: 2019,
             workload: WorkloadKind::Mixed,
-            autoscale: ScalePolicyKind::Fixed,
-            min_workers: 1,
-            max_workers: 8,
-            interval_ms: 250.0,
-            admission: AdmissionKind::AdmitAll,
-            admit_rate: 30.0,
-            admit_burst: 10.0,
-            watermark: 32,
-            shards: 1,
-            partition: PartitionKind::StaticHash,
-            rebalance_ms: 0.0,
-            migration_cost: 8,
-            rebalance_signal: RebalanceSignal::Backlog,
-            migration_cooldown: 2,
-            no_fuse_across_shards: false,
-            threads: 1,
-            record: None,
-            record_chunk_events: 512,
-            record_retention_chunks: usize::MAX,
-            record_snapshot_every: 0,
-            ingest: IngestKind::Direct,
             clients: 8,
-            conn_jitter_ms: 0.0,
-            disconnect_rate: 0.0,
-            reorder_rate: 0.0,
-            door_rate: 120.0,
-            door_burst: 16.0,
-            forecast_bucket_ms: 250.0,
-            forecast_buckets: 32,
-            forecast_horizon_ms: 500.0,
-            forecast_confidence: 0.35,
-            streams_set: false,
-            workload_set: false,
-            policy_set: false,
-            policy_stride_set: false,
-            policy_confidence_set: false,
-            clients_set: false,
-            conn_jitter_set: false,
-            disconnect_rate_set: false,
-            reorder_rate_set: false,
-            door_rate_set: false,
-            door_burst_set: false,
-            forecast_bucket_set: false,
-            forecast_buckets_set: false,
-            forecast_horizon_set: false,
-            forecast_confidence_set: false,
+            record: None,
+            jitter_ms: 0.0,
         }
     }
 }
@@ -328,375 +228,339 @@ SUBCOMMANDS:
         matched window (identical to the live report's figures)
 ";
 
-fn parse_args() -> Result<Args, String> {
-    parse_args_from(std::env::args().skip(1))
+/// Parses an enum flag's value `$v` with `$kind::from_name`; the error
+/// lists every name in `$kind::ALL`.
+macro_rules! pick {
+    ($v:expr, $what:literal, $kind:ident) => {
+        $kind::from_name($v).ok_or_else(|| {
+            let names: Vec<_> = $kind::ALL.iter().map(|k| k.name()).collect();
+            let names = names.join(", ");
+            format!("unknown {} {} (expected one of: {names})", $what, $v)
+        })
+    };
 }
 
-fn parse_args_from(it: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = it;
-    while let Some(flag) = it.next() {
+/// Writes one flag's value into a [`Cli`].
+type Setter = fn(&mut Cli, &str) -> Result<(), String>;
+
+/// Every flag that takes a value: its name, the path of the
+/// [`ServeConfig`] field it sets (as a
+/// [`ConfigError`](catdet_serve::ConfigError) names it; empty for a flag
+/// outside the config), and its setter.
+const FLAGS: &[(&str, &str, Setter)] = &[
+    ("--streams", "", |c, v| set(&mut c.streams, size(v, 0))),
+    ("--frames", "", |c, v| set(&mut c.frames, size(v, 0))),
+    ("--system", "", |c, v| {
+        set(&mut c.system, pick!(v, "system", SystemKind))
+    }),
+    ("--seed", "", |c, v| set(&mut c.seed, num(v))),
+    ("--workload", "", |c, v| {
+        set(&mut c.workload, pick!(v, "workload", WorkloadKind))
+    }),
+    ("--workers", "workers", |c, v| {
+        set(&mut c.cfg.workers, num(v))
+    }),
+    ("--batch", "max_batch", |c, v| {
+        set(&mut c.cfg.max_batch, num(v))
+    }),
+    ("--window-ms", "batch_window_s", |c, v| {
+        set(&mut c.cfg.batch_window_s, ms(v))
+    }),
+    (
+        "--refine-batch-window-ms",
+        "refine_batch_window_s",
+        |c, v| set(&mut c.cfg.refine_batch_window_s, ms(v)),
+    ),
+    ("--queue", "queue_capacity", |c, v| {
+        set(&mut c.cfg.queue_capacity, num(v))
+    }),
+    ("--schedule", "schedule", |c, v| {
+        set(&mut c.cfg.schedule, pick!(v, "policy", SchedulePolicy))
+    }),
+    ("--drop", "drop_policy", |c, v| {
+        set(&mut c.cfg.drop_policy, pick!(v, "policy", DropPolicy))
+    }),
+    ("--policy", "policy.kind", |c, v| {
+        set(&mut c.cfg.policy.kind, pick!(v, "frame policy", PolicyKind))
+    }),
+    ("--policy-stride", "policy.stride", |c, v| {
+        set(&mut c.cfg.policy.stride, num(v))
+    }),
+    ("--policy-confidence", "policy.confidence", |c, v| {
+        set(&mut c.cfg.policy.confidence, num(v))
+    }),
+    ("--autoscale", "autoscale.policy", |c, v| {
+        set(
+            &mut c.cfg.autoscale.policy,
+            pick!(v, "policy", ScalePolicyKind),
+        )
+    }),
+    ("--min-workers", "autoscale.min_workers", |c, v| {
+        set(&mut c.cfg.autoscale.min_workers, num(v))
+    }),
+    ("--max-workers", "autoscale.max_workers", |c, v| {
+        set(&mut c.cfg.autoscale.max_workers, num(v))
+    }),
+    ("--interval-ms", "autoscale.control_interval_s", |c, v| {
+        set(&mut c.cfg.autoscale.control_interval_s, ms(v))
+    }),
+    ("--forecast-bucket-ms", "forecast.bucket_s", |c, v| {
+        set(&mut c.cfg.forecast.bucket_s, ms(v))
+    }),
+    ("--forecast-buckets", "forecast.history_buckets", |c, v| {
+        set(&mut c.cfg.forecast.history_buckets, num(v))
+    }),
+    ("--forecast-horizon-ms", "forecast.horizon_s", |c, v| {
+        set(&mut c.cfg.forecast.horizon_s, ms(v))
+    }),
+    (
+        "--forecast-confidence",
+        "forecast.min_confidence",
+        |c, v| set(&mut c.cfg.forecast.min_confidence, num(v)),
+    ),
+    ("--admission", "admission.kind", |c, v| {
+        set(&mut c.cfg.admission.kind, pick!(v, "policy", AdmissionKind))
+    }),
+    ("--admit-rate", "admission.rate_fps", |c, v| {
+        set(&mut c.cfg.admission.rate_fps, num(v))
+    }),
+    ("--admit-burst", "admission.burst", |c, v| {
+        set(&mut c.cfg.admission.burst, num(v))
+    }),
+    ("--watermark", "admission.backlog_watermark", |c, v| {
+        set(&mut c.cfg.admission.backlog_watermark, num(v))
+    }),
+    ("--shards", "shard.shards", |c, v| {
+        set(&mut c.cfg.shard.shards, num(v))
+    }),
+    ("--partition", "shard.partition", |c, v| {
+        set(
+            &mut c.cfg.shard.partition,
+            pick!(v, "policy", PartitionKind),
+        )
+    }),
+    (
+        "--rebalance-interval-ms",
+        "shard.rebalance_interval_s",
+        |c, v| set(&mut c.cfg.shard.rebalance_interval_s, ms(v)),
+    ),
+    (
+        "--migration-cost-frames",
+        "shard.migration_cost_frames",
+        |c, v| set(&mut c.cfg.shard.migration_cost_frames, num(v)),
+    ),
+    ("--rebalance", "shard.rebalance_signal", |c, v| {
+        set(
+            &mut c.cfg.shard.rebalance_signal,
+            pick!(v, "signal", RebalanceSignal),
+        )
+    }),
+    (
+        "--migration-cooldown-ticks",
+        "shard.migration_cooldown_ticks",
+        |c, v| set(&mut c.cfg.shard.migration_cooldown_ticks, num(v)),
+    ),
+    ("--threads", "shard.threads", |c, v| {
+        set(&mut c.cfg.shard.threads, num(v))
+    }),
+    ("--ingest", "ingest.kind", |c, v| {
+        set(&mut c.cfg.ingest.kind, pick!(v, "kind", IngestKind))
+    }),
+    ("--clients", "", |c, v| set(&mut c.clients, size(v, 1))),
+    ("--conn-jitter-ms", "ingest.conn_jitter_s", |c, v| {
+        c.jitter_ms = num(v)?;
+        c.cfg.ingest.conn_jitter_s = c.jitter_ms / 1e3;
+        Ok(())
+    }),
+    ("--disconnect-rate", "ingest.disconnect_rate", |c, v| {
+        set(&mut c.cfg.ingest.disconnect_rate, num(v))
+    }),
+    ("--reorder-rate", "ingest.reorder_rate", |c, v| {
+        set(&mut c.cfg.ingest.reorder_rate, num(v))
+    }),
+    ("--door-rate", "ingest.door_rate_fps", |c, v| {
+        set(&mut c.cfg.ingest.door_rate_fps, num(v))
+    }),
+    ("--door-burst", "ingest.door_burst", |c, v| {
+        set(&mut c.cfg.ingest.door_burst, num(v))
+    }),
+    ("--record", "", |c, v| {
+        c.record = Some(v.to_string());
+        c.cfg.recorder.enabled = true;
+        Ok(())
+    }),
+    ("--record-chunk-events", "recorder.chunk_events", |c, v| {
+        set(&mut c.cfg.recorder.chunk_events, num(v))
+    }),
+    (
+        "--record-retention-chunks",
+        "recorder.retention_chunks",
+        |c, v| set(&mut c.cfg.recorder.retention_chunks, num(v)),
+    ),
+    (
+        "--record-snapshot-every",
+        "recorder.snapshot_every_frames",
+        |c, v| set(&mut c.cfg.recorder.snapshot_every_frames, num(v)),
+    ),
+];
+
+/// Turns one switch on in a [`Cli`].
+type Switch = fn(&mut Cli);
+
+/// The value-less switches, in the shape of [`FLAGS`].
+const SWITCHES: &[(&str, &str, Switch)] = &[
+    ("--fuse-refinement", "fuse_refinement", |c| {
+        c.cfg.fuse_refinement = true
+    }),
+    ("--no-fuse-across-shards", "shard.fuse_across_shards", |c| {
+        c.cfg.shard.fuse_across_shards = false
+    }),
+    ("--admit-downgrade", "admission.downgrade", |c| {
+        c.cfg.admission.downgrade = true
+    }),
+];
+
+const FORECAST_ONLY: &str = "only applies to the predictive control plane; add \
+                             --autoscale predictive or --rebalance predicted";
+const NET_ONLY: &str = "only applies to the network front door; add --ingest net";
+
+/// Whether a [`Cli`] meets a flag's condition.
+type Condition = fn(&Cli) -> bool;
+
+/// The flag rules [`ServeConfig::validate`] cannot see, because they
+/// depend on whether a flag was passed at all: each flag, when passed,
+/// needs its condition to hold, or the invocation fails with the message.
+/// A knob the run would silently ignore is an error, not a no-op.
+const NEEDS: &[(&str, Condition, &str)] = &[
+    (
+        "--policy-stride",
+        |c| c.cfg.policy.kind == PolicyKind::FixedStride,
+        "only applies to the fixed-stride frame policy; add --policy fixed-stride",
+    ),
+    (
+        "--policy-confidence",
+        |c| c.cfg.policy.kind == PolicyKind::ConfidenceTrigger,
+        "only applies to the confidence-trigger frame policy; add --policy confidence-trigger",
+    ),
+    (
+        "--admit-downgrade",
+        |c| c.cfg.admission.kind == AdmissionKind::Priority,
+        "needs a shedding admission gate; add --admission priority",
+    ),
+    ("--forecast-bucket-ms", forecasting, FORECAST_ONLY),
+    ("--forecast-buckets", forecasting, FORECAST_ONLY),
+    ("--forecast-horizon-ms", forecasting, FORECAST_ONLY),
+    ("--forecast-confidence", forecasting, FORECAST_ONLY),
+    (
+        "--workload",
+        |c| !net(c),
+        "cannot be combined with --ingest net: the front door generates its own capture \
+         schedule from the mixed workload; drop --workload",
+    ),
+    (
+        "--streams",
+        |c| !net(c),
+        "cannot be combined with --ingest net: cameras are connections there; use --clients \
+         instead",
+    ),
+    ("--clients", net, NET_ONLY),
+    ("--conn-jitter-ms", net, NET_ONLY),
+    ("--disconnect-rate", net, NET_ONLY),
+    ("--reorder-rate", net, NET_ONLY),
+    ("--door-rate", net, NET_ONLY),
+    ("--door-burst", net, NET_ONLY),
+];
+
+/// Every row's flag and field, switches included.
+fn rows() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let flags = FLAGS.iter().map(|r| (r.0, r.1));
+    flags.chain(SWITCHES.iter().map(|r| (r.0, r.1)))
+}
+
+fn net(c: &Cli) -> bool {
+    c.cfg.ingest.kind == IngestKind::Net
+}
+
+fn forecasting(c: &Cli) -> bool {
+    c.cfg.autoscale.policy == ScalePolicyKind::Predictive
+        || c.cfg.shard.rebalance_signal == RebalanceSignal::Predicted
+}
+
+/// Parses `catdet-serve [OPTIONS]` into a validated [`Cli`]; `Ok(None)`
+/// asks for the usage text. An error names the flag at fault.
+fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Option<Cli>, String> {
+    let mut cli = Cli::default();
+    // Every flag passed, with its value ("on" for a switch); the last wins.
+    let mut passed: Vec<(&str, String)> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
         if flag == "-h" || flag == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
+            return Ok(None);
         }
-        if flag == "--fuse-refinement" {
-            args.fuse_refinement = true;
+        if let Some(&(name, _, switch)) = SWITCHES.iter().find(|row| row.0 == flag) {
+            switch(&mut cli);
+            passed.push((name, "on".into()));
             continue;
         }
-        if flag == "--no-fuse-across-shards" {
-            args.no_fuse_across_shards = true;
-            continue;
-        }
-        if flag == "--admit-downgrade" {
-            args.admit_downgrade = true;
-            continue;
-        }
-        let value = it
+        let Some(&(name, _, setter)) = FLAGS.iter().find(|row| row.0 == flag) else {
+            return Err(format!("unknown flag {flag} (try --help)"));
+        };
+        let value = args
             .next()
             .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--streams" => {
-                args.streams = parse_num(&flag, &value)?;
-                args.streams_set = true;
-            }
-            "--clients" => {
-                args.clients = parse_num(&flag, &value)?;
-                args.clients_set = true;
-            }
-            "--conn-jitter-ms" => {
-                args.conn_jitter_ms = parse_num(&flag, &value)?;
-                args.conn_jitter_set = true;
-            }
-            "--disconnect-rate" => {
-                args.disconnect_rate = parse_num(&flag, &value)?;
-                args.disconnect_rate_set = true;
-            }
-            "--reorder-rate" => {
-                args.reorder_rate = parse_num(&flag, &value)?;
-                args.reorder_rate_set = true;
-            }
-            "--door-rate" => {
-                args.door_rate = parse_num(&flag, &value)?;
-                args.door_rate_set = true;
-            }
-            "--door-burst" => {
-                args.door_burst = parse_num(&flag, &value)?;
-                args.door_burst_set = true;
-            }
-            "--ingest" => {
-                args.ingest = IngestKind::from_name(&value)
-                    .ok_or_else(|| format!("--ingest: unknown kind {value} (direct | net)"))?
-            }
-            "--workers" => args.workers = parse_num(&flag, &value)?,
-            "--frames" => args.frames = parse_num(&flag, &value)?,
-            "--batch" => args.max_batch = parse_num(&flag, &value)?,
-            "--queue" => args.queue = parse_num(&flag, &value)?,
-            "--seed" => args.seed = parse_num(&flag, &value)?,
-            "--window-ms" => args.window_ms = parse_num(&flag, &value)?,
-            "--refine-batch-window-ms" => args.refine_window_ms = parse_num(&flag, &value)?,
-            "--min-workers" => args.min_workers = parse_num(&flag, &value)?,
-            "--max-workers" => args.max_workers = parse_num(&flag, &value)?,
-            "--interval-ms" => args.interval_ms = parse_num(&flag, &value)?,
-            "--admit-rate" => args.admit_rate = parse_num(&flag, &value)?,
-            "--admit-burst" => args.admit_burst = parse_num(&flag, &value)?,
-            "--watermark" => args.watermark = parse_num(&flag, &value)?,
-            "--shards" => args.shards = parse_num(&flag, &value)?,
-            "--rebalance-interval-ms" => args.rebalance_ms = parse_num(&flag, &value)?,
-            "--migration-cost-frames" => args.migration_cost = parse_num(&flag, &value)?,
-            "--migration-cooldown-ticks" => args.migration_cooldown = parse_num(&flag, &value)?,
-            "--rebalance" => {
-                args.rebalance_signal = RebalanceSignal::from_name(&value).ok_or_else(|| {
-                    format!("--rebalance: unknown signal {value} (backlog | predicted)")
-                })?
-            }
-            "--forecast-bucket-ms" => {
-                args.forecast_bucket_ms = parse_num(&flag, &value)?;
-                args.forecast_bucket_set = true;
-            }
-            "--forecast-buckets" => {
-                args.forecast_buckets = parse_num(&flag, &value)?;
-                args.forecast_buckets_set = true;
-            }
-            "--forecast-horizon-ms" => {
-                args.forecast_horizon_ms = parse_num(&flag, &value)?;
-                args.forecast_horizon_set = true;
-            }
-            "--forecast-confidence" => {
-                args.forecast_confidence = parse_num(&flag, &value)?;
-                args.forecast_confidence_set = true;
-            }
-            "--threads" => args.threads = parse_num(&flag, &value)?,
-            "--record" => args.record = Some(value),
-            "--record-chunk-events" => args.record_chunk_events = parse_num(&flag, &value)?,
-            "--record-retention-chunks" => args.record_retention_chunks = parse_num(&flag, &value)?,
-            "--record-snapshot-every" => args.record_snapshot_every = parse_num(&flag, &value)?,
-            "--partition" => {
-                args.partition = PartitionKind::from_name(&value)
-                    .ok_or_else(|| format!("--partition: unknown policy {value}"))?
-            }
-            "--schedule" => {
-                args.schedule = SchedulePolicy::from_name(&value)
-                    .ok_or_else(|| format!("--schedule: unknown policy {value}"))?
-            }
-            "--policy" => {
-                args.policy = PolicyKind::from_name(&value).ok_or_else(|| {
-                    format!(
-                        "--policy: unknown frame policy {value} (expected one of: {})",
-                        PolicyKind::ALL
-                            .iter()
-                            .map(|k| k.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })?;
-                args.policy_set = true;
-            }
-            "--policy-stride" => {
-                args.policy_stride = parse_num(&flag, &value)?;
-                args.policy_stride_set = true;
-            }
-            "--policy-confidence" => {
-                args.policy_confidence = parse_num(&flag, &value)?;
-                args.policy_confidence_set = true;
-            }
-            "--drop" => {
-                args.drop = DropPolicy::from_name(&value)
-                    .ok_or_else(|| format!("--drop: unknown policy {value}"))?
-            }
-            "--workload" => {
-                args.workload = WorkloadKind::from_name(&value)
-                    .ok_or_else(|| format!("--workload: unknown workload {value}"))?;
-                args.workload_set = true;
-            }
-            "--autoscale" => {
-                args.autoscale = ScalePolicyKind::from_name(&value)
-                    .ok_or_else(|| format!("--autoscale: unknown policy {value}"))?
-            }
-            "--admission" => {
-                args.admission = AdmissionKind::from_name(&value)
-                    .ok_or_else(|| format!("--admission: unknown policy {value}"))?
-            }
-            "--system" => {
-                args.system = SystemKind::from_name(&value).ok_or_else(|| {
-                    format!(
-                        "--system: unknown system {value} (expected one of: {})",
-                        SystemKind::ALL
-                            .iter()
-                            .map(|k| k.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })?
-            }
-            other => return Err(format!("unknown flag {other} (try --help)")),
+        setter(&mut cli, &value).map_err(|e| format!("{flag}: {e}"))?;
+        passed.push((name, value));
+    }
+    let given = |flag: &str| {
+        passed
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v)
+    };
+    for &(flag, holds, message) in NEEDS {
+        if given(flag).is_some() && !holds(&cli) {
+            return Err(format!("{flag} {message}"));
         }
     }
-    if args.workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    if args.max_batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
-    if args.queue == 0 {
-        return Err("--queue must be at least 1".into());
-    }
-    // Each of these sizes per-unit state before the run starts.
-    for (flag, value) in [
-        ("--workers", args.workers),
-        ("--max-workers", args.max_workers),
-        ("--shards", args.shards),
-        ("--forecast-buckets", args.forecast_buckets),
-    ] {
-        if value > SIZING_LIMIT {
-            return Err(format!(
-                "{flag} must be at most {SIZING_LIMIT} (got {value})"
-            ));
-        }
-    }
-    if !args.window_ms.is_finite() || args.window_ms < 0.0 {
-        return Err(format!(
-            "--window-ms must be a finite, non-negative number (got {})",
-            args.window_ms
-        ));
-    }
-    if !args.refine_window_ms.is_finite() || args.refine_window_ms < 0.0 {
-        return Err(format!(
-            "--refine-batch-window-ms must be a finite, non-negative number (got {})",
-            args.refine_window_ms
-        ));
-    }
-    if args.min_workers == 0 || args.max_workers < args.min_workers {
-        return Err("--min-workers must be >= 1 and <= --max-workers".into());
-    }
-    if !args.interval_ms.is_finite() || args.interval_ms <= 0.0 {
-        return Err("--interval-ms must be a finite, positive number".into());
-    }
-    if !args.admit_rate.is_finite() || args.admit_rate <= 0.0 {
-        return Err("--admit-rate must be a finite, positive number".into());
-    }
-    if !args.admit_burst.is_finite() || args.admit_burst < 1.0 {
-        return Err("--admit-burst must be at least 1".into());
-    }
-    if args.watermark == 0 {
-        return Err("--watermark must be at least 1".into());
-    }
-    if args.policy_stride_set && args.policy != PolicyKind::FixedStride {
-        return Err(
-            "--policy-stride only applies to the fixed-stride frame policy; add \
-             --policy fixed-stride"
-                .into(),
-        );
-    }
-    if args.policy_confidence_set && args.policy != PolicyKind::ConfidenceTrigger {
-        return Err(
-            "--policy-confidence only applies to the confidence-trigger frame policy; \
-             add --policy confidence-trigger"
-                .into(),
-        );
-    }
-    if args.policy_stride == 0 {
-        return Err("--policy-stride must be at least 1".into());
-    }
-    if !args.policy_confidence.is_finite() || args.policy_confidence < 0.0 {
-        return Err(format!(
-            "--policy-confidence must be a finite, non-negative number (got {})",
-            args.policy_confidence
-        ));
-    }
-    if args.admit_downgrade && args.admission != AdmissionKind::Priority {
-        return Err(
-            "--admit-downgrade needs a shedding admission gate; add --admission priority".into(),
-        );
-    }
-    if args.shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    if !args.rebalance_ms.is_finite() || args.rebalance_ms < 0.0 {
-        return Err(format!(
-            "--rebalance-interval-ms must be a finite, non-negative number (got {})",
-            args.rebalance_ms
-        ));
-    }
-    // The forecast knobs steer the predictive control plane; with neither
-    // predictive consumer enabled they would silently do nothing.
-    let forecasting = args.autoscale == ScalePolicyKind::Predictive
-        || args.rebalance_signal == RebalanceSignal::Predicted;
-    if !forecasting {
-        let forecast_only: [(&str, bool); 4] = [
-            ("--forecast-bucket-ms", args.forecast_bucket_set),
-            ("--forecast-buckets", args.forecast_buckets_set),
-            ("--forecast-horizon-ms", args.forecast_horizon_set),
-            ("--forecast-confidence", args.forecast_confidence_set),
-        ];
-        if let Some((flag, _)) = forecast_only.iter().find(|(_, set)| *set) {
-            return Err(format!(
-                "{flag} only applies to the predictive control plane; add \
-                 --autoscale predictive or --rebalance predicted"
-            ));
-        }
-    }
-    if !args.forecast_bucket_ms.is_finite() || args.forecast_bucket_ms <= 0.0 {
-        return Err(format!(
-            "--forecast-bucket-ms must be a finite, positive number (got {})",
-            args.forecast_bucket_ms
-        ));
-    }
-    if args.forecast_buckets < 2 {
-        return Err("--forecast-buckets must be at least 2".into());
-    }
-    if !args.forecast_horizon_ms.is_finite() || args.forecast_horizon_ms < 0.0 {
-        return Err(format!(
-            "--forecast-horizon-ms must be a finite, non-negative number (got {})",
-            args.forecast_horizon_ms
-        ));
-    }
-    if !args.forecast_confidence.is_finite() || !(0.0..=1.0).contains(&args.forecast_confidence) {
-        return Err(format!(
-            "--forecast-confidence must be in [0, 1] (got {})",
-            args.forecast_confidence
-        ));
-    }
-    if args.record_chunk_events == 0 {
-        return Err("--record-chunk-events must be at least 1".into());
-    }
-    if args.record_snapshot_every > 0 && args.record_retention_chunks == 0 {
-        return Err(
-            "--record-retention-chunks 0 cannot feed replay: snapshots need their \
-             recorded events kept; raise the retention budget or drop \
-             --record-snapshot-every"
-                .into(),
-        );
-    }
-    // Flag-combination conflicts: every net-only knob requires
-    // `--ingest net`, and the net path names its cameras with --clients.
-    // Reject the combination with an actionable error instead of letting
-    // a config assert panic later.
-    if args.ingest == IngestKind::Net {
-        if args.workload_set {
-            return Err(
-                "--workload cannot be combined with --ingest net: the front door \
-                 generates its own capture schedule from the mixed workload; drop \
-                 --workload"
-                    .into(),
-            );
-        }
-        if args.streams_set {
-            return Err(
-                "--streams cannot be combined with --ingest net: cameras are \
-                 connections there; use --clients instead"
-                    .into(),
-            );
-        }
-    } else {
-        let net_only: [(&str, bool); 6] = [
-            ("--clients", args.clients_set),
-            ("--conn-jitter-ms", args.conn_jitter_set),
-            ("--disconnect-rate", args.disconnect_rate_set),
-            ("--reorder-rate", args.reorder_rate_set),
-            ("--door-rate", args.door_rate_set),
-            ("--door-burst", args.door_burst_set),
-        ];
-        if let Some((flag, _)) = net_only.iter().find(|(_, set)| *set) {
-            return Err(format!(
-                "{flag} only applies to the network front door; add --ingest net"
-            ));
-        }
-    }
-    if args.clients == 0 {
-        return Err("--clients must be at least 1".into());
-    }
-    if !args.conn_jitter_ms.is_finite() || args.conn_jitter_ms < 0.0 {
-        return Err(format!(
-            "--conn-jitter-ms must be a finite, non-negative number (got {})",
-            args.conn_jitter_ms
-        ));
-    }
-    if !args.disconnect_rate.is_finite() || !(0.0..1.0).contains(&args.disconnect_rate) {
-        return Err(format!(
-            "--disconnect-rate must be a probability below 1 (got {})",
-            args.disconnect_rate
-        ));
-    }
-    if !args.reorder_rate.is_finite() || !(0.0..=1.0).contains(&args.reorder_rate) {
-        return Err(format!(
-            "--reorder-rate must be a probability (got {})",
-            args.reorder_rate
-        ));
-    }
-    if !args.door_rate.is_finite() || args.door_rate <= 0.0 {
-        return Err("--door-rate must be a finite, positive number".into());
-    }
-    if !args.door_burst.is_finite() || args.door_burst < 1.0 {
-        return Err("--door-burst must be at least 1".into());
-    }
-    Ok(args)
+    cli.cfg
+        .validate()
+        .map_err(|e| match rows().find(|r| r.1 == e.field) {
+            Some((flag, _)) => {
+                let value = given(flag).map_or("(default)", String::as_str);
+                format!("{flag} {value}: {}", e.rule)
+            }
+            None => e.to_string(),
+        })?;
+    Ok(Some(cli))
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: not a number: {value}"))
+fn set<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+fn num<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("not a number: {v}"))
+}
+
+fn parse_num<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    num(v).map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Milliseconds, as the seconds the config holds.
+fn ms(v: &str) -> Result<f64, String> {
+    num(v).map(|ms: f64| ms / 1e3)
+}
+
+/// A workload size in `min..=SIZING_LIMIT`: the generators allocate every
+/// camera's frames up front, so a larger one aborts the process.
+fn size(v: &str, min: usize) -> Result<usize, String> {
+    match num(v)? {
+        n if n < min => Err(format!("must be at least {min} (got {n})")),
+        n if n > SIZING_LIMIT => Err(format!("must be at most {SIZING_LIMIT} (got {n})")),
+        n => Ok(n),
+    }
 }
 
 fn main() {
@@ -707,158 +571,67 @@ fn main() {
         }
         return;
     }
-    let args = match parse_args() {
-        Ok(a) => a,
+    let cli = match parse_args_from(std::env::args().skip(1)) {
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
+    let cfg = cli.cfg;
 
-    let mut autoscale = match args.autoscale {
-        ScalePolicyKind::Fixed => AutoscaleConfig::fixed(),
-        ScalePolicyKind::Hysteresis => {
-            AutoscaleConfig::hysteresis(args.min_workers, args.max_workers)
-        }
-        ScalePolicyKind::Proportional => {
-            AutoscaleConfig::proportional(args.min_workers, args.max_workers, 0.05)
-        }
-        ScalePolicyKind::Predictive => {
-            AutoscaleConfig::predictive(args.min_workers, args.max_workers)
-        }
-    };
-    autoscale = autoscale.with_control_interval_s(args.interval_ms / 1e3);
-    let admission = match args.admission {
-        AdmissionKind::AdmitAll => AdmissionConfig::admit_all(),
-        AdmissionKind::TokenBucket => {
-            AdmissionConfig::token_bucket(args.admit_rate, args.admit_burst)
-        }
-        AdmissionKind::Priority => {
-            AdmissionConfig::priority(args.watermark).with_downgrade(args.admit_downgrade)
-        }
-    };
-    let policy = match args.policy {
-        PolicyKind::AlwaysDetect => PolicyConfig::always_detect(),
-        PolicyKind::FixedStride => PolicyConfig::fixed_stride(args.policy_stride),
-        PolicyKind::ConfidenceTrigger => PolicyConfig::confidence_trigger(args.policy_confidence),
-    };
-    let cfg = ServeConfig::new()
-        .with_workers(args.workers)
-        .with_max_batch(args.max_batch)
-        .with_batch_window_s(args.window_ms / 1e3)
-        .with_queue_capacity(args.queue)
-        .with_fuse_refinement(args.fuse_refinement)
-        .with_refine_batch_window_s(args.refine_window_ms / 1e3)
-        .with_schedule(args.schedule)
-        .with_policy(policy)
-        .with_drop_policy(args.drop)
-        .with_autoscale(autoscale)
-        .with_admission(admission)
-        .with_forecast(
-            ForecastConfig::new()
-                .with_bucket_s(args.forecast_bucket_ms / 1e3)
-                .with_history_buckets(args.forecast_buckets)
-                .with_horizon_s(args.forecast_horizon_ms / 1e3)
-                .with_min_confidence(args.forecast_confidence),
-        )
-        .with_shard(
-            ShardConfig::sharded(args.shards)
-                .with_partition(args.partition)
-                .with_rebalance_interval_s(args.rebalance_ms / 1e3)
-                .with_migration_cost_frames(args.migration_cost)
-                .with_rebalance_signal(args.rebalance_signal)
-                .with_migration_cooldown_ticks(args.migration_cooldown)
-                .with_fuse_across_shards(!args.no_fuse_across_shards)
-                .with_threads(args.threads),
-        )
-        .with_recorder(if args.record.is_some() {
-            RecorderConfig::on()
-                .with_chunk_events(args.record_chunk_events)
-                .with_retention_chunks(args.record_retention_chunks)
-                .with_snapshot_every_frames(args.record_snapshot_every)
-        } else {
-            RecorderConfig::off()
-        })
-        .with_ingest(if args.ingest == IngestKind::Net {
-            IngestConfig::net()
-                .with_conn_jitter_s(args.conn_jitter_ms / 1e3)
-                .with_disconnect_rate(args.disconnect_rate)
-                .with_reorder_rate(args.reorder_rate)
-                .with_door_rate_fps(args.door_rate)
-                .with_door_burst(args.door_burst)
-        } else {
-            IngestConfig::direct()
-        });
-
-    let net = args.ingest == IngestKind::Net;
+    let net = net(&cli);
     println!(
         "spinning up {} {} ({} frames each, {} workload), {} shards x {} workers \
          ({} partition), {} scheduling, {} frame policy, autoscale {}, admission {}, \
          refinement fusion {}, system {}",
-        if net { args.clients } else { args.streams },
+        if net { cli.clients } else { cli.streams },
         if net { "camera connections" } else { "streams" },
-        args.frames,
-        if net { "mixed" } else { args.workload.name() },
-        args.shards,
-        args.workers,
-        args.partition.name(),
-        args.schedule.name(),
-        args.policy.name(),
-        args.autoscale.name(),
-        args.admission.name(),
-        if args.fuse_refinement { "on" } else { "off" },
-        args.system.name(),
+        cli.frames,
+        if net { "mixed" } else { cli.workload.name() },
+        cfg.shard.shards,
+        cfg.workers,
+        cfg.shard.partition.name(),
+        cfg.schedule.name(),
+        cfg.policy.kind.name(),
+        cfg.autoscale.policy.name(),
+        cfg.admission.kind.name(),
+        if cfg.fuse_refinement { "on" } else { "off" },
+        cli.system.name(),
     );
     if net {
         println!(
             "front door: jitter {} ms, disconnect rate {}, reorder rate {}, \
              door {} fps (burst {})",
-            args.conn_jitter_ms,
-            args.disconnect_rate,
-            args.reorder_rate,
-            args.door_rate,
-            args.door_burst,
+            cli.jitter_ms,
+            cfg.ingest.disconnect_rate,
+            cfg.ingest.reorder_rate,
+            cfg.ingest.door_rate_fps,
+            cfg.ingest.door_burst,
         );
     }
+    let (frames, seed, system) = (cli.frames, cli.seed, cli.system);
     let streams: Vec<StreamSpec> = if net {
-        mixed_workload(args.clients, args.frames, args.seed, args.system)
+        mixed_workload(cli.clients, frames, seed, system)
     } else {
-        match args.workload {
-            WorkloadKind::Mixed => {
-                mixed_workload(args.streams, args.frames, args.seed, args.system)
+        match cli.workload {
+            WorkloadKind::Mixed => mixed_workload(cli.streams, frames, seed, system),
+            WorkloadKind::Bursty => {
+                bursty_workload(cli.streams, frames, seed, system, BurstProfile::demo())
             }
-            WorkloadKind::Bursty => bursty_workload(
-                args.streams,
-                args.frames,
-                args.seed,
-                args.system,
-                BurstProfile::demo(),
-            ),
-            WorkloadKind::Ramp => ramp_workload(
-                args.streams,
-                args.frames,
-                args.seed,
-                args.system,
-                2.0,
-                20.0,
-                3.0,
-            ),
-            WorkloadKind::Sine => sine_workload(
-                args.streams,
-                args.frames,
-                args.seed,
-                args.system,
-                10.0,
-                6.0,
-                2.0,
-            ),
+            WorkloadKind::Ramp => ramp_workload(cli.streams, frames, seed, system, 2.0, 20.0, 3.0),
+            WorkloadKind::Sine => sine_workload(cli.streams, frames, seed, system, 10.0, 6.0, 2.0),
         }
     };
-    let recorder = args.record.as_ref().map(|_| cfg.recorder.build());
-    if net || args.shards > 1 {
+    let recorder = cli.record.as_ref().map(|_| cfg.recorder.build());
+    if net || cfg.shard.shards > 1 {
         let report = match (&recorder, net) {
-            (Some(r), true) => serve_net_fleet_with_recorder(streams, &cfg, args.seed, r),
-            (None, true) => serve_net_fleet(streams, &cfg, args.seed),
+            (Some(r), true) => serve_net_fleet_with_recorder(streams, &cfg, seed, r),
+            (None, true) => serve_net_fleet(streams, &cfg, seed),
             (Some(r), false) => serve_fleet_with_recorder(streams, &cfg, r),
             (None, false) => serve_fleet(streams, &cfg),
         };
@@ -891,7 +664,7 @@ fn main() {
             print!("{}", report.scale_timeline());
         }
     }
-    if let (Some(recorder), Some(path)) = (&recorder, &args.record) {
+    if let (Some(recorder), Some(path)) = (&recorder, &cli.record) {
         let stats = recorder.stats();
         println!(
             "recorder: {} events in {} chunks ({} evicted, {} events lost to eviction), \
@@ -1113,9 +886,11 @@ fn describe(event: &Event) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn parse(argv: &[&str]) -> Result<Args, String> {
-        parse_args_from(argv.iter().map(|s| s.to_string()))
+    fn parse(argv: &[&str]) -> Result<Cli, String> {
+        let cli = parse_args_from(argv.iter().map(|s| s.to_string()))?;
+        Ok(cli.expect("not --help"))
     }
 
     #[test]
@@ -1225,15 +1000,15 @@ mod tests {
         assert!(err.contains("--admit-downgrade"), "{err}");
         assert!(err.contains("--admission priority"), "{err}");
         let args = parse(&["--admission", "priority", "--admit-downgrade"]).unwrap();
-        assert!(args.admit_downgrade);
-        assert_eq!(args.admission, AdmissionKind::Priority);
+        assert!(args.cfg.admission.downgrade);
+        assert_eq!(args.cfg.admission.kind, AdmissionKind::Priority);
     }
 
     #[test]
     fn valid_policy_invocations_parse() {
         let args = parse(&["--policy", "fixed-stride", "--policy-stride", "5"]).unwrap();
-        assert_eq!(args.policy, PolicyKind::FixedStride);
-        assert_eq!(args.policy_stride, 5);
+        assert_eq!(args.cfg.policy.kind, PolicyKind::FixedStride);
+        assert_eq!(args.cfg.policy.stride, 5);
         let args = parse(&[
             "--policy",
             "confidence-trigger",
@@ -1243,13 +1018,13 @@ mod tests {
             "least-backlog",
         ])
         .unwrap();
-        assert_eq!(args.policy, PolicyKind::ConfidenceTrigger);
-        assert_eq!(args.policy_confidence, 1.5);
-        assert_eq!(args.schedule, SchedulePolicy::LeastBacklog);
+        assert_eq!(args.cfg.policy.kind, PolicyKind::ConfidenceTrigger);
+        assert_eq!(args.cfg.policy.confidence, 1.5);
+        assert_eq!(args.cfg.schedule, SchedulePolicy::LeastBacklog);
         // Defaults: always-detect, no downgrade.
         let args = parse(&[]).unwrap();
-        assert_eq!(args.policy, PolicyKind::AlwaysDetect);
-        assert!(!args.admit_downgrade);
+        assert_eq!(args.cfg.policy.kind, PolicyKind::AlwaysDetect);
+        assert!(!args.cfg.admission.downgrade);
     }
 
     #[test]
@@ -1271,16 +1046,16 @@ mod tests {
             "8",
         ])
         .unwrap();
-        assert_eq!(args.ingest, IngestKind::Net);
+        assert_eq!(args.cfg.ingest.kind, IngestKind::Net);
         assert_eq!(args.clients, 10);
-        assert_eq!(args.conn_jitter_ms, 8.0);
-        assert_eq!(args.disconnect_rate, 0.05);
-        assert_eq!(args.reorder_rate, 0.02);
-        assert_eq!(args.door_rate, 60.0);
-        assert_eq!(args.door_burst, 8.0);
+        assert_eq!(args.cfg.ingest.conn_jitter_s, 8.0 / 1e3);
+        assert_eq!(args.cfg.ingest.disconnect_rate, 0.05);
+        assert_eq!(args.cfg.ingest.reorder_rate, 0.02);
+        assert_eq!(args.cfg.ingest.door_rate_fps, 60.0);
+        assert_eq!(args.cfg.ingest.door_burst, 8.0);
         // Direct invocations are untouched by the new flags.
         let args = parse(&["--streams", "4", "--workload", "bursty"]).unwrap();
-        assert_eq!(args.ingest, IngestKind::Direct);
+        assert_eq!(args.cfg.ingest.kind, IngestKind::Direct);
         assert_eq!(args.streams, 4);
     }
 
@@ -1298,11 +1073,11 @@ mod tests {
         }
         // Either predictive consumer unlocks them.
         let args = parse(&["--autoscale", "predictive", "--forecast-horizon-ms", "400"]).unwrap();
-        assert_eq!(args.autoscale, ScalePolicyKind::Predictive);
-        assert_eq!(args.forecast_horizon_ms, 400.0);
+        assert_eq!(args.cfg.autoscale.policy, ScalePolicyKind::Predictive);
+        assert_eq!(args.cfg.forecast.horizon_s, 400.0 / 1e3);
         let args = parse(&["--rebalance", "predicted", "--forecast-buckets", "16"]).unwrap();
-        assert_eq!(args.rebalance_signal, RebalanceSignal::Predicted);
-        assert_eq!(args.forecast_buckets, 16);
+        assert_eq!(args.cfg.shard.rebalance_signal, RebalanceSignal::Predicted);
+        assert_eq!(args.cfg.forecast.history_buckets, 16);
     }
 
     #[test]
@@ -1312,12 +1087,22 @@ mod tests {
             "--max-workers",
             "--shards",
             "--forecast-buckets",
+            "--streams",
+            "--frames",
+            "--clients",
         ] {
-            let parse_at = |n: usize| parse(&["--autoscale", "predictive", flag, &n.to_string()]);
+            let ingest = if flag == "--clients" { "net" } else { "direct" };
+            let parse_at = |n: usize| {
+                let n = n.to_string();
+                parse(&["--autoscale", "predictive", "--ingest", ingest, flag, &n])
+            };
             let err = parse_at(SIZING_LIMIT + 1).unwrap_err();
             assert!(err.contains(flag), "{err}");
             assert!(parse_at(SIZING_LIMIT).is_ok(), "{flag} {SIZING_LIMIT}");
         }
+        let err = parse(&["--streams", "100000000000", "--frames", "2"]).unwrap_err();
+        assert!(err.contains("--streams"), "{err}");
+        assert!(parse(&["--streams", "0", "--frames", "0"]).is_ok());
     }
 
     #[test]
@@ -1336,8 +1121,8 @@ mod tests {
     #[test]
     fn rebalance_signal_and_cooldown_parse() {
         let args = parse(&[]).unwrap();
-        assert_eq!(args.rebalance_signal, RebalanceSignal::Backlog);
-        assert_eq!(args.migration_cooldown, 2);
+        assert_eq!(args.cfg.shard.rebalance_signal, RebalanceSignal::Backlog);
+        assert_eq!(args.cfg.shard.migration_cooldown_ticks, 2);
         let args = parse(&[
             "--rebalance",
             "predicted",
@@ -1345,8 +1130,8 @@ mod tests {
             "0",
         ])
         .unwrap();
-        assert_eq!(args.rebalance_signal, RebalanceSignal::Predicted);
-        assert_eq!(args.migration_cooldown, 0);
+        assert_eq!(args.cfg.shard.rebalance_signal, RebalanceSignal::Predicted);
+        assert_eq!(args.cfg.shard.migration_cooldown_ticks, 0);
         let err = parse(&["--rebalance", "nope"]).unwrap_err();
         assert!(err.contains("unknown signal"), "{err}");
     }
@@ -1364,6 +1149,86 @@ mod tests {
             WorkloadKind::Sine,
         ] {
             assert_eq!(WorkloadKind::from_name(k.name()), Some(k));
+        }
+    }
+
+    #[test]
+    fn help_returns_instead_of_exiting() {
+        let help = |argv: &[&str]| parse_args_from(argv.iter().map(|s| s.to_string()));
+        assert!(matches!(help(&["--help"]), Ok(None)));
+        assert!(matches!(help(&["--workers", "2", "-h"]), Ok(None)));
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_table_flags() {
+        let options = USAGE.split("SUBCOMMANDS:").next().unwrap();
+        let listed: Vec<&str> = options
+            .split_whitespace()
+            .filter(|w| w.starts_with("--"))
+            .map(|w| w.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()))
+            // Prose dashes ("--") are not flags.
+            .filter(|w| w.len() > 2)
+            .collect();
+        let table: Vec<&str> = rows().map(|r| r.0).collect();
+        for flag in &table {
+            assert!(listed.contains(flag), "{flag} is missing from USAGE");
+        }
+        for flag in &listed {
+            assert!(
+                table.contains(flag) || *flag == "--help",
+                "USAGE lists {flag}, which no table row parses"
+            );
+        }
+    }
+
+    /// Values drawn for every flag: edge numbers, junk, and one valid name
+    /// per enum flag.
+    const VALUES: [&str; 19] = [
+        "0",
+        "1",
+        "-1",
+        "nan",
+        "inf",
+        "1e-300",
+        "65537",
+        "100000000000",
+        "x",
+        "cascade-b",
+        "sine",
+        "least-backlog",
+        "oldest",
+        "fixed-stride",
+        "predictive",
+        "priority",
+        "least-loaded",
+        "predicted",
+        "net",
+    ];
+
+    proptest! {
+        #[test]
+        fn arbitrary_argv_validates_or_names_a_flag(
+            draws in proptest::collection::vec(
+                (0..FLAGS.len() + SWITCHES.len(), 0..VALUES.len()),
+                0..8,
+            ),
+        ) {
+            let mut argv = Vec::new();
+            for (row, value) in draws {
+                match FLAGS.get(row) {
+                    Some(&(flag, _, _)) => argv.extend([flag, VALUES[value]]),
+                    None => argv.push(SWITCHES[row - FLAGS.len()].0),
+                }
+            }
+            match parse_args_from(argv.iter().map(|a| a.to_string())) {
+                Ok(cli) => {
+                    let cli = cli.expect("no --help drawn");
+                    prop_assert_eq!(cli.cfg.validate(), Ok(()), "{:?}", argv);
+                }
+                Err(e) => {
+                    prop_assert!(rows().any(|r| e.contains(r.0)), "{argv:?}: {e}");
+                }
+            }
         }
     }
 }

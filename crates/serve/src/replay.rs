@@ -134,6 +134,14 @@ pub enum ReplayError {
         /// The recorded frame index with no source frame.
         frame_index: usize,
     },
+    /// The recording coasted a frame, but the provided factory's pipeline
+    /// cannot coast.
+    CannotCoast {
+        /// The requested stream.
+        stream: usize,
+        /// The recorded coast's frame index.
+        frame_index: usize,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -167,6 +175,15 @@ impl std::fmt::Display for ReplayError {
                 "stream {stream}: recorded completion references frame index {frame_index} \
                  absent from the provided source — replay needs the same StreamSource the \
                  live run served"
+            ),
+            ReplayError::CannotCoast {
+                stream,
+                frame_index,
+            } => write!(
+                f,
+                "stream {stream}: the recording coasts frame index {frame_index} but the \
+                 provided factory's pipeline cannot coast — replay needs the same factory \
+                 the live run served"
             ),
         }
     }
@@ -292,12 +309,15 @@ pub fn replay_stream(
             });
         };
         let detections = match decisions.get(&frame_index) {
-            Some(PolicyDecision::Coast) => {
-                system
-                    .coast_frame(&sf.frame)
-                    .expect("recorded coast on a pipeline that cannot coast")
-                    .detections
-            }
+            Some(PolicyDecision::Coast) => match system.coast_frame(&sf.frame) {
+                Some(out) => out.detections,
+                None => {
+                    return Err(ReplayError::CannotCoast {
+                        stream,
+                        frame_index,
+                    })
+                }
+            },
             // A stride-skipped frame never touched the live pipeline.
             Some(PolicyDecision::Skip) => Vec::new(),
             _ => drive_frame(system.as_mut(), &sf.frame).detections,

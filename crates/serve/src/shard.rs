@@ -145,6 +145,9 @@ pub enum RebalanceSignal {
 }
 
 impl RebalanceSignal {
+    /// Every signal, in CLI listing order.
+    pub const ALL: [Self; 2] = [RebalanceSignal::Backlog, RebalanceSignal::Predicted];
+
     /// Stable CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -155,11 +158,7 @@ impl RebalanceSignal {
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "backlog" => Some(RebalanceSignal::Backlog),
-            "predicted" => Some(RebalanceSignal::Predicted),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 

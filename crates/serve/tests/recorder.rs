@@ -8,8 +8,8 @@ mod common;
 
 use catdet_serve::{
     bursty_workload, mixed_workload, replay_stream, serve, serve_fleet_with_recorder,
-    serve_with_recorder, BurstProfile, Event, EventKind, LatencyStats, Query, ReplayError,
-    ServeConfig, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
+    serve_with_recorder, BurstProfile, Event, EventKind, LatencyStats, PolicyConfig, Query,
+    ReplayError, ServeConfig, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
 };
 use common::null_spec_steady;
 use proptest::prelude::*;
@@ -158,6 +158,24 @@ fn eviction_gap_is_an_actionable_error() {
             found_seq: earliest,
         }
     );
+}
+
+#[test]
+fn replaying_coasts_on_a_pipeline_that_cannot_coast_is_an_error() {
+    // The recording coasts frames of a tracked CaTDet pipeline. A spec
+    // whose factory builds an untracked cascade cannot re-drive those
+    // coasts: replay must say so with a typed error, not panic.
+    let streams = |system| mixed_workload(2, 40, 7, system);
+    let cfg = no_drop_config().with_policy(PolicyConfig::confidence_trigger(1.0));
+    let recorder = SharedRecorder::new(128, usize::MAX, 0);
+    serve_with_recorder(streams(SystemKind::CatdetA), &cfg, &recorder);
+    let policy_rows = recorder.scan(&Query::all().kind(EventKind::Policy).stream(0));
+    assert!(!policy_rows.is_empty(), "stream 0 never coasted");
+    let cascade = streams(SystemKind::CascadeA).remove(0);
+    match replay_stream(&recorder, &cascade, 0.0) {
+        Err(ReplayError::CannotCoast { stream: 0, .. }) => {}
+        other => panic!("expected CannotCoast, got {other:?}"),
+    }
 }
 
 #[test]

@@ -245,7 +245,8 @@ pub struct IngestOutcome {
 }
 
 struct ClientOutcome {
-    stream: StreamSource,
+    /// Frames admitted past the door, as `(frame index, drain time)`.
+    admitted: Vec<(usize, f64)>,
     events: Vec<ConnEvent>,
     report: ClientReport,
 }
@@ -265,12 +266,15 @@ pub fn run_ingest(sources: &[StreamSource], params: &NetParams) -> IngestOutcome
     let results: Rc<RefCell<Vec<Option<ClientOutcome>>>> =
         Rc::new(RefCell::new((0..sources.len()).map(|_| None).collect()));
     for (slot, source) in sources.iter().enumerate() {
-        let source = source.clone();
+        // A client task needs only the capture times: frames stay in the
+        // borrowed sources until the door's verdicts are in.
+        let client = source.stream_id;
+        let captures: Vec<f64> = source.frames().iter().map(|f| f.arrival_s).collect();
         let handle = ex.handle();
         let results = Rc::clone(&results);
         let params = *params;
         ex.spawn(async move {
-            let outcome = run_client(source, &params, handle).await;
+            let outcome = run_client(client, captures, &params, handle).await;
             results.borrow_mut()[slot] = Some(outcome);
         });
     }
@@ -281,9 +285,25 @@ pub fn run_ingest(sources: &[StreamSource], params: &NetParams) -> IngestOutcome
     let mut delivered = Vec::with_capacity(sources.len());
     let mut events = Vec::new();
     let mut clients = Vec::with_capacity(sources.len());
-    for outcome in outcomes {
+    for (source, outcome) in sources.iter().zip(outcomes) {
         let o = outcome.expect("every ingest task runs to completion");
-        delivered.push(o.stream);
+        // The one copy ingest makes: each admitted frame, stamped with its
+        // drain time.
+        let frames = o
+            .admitted
+            .iter()
+            .map(|&(idx, drain_s)| StreamFrame {
+                arrival_s: drain_s,
+                frame: source.frames()[idx].frame.clone(),
+            })
+            .collect();
+        delivered.push(StreamSource::from_frames(
+            source.stream_id,
+            source.fps,
+            source.width,
+            source.height,
+            frames,
+        ));
         events.extend(o.events);
         clients.push(o.report);
     }
@@ -301,21 +321,17 @@ pub fn run_ingest(sources: &[StreamSource], params: &NetParams) -> IngestOutcome
 }
 
 /// Drains one frame past the door at its drain time: admitted frames
-/// join the delivered stream, rejected ones leave a `DoorReject` event.
+/// join the delivered list, rejected ones leave a `DoorReject` event.
 fn pass_door(
     idx: usize,
     drain_s: f64,
     client: usize,
-    originals: &[StreamFrame],
     door: &mut DoorPolicy,
-    delivered: &mut Vec<StreamFrame>,
+    admitted: &mut Vec<(usize, f64)>,
     events: &mut Vec<ConnEvent>,
 ) {
     if door.admit(drain_s) {
-        delivered.push(StreamFrame {
-            arrival_s: drain_s,
-            frame: originals[idx].frame.clone(),
-        });
+        admitted.push((idx, drain_s));
     } else {
         events.push(ConnEvent {
             t_s: drain_s,
@@ -327,15 +343,18 @@ fn pass_door(
     }
 }
 
-async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) -> ClientOutcome {
-    let client = source.stream_id;
-    let captures: Vec<f64> = source.frames().iter().map(|f| f.arrival_s).collect();
+async fn run_client(
+    client: usize,
+    captures: Vec<f64>,
+    params: &NetParams,
+    handle: Handle,
+) -> ClientOutcome {
     let offered = captures.len();
     let link = SimLink::new(params.link, mix_seed(params.seed, client));
     let mut src = CamLinkSource::new(client, captures, link, handle.clone());
     let mut door = DoorPolicy::new(params.door_rate_fps, params.door_burst);
     let mut events: Vec<ConnEvent> = Vec::new();
-    let mut delivered: Vec<StreamFrame> = Vec::new();
+    let mut admitted: Vec<(usize, f64)> = Vec::new();
     // The bounded receive window: `(frame index, drain time)` entries.
     let mut window: VecDeque<(usize, f64)> = VecDeque::new();
     let mut last_drain_s = f64::NEG_INFINITY;
@@ -353,15 +372,7 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
             }
             window.pop_front();
             throttling = false;
-            pass_door(
-                idx,
-                drain_s,
-                client,
-                source.frames(),
-                &mut door,
-                &mut delivered,
-                &mut events,
-            );
+            pass_door(idx, drain_s, client, &mut door, &mut admitted, &mut events);
         }
         // Window full: stop reading the socket until the head drains.
         // Not polling the source is the backpressure — the camera's next
@@ -396,15 +407,7 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
     // Stream over: drain what is still buffered.
     while let Some((idx, drain_s)) = window.pop_front() {
         handle.sleep_until(drain_s).await;
-        pass_door(
-            idx,
-            drain_s,
-            client,
-            source.frames(),
-            &mut door,
-            &mut delivered,
-            &mut events,
-        );
+        pass_door(idx, drain_s, client, &mut door, &mut admitted, &mut events);
     }
     for &(t_s, notice, cursor) in &src.notices {
         events.push(match notice {
@@ -439,7 +442,7 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
     let report = ClientReport {
         client,
         offered,
-        delivered: delivered.len(),
+        delivered: admitted.len(),
         rejected_at_door: door.rejected,
         lost: offered - yielded,
         disconnects: src.disconnects(),
@@ -447,13 +450,7 @@ async fn run_client(source: StreamSource, params: &NetParams, handle: Handle) ->
         max_buffered,
     };
     ClientOutcome {
-        stream: StreamSource::from_frames(
-            client,
-            source.fps,
-            source.width,
-            source.height,
-            delivered,
-        ),
+        admitted,
         events,
         report,
     }

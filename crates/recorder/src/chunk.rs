@@ -225,6 +225,13 @@ impl Chunk {
             .collect()
     }
 
+    /// The last row's value in column `col` (an index into
+    /// [`EventKind::columns`]), read without decoding; `None` when empty.
+    pub(crate) fn last_value(&self, col: usize) -> Option<u64> {
+        let col = &self.cols[col];
+        (col.len > 0).then_some(col.last)
+    }
+
     /// Internal accessors for the file codec.
     pub(crate) fn parts(&self) -> (&VarintCol, &[VarintCol], usize) {
         (&self.time, &self.cols, self.capacity)

@@ -6,7 +6,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::chunk::{Chunk, ChunkKey};
-use crate::event::Event;
+use crate::event::{Event, EventKind};
+
+/// Column of [`Event::Detection`]'s `seq` in [`EventKind::columns`].
+const DETECTION_SEQ_COL: usize = 0;
 
 /// A point-in-time capture of one stream's replayable state.
 ///
@@ -64,7 +67,8 @@ pub struct StoreStats {
     pub chunks_evicted: usize,
     /// Events dropped with those chunks.
     pub events_evicted: usize,
-    /// Snapshots held.
+    /// Snapshots held: only those whose stream still has every later
+    /// [`Event::Detection`] completion (see [`ChunkStore::snapshot`]).
     pub snapshots: usize,
     /// Encoded payload bytes across all held chunks.
     pub encoded_bytes: usize,
@@ -76,13 +80,17 @@ pub struct StoreStats {
 /// once it reaches `chunk_events` rows and enters the time index (sorted
 /// scans use its `t_min`/`t_max`). When sealed chunks exceed
 /// `retention_chunks`, the least-recently-used sealed chunk is evicted.
-/// Open chunks and snapshots are never evicted.
+/// Open chunks are never evicted. Snapshots live outside the chunks but
+/// die with their replay window: one is dropped as soon as eviction
+/// removes a later [`Event::Detection`] completion of its stream.
 pub struct ChunkStore {
     chunk_events: usize,
     retention_chunks: usize,
     pub(crate) open: BTreeMap<ChunkKey, Chunk>,
     pub(crate) sealed: Vec<SealedChunk>,
     snapshots: Vec<Snapshot>,
+    /// Per stream, the highest `Detection` seq eviction has dropped.
+    evicted_seqs: BTreeMap<usize, usize>,
     clock: u64,
     seal_seq: u64,
     chunks_evicted: usize,
@@ -117,6 +125,7 @@ impl ChunkStore {
             open: BTreeMap::new(),
             sealed: Vec::new(),
             snapshots: Vec::new(),
+            evicted_seqs: BTreeMap::new(),
             clock: 0,
             seal_seq: 0,
             chunks_evicted: 0,
@@ -151,8 +160,15 @@ impl ChunkStore {
         }
     }
 
-    /// Stores a replay snapshot. Snapshots live outside the chunk/LRU
-    /// machinery and survive any amount of event eviction.
+    /// Stores a replay snapshot of `stream` at completion `seq`.
+    ///
+    /// Snapshots live outside the chunk/LRU machinery, and only while they
+    /// can replay. Replay from a snapshot needs every later
+    /// [`Event::Detection`] completion of its stream, so the snapshot is
+    /// dropped as soon as eviction removes one of them, and refused here if
+    /// one is already gone. Evicting completions up to `seq` itself keeps
+    /// it. [`Event::Policy`] rows are not part of the rule: losing one
+    /// leaves a replay unverified, never wrong without notice.
     pub fn snapshot(
         &mut self,
         t_s: f64,
@@ -161,6 +177,12 @@ impl ChunkStore {
         seq: usize,
         payload: Arc<dyn Any + Send + Sync>,
     ) {
+        if self
+            .evicted_seq(stream)
+            .is_some_and(|evicted| seq < evicted)
+        {
+            return;
+        }
         self.snapshots.push(Snapshot {
             t_s,
             shard,
@@ -178,9 +200,15 @@ impl ChunkStore {
             .max_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.seq.cmp(&b.seq)))
     }
 
-    /// All snapshots, in capture order.
+    /// All snapshots held, in capture order.
     pub fn snapshots(&self) -> &[Snapshot] {
         &self.snapshots
+    }
+
+    /// The highest [`Event::Detection`] `seq` of `stream` that eviction
+    /// has dropped, if any: no replay of the stream can run past it.
+    pub fn evicted_seq(&self, stream: usize) -> Option<usize> {
+        self.evicted_seqs.get(&stream).copied()
     }
 
     /// Seals every open chunk into the time index. Call at end of run so
@@ -259,7 +287,29 @@ impl ChunkStore {
             let gone = self.sealed.remove(idx);
             self.chunks_evicted += 1;
             self.events_evicted += gone.chunk.len();
+            let key = gone.chunk.key();
+            if let (EventKind::Detection, Some(stream)) = (key.kind, key.stream) {
+                // Rows are in completion order, so the last holds the
+                // chunk's highest seq.
+                if let Some(seq) = gone.chunk.last_value(DETECTION_SEQ_COL) {
+                    self.raise_evicted_seq(stream, seq as usize);
+                }
+            }
         }
+    }
+
+    /// Records that `stream`'s completion `seq` is gone and drops every
+    /// snapshot of the stream that needed it.
+    fn raise_evicted_seq(&mut self, stream: usize, seq: usize) {
+        if self
+            .evicted_seq(stream)
+            .is_some_and(|evicted| evicted >= seq)
+        {
+            return;
+        }
+        self.evicted_seqs.insert(stream, seq);
+        self.snapshots
+            .retain(|s| s.stream != stream || s.seq >= seq);
     }
 
     /// Rebuilds a store from codec parts (file load).
@@ -352,6 +402,69 @@ mod tests {
         assert_eq!(store.nearest_snapshot(5, 1.9).unwrap().seq, 10);
         assert!(store.nearest_snapshot(5, 0.5).is_none());
         assert_eq!(store.nearest_snapshot(6, 9.0).unwrap().seq, 15);
+    }
+
+    #[test]
+    fn a_snapshot_dies_once_a_later_completion_is_evicted() {
+        assert_eq!(EventKind::Detection.columns()[DETECTION_SEQ_COL], "seq");
+        // Stream 1's completions seal in pairs: [1, 2], [3, 4], [5, 6].
+        let mut store = ChunkStore::new(2, usize::MAX);
+        for i in 1..=6 {
+            store.record(i as f64, 0, det(1, i));
+        }
+        store.snapshot(2.0, 0, 1, 2, Arc::new(2usize));
+        store.snapshot(4.0, 0, 1, 4, Arc::new(4usize));
+        store.snapshot(1.0, 0, 2, 1, Arc::new(1usize));
+        let held = |store: &ChunkStore| -> Vec<(usize, usize)> {
+            store
+                .snapshots()
+                .iter()
+                .map(|s| (s.stream, s.seq))
+                .collect()
+        };
+        // Losing completions up to a snapshot's own seq keeps it.
+        store.evict_to(2);
+        assert_eq!(store.evicted_seq(1), Some(2));
+        assert_eq!(held(&store), [(1, 2), (1, 4), (2, 1)]);
+        store.evict_to(1);
+        assert_eq!(store.evicted_seq(1), Some(4));
+        assert_eq!(held(&store), [(1, 4), (2, 1)]);
+        assert_eq!(store.stats().snapshots, 2);
+        // A snapshot dead on arrival is refused; other streams are untouched.
+        store.snapshot(3.0, 0, 1, 3, Arc::new(3usize));
+        store.snapshot(4.0, 0, 1, 4, Arc::new(4usize));
+        assert_eq!(store.evicted_seq(2), None);
+        assert_eq!(held(&store), [(1, 4), (2, 1), (1, 4)]);
+    }
+
+    #[test]
+    fn evicting_other_kinds_keeps_snapshots() {
+        let mut store = ChunkStore::new(1, usize::MAX);
+        store.record(
+            1.0,
+            0,
+            Event::Track {
+                stream: 1,
+                frame_index: 0,
+                live_tracks: 3,
+            },
+        );
+        store.record(
+            2.0,
+            0,
+            Event::Policy {
+                stream: 1,
+                frame_index: 1,
+                decision: 1,
+                streak: 1,
+            },
+        );
+        store.record(3.0, 0, det(1, 2));
+        store.snapshot(0.5, 0, 1, 1, Arc::new(1usize));
+        store.evict_to(1);
+        assert_eq!(store.stats().chunks_evicted, 2);
+        assert_eq!(store.evicted_seq(1), None);
+        assert_eq!(store.stats().snapshots, 1);
     }
 
     #[test]

@@ -637,11 +637,15 @@ pub struct RecorderConfig {
     pub chunk_events: usize,
     /// Sealed-chunk retention budget; the least-recently-used sealed
     /// chunk is evicted beyond it. `usize::MAX` (the default) retains
-    /// everything.
+    /// everything. The budget bounds snapshots too: a snapshot is dropped
+    /// once eviction removes a later completion of its stream, because it
+    /// can no longer replay.
     pub retention_chunks: usize,
     /// Capture a replay snapshot of each stream every this many completed
     /// frames. `0` (the default) disables snapshots — and with them
-    /// time-travel replay.
+    /// time-travel replay. Snapshots are kept only while every later
+    /// completion of their stream survives eviction (see
+    /// `retention_chunks`).
     pub snapshot_every_frames: usize,
 }
 

@@ -12,41 +12,50 @@
 use crate::config::{IngestKind, ServeConfig};
 use crate::fleet::{expect_valid, serve_fleet_impl, FleetReport};
 use crate::scheduler::StreamSpec;
-use catdet_net::{run_ingest, IngestOutcome};
+use catdet_net::{run_ingest, ConnEvent, IngestOutcome, IngestReport};
 use catdet_recorder::{Event, SharedRecorder};
 
 /// Runs the front door over every spec's source and rebuilds the specs
 /// around the delivered timelines (arrival = door drain time, frames =
-/// the survivors).
+/// the survivors). The original sources are dropped once the door has
+/// run, so the delivered streams are the only frame copy left.
 fn ingest_pass(
     specs: Vec<StreamSpec>,
     cfg: &ServeConfig,
     seed: u64,
-) -> (Vec<StreamSpec>, IngestOutcome) {
+) -> (Vec<StreamSpec>, Vec<ConnEvent>, IngestReport) {
     assert!(
         cfg.ingest.kind == IngestKind::Net,
         "serve_net_fleet needs IngestKind::Net (cfg.ingest is direct)"
     );
-    let sources: Vec<_> = specs.iter().map(|s| s.source.clone()).collect();
-    let params = cfg.ingest.net_params(seed, cfg.queue_capacity);
-    let outcome = run_ingest(&sources, &params);
-    let specs = specs
+    let (sources, rest): (Vec<_>, Vec<_>) = specs
         .into_iter()
-        .zip(outcome.delivered.iter().cloned())
-        .map(|(spec, delivered)| StreamSpec {
-            source: delivered,
-            factory: spec.factory,
-            priority: spec.priority,
-            policy: spec.policy,
+        .map(|s| (s.source, (s.factory, s.priority, s.policy)))
+        .unzip();
+    let params = cfg.ingest.net_params(seed, cfg.queue_capacity);
+    let IngestOutcome {
+        delivered,
+        events,
+        report,
+    } = run_ingest(&sources, &params);
+    drop(sources);
+    let specs = rest
+        .into_iter()
+        .zip(delivered)
+        .map(|((factory, priority, policy), source)| StreamSpec {
+            source,
+            factory,
+            priority,
+            policy,
         })
         .collect();
-    (specs, outcome)
+    (specs, events, report)
 }
 
 /// Books the connection-event log into the store, stamped on shard 0
 /// (the front door is fleet infrastructure, not shard state).
-fn record_conn_events(outcome: &IngestOutcome, recorder: &SharedRecorder) {
-    for e in &outcome.events {
+fn record_conn_events(events: &[ConnEvent], recorder: &SharedRecorder) {
+    for e in events {
         recorder.record(
             e.t_s,
             0,
@@ -65,7 +74,7 @@ fn record_conn_events(outcome: &IngestOutcome, recorder: &SharedRecorder) {
 /// (CamLink wire, bounded receive window, per-client door rate limit),
 /// then the delivered streams are served exactly as
 /// [`serve_fleet`](crate::serve_fleet) would. The report carries the
-/// per-client [`IngestReport`](catdet_net::IngestReport).
+/// per-client [`IngestReport`].
 ///
 /// `seed` keys all connection randomness; the entire run — ingest
 /// timeline, events, serving output — is a pure function of
@@ -106,11 +115,11 @@ fn net_fleet(
     seed: u64,
     recorder: Option<&SharedRecorder>,
 ) -> FleetReport {
-    let (specs, outcome) = ingest_pass(specs, cfg, seed);
+    let (specs, events, ingest) = ingest_pass(specs, cfg, seed);
     if let Some(r) = recorder {
-        record_conn_events(&outcome, r);
+        record_conn_events(&events, r);
     }
     let mut report = serve_fleet_impl(specs, cfg, recorder);
-    report.ingest = Some(outcome.report);
+    report.ingest = Some(ingest);
     report
 }

@@ -122,6 +122,16 @@ pub enum ReplayError {
         /// First sequence number that survives.
         found_seq: usize,
     },
+    /// Chunk eviction dropped the stream's newest completions: the
+    /// surviving ones end before the recording did.
+    EvictedTail {
+        /// The requested stream.
+        stream: usize,
+        /// Last sequence number that survives.
+        last_seq: usize,
+        /// A later sequence number that eviction dropped.
+        evicted_seq: usize,
+    },
     /// The nearest snapshot's payload is not a [`StreamSnapshot`].
     ForeignSnapshot {
         /// The requested stream.
@@ -162,6 +172,16 @@ impl std::fmt::Display for ReplayError {
                  surviving one is #{found_seq} — chunk eviction dropped the gap; raise the \
                  retention budget (--record-retention-chunks) or snapshot more often"
             ),
+            ReplayError::EvictedTail {
+                stream,
+                last_seq,
+                evicted_seq,
+            } => write!(
+                f,
+                "stream {stream}: the surviving completions end at #{last_seq} but chunk \
+                 eviction dropped #{evicted_seq}, so replay would stop short; raise the \
+                 retention budget (--record-retention-chunks)"
+            ),
             ReplayError::ForeignSnapshot { stream } => write!(
                 f,
                 "stream {stream}: the nearest snapshot was not captured by the serving \
@@ -198,10 +218,11 @@ impl std::error::Error for ReplayError {}
 /// `spec` must describe the stream exactly as the live run served it (same
 /// [`StreamSource`](catdet_data::StreamSource), same factory) — the frame
 /// feed and pipeline recipe are deterministic, so this is what makes the
-/// replay self-contained. When no usable snapshot exists at or before
-/// `from_t_s` (cadence `0`, or the time predates the first capture), the
-/// stream is re-driven from the beginning, which needs every completion
-/// since sequence 1 to survive eviction.
+/// replay self-contained. When no snapshot exists at or before `from_t_s`
+/// (cadence `0`, the time predates the first capture, or eviction has
+/// dropped the earlier snapshots), the stream is re-driven from the
+/// beginning, which needs every completion since sequence 1 to survive
+/// eviction.
 ///
 /// # Errors
 ///
@@ -262,6 +283,19 @@ pub fn replay_stream(
                 found_seq: pair[1].0,
             });
         }
+    }
+    // No gap check sees the newest completions go: compare the last
+    // survivor with the highest seq eviction dropped.
+    let last_seq = todo[todo.len() - 1].0;
+    if let Some(evicted_seq) = recorder
+        .with_store(|s| s.evicted_seq(stream))
+        .filter(|&evicted| evicted > last_seq)
+    {
+        return Err(ReplayError::EvictedTail {
+            stream,
+            last_seq,
+            evicted_seq,
+        });
     }
 
     // Frame-policy decisions the live run recorded over the window: only

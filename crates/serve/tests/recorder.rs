@@ -1,8 +1,9 @@
 //! Flight-recorder integration tests: recording never perturbs the run,
 //! golden time-travel replay is bit-identical to the live run, recorded
 //! latencies answer queries with exactly the report's percentiles (under
-//! random chunk boundaries), and chunk eviction surfaces as an actionable
-//! replay error instead of silent divergence.
+//! random chunk boundaries), chunk eviction surfaces as an actionable
+//! replay error instead of silent divergence or truncation, and a replay
+//! snapshot lives exactly as long as it can replay.
 
 mod common;
 
@@ -13,6 +14,7 @@ use catdet_serve::{
 };
 use common::null_spec_steady;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn no_drop_config() -> ServeConfig {
     ServeConfig::new()
@@ -161,6 +163,41 @@ fn eviction_gap_is_an_actionable_error() {
 }
 
 #[test]
+fn evicting_the_newest_completions_is_an_actionable_error() {
+    // Evicting a stream's *last* detection chunk leaves no gap for the
+    // checks above to see, yet a replay through the survivors would stop
+    // short of the live run. It must fail, naming what was lost.
+    let streams = || mixed_workload(1, 60, 3, SystemKind::CatdetA);
+    let recorder = SharedRecorder::new(8, usize::MAX, 6);
+    let report = serve_with_recorder(streams(), &no_drop_config(), &recorder);
+    assert_eq!(report.streams[0].processed, 60);
+    // Touch every chunk, then again every chunk that starts before
+    // completion #57: the detection chunk holding #57..=#60 is now the
+    // LRU victim.
+    let t57 = recorder
+        .scan(&Query::all())
+        .iter()
+        .find_map(|r| match r.event {
+            Event::Detection { seq: 57, .. } => Some(r.t_s),
+            _ => None,
+        })
+        .expect("completion #57 recorded");
+    recorder.scan(&Query::all().between(0.0, t57.next_down()));
+    recorder.with_store(|s| s.evict_to(s.stats().sealed_chunks - 1));
+    assert_eq!(surviving_seqs(&recorder, 0).last(), Some(&56));
+    let err = replay_stream(&recorder, &streams()[0], report.makespan_s * 0.5)
+        .expect_err("a replay that stops at #56 of 60 must fail");
+    assert_eq!(
+        err,
+        ReplayError::EvictedTail {
+            stream: 0,
+            last_seq: 56,
+            evicted_seq: 60,
+        }
+    );
+}
+
+#[test]
 fn replaying_coasts_on_a_pipeline_that_cannot_coast_is_an_error() {
     // The recording coasts frames of a tracked CaTDet pipeline. A spec
     // whose factory builds an untracked cascade cannot re-drive those
@@ -277,6 +314,87 @@ proptest! {
             prop_assert_eq!(per.p50_s, r.p50_s);
             prop_assert_eq!(per.p99_s, r.p99_s);
             prop_assert_eq!(per.max_s, r.max_s);
+        }
+    }
+
+    /// Snapshot lifetime under random retention: a bursty fleet run
+    /// (streams migrating between up to three shards) is recorded twice,
+    /// into a bounded store and an unbounded reference. The bounded store
+    /// keeps a reference snapshot exactly when every later completion of
+    /// its stream survives, and every replay either runs verified through
+    /// the live run's end or fails with an eviction error.
+    #[test]
+    fn prop_a_snapshot_lives_exactly_as_long_as_its_replay_window(
+        seed in 0u64..1000,
+        shards in 1usize..=3,
+        chunk_events in 1usize..12,
+        retention in 1usize..64,
+        every in 1usize..8,
+    ) {
+        let streams = || bursty_workload(4, 24, seed, SystemKind::CatdetA, BurstProfile::demo());
+        let cfg = no_drop_config().with_workers(1).with_shard(
+            ShardConfig::sharded(shards)
+                .with_rebalance_interval_s(0.05)
+                .with_migration_cost_frames(1),
+        );
+        let bounded = SharedRecorder::new(chunk_events, retention, every);
+        let reference = SharedRecorder::new(chunk_events, usize::MAX, every);
+        let report = serve_fleet_with_recorder(streams(), &cfg, &bounded);
+        prop_assert_eq!(&report, &serve_fleet_with_recorder(streams(), &cfg, &reference));
+        let fleet_streams = report.streams();
+        for spec in streams() {
+            let id = spec.source.stream_id;
+            let live = fleet_streams
+                .iter()
+                .find(|s| s.stream_id == id)
+                .expect("stream reported");
+            let surviving: BTreeSet<usize> = surviving_seqs(&bounded, id).into_iter().collect();
+            let kept: BTreeSet<usize> = bounded.with_store(|s| {
+                s.snapshots().iter().filter(|s| s.stream == id).map(|s| s.seq).collect()
+            });
+            let snapshots: Vec<(usize, f64)> = reference.with_store(|s| {
+                s.snapshots()
+                    .iter()
+                    .filter(|s| s.stream == id)
+                    .map(|s| (s.seq, s.t_s))
+                    .collect()
+            });
+            let mut times = vec![0.0, f64::INFINITY];
+            for &(seq, t_s) in &snapshots {
+                let replayable = (seq + 1..=live.processed).all(|q| surviving.contains(&q));
+                prop_assert_eq!(
+                    kept.contains(&seq),
+                    replayable,
+                    "stream {} snapshot #{} (retention {}, chunks of {})",
+                    id,
+                    seq,
+                    retention,
+                    chunk_events
+                );
+                times.push(t_s);
+            }
+            for t in times {
+                match replay_stream(&bounded, &spec, t) {
+                    Ok(replay) => {
+                        prop_assert!(replay.verified(), "stream {} from t={}", id, t);
+                        prop_assert_eq!(
+                            replay.frames.len(),
+                            live.processed - replay.resumed_after_seq
+                        );
+                        for f in &replay.frames {
+                            let (frame_index, detections) = &live.outputs[f.seq - 1];
+                            prop_assert_eq!(*frame_index, f.frame_index);
+                            prop_assert_eq!(detections, &f.detections);
+                        }
+                    }
+                    Err(
+                        ReplayError::NothingRecorded { .. }
+                        | ReplayError::EvictedGap { .. }
+                        | ReplayError::EvictedTail { .. },
+                    ) => {}
+                    Err(other) => panic!("stream {id} from t={t}: unexpected {other:?}"),
+                }
+            }
         }
     }
 }

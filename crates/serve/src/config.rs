@@ -519,12 +519,15 @@ pub struct ShardConfig {
     /// sharding. Off, each shard fuses only its own streams.
     pub fuse_across_shards: bool,
     /// OS threads that advance shard engines between coordination
-    /// barriers — the only OS threads a serving run starts. `1` (the
-    /// default) keeps the sequential loop; `0` means
-    /// auto (the host's available parallelism, capped at the shard
-    /// count). Results are **bit-identical at every setting** — threads
-    /// change wall-clock time only, never the simulation (the
-    /// cli-determinism CI job pins this).
+    /// barriers, counting the calling thread: `N` threads are the caller
+    /// plus `N − 1` pool helpers, the only threads a serving run starts.
+    /// A helper gets an engine only while the caller is busy with another
+    /// one in the same pass. `1` (the default) keeps the sequential loop
+    /// with no pool; `0` means auto (the host's available parallelism).
+    /// Either way the count is capped at the shard count. Results are
+    /// **bit-identical at every setting** — threads change wall-clock
+    /// time only, never the simulation (the cli-determinism CI job pins
+    /// this).
     pub threads: usize,
 }
 
@@ -590,9 +593,9 @@ impl ShardConfig {
     }
 
     /// Returns a copy running shard engines on `threads` OS threads
-    /// between barriers (`0` = auto, `1` = sequential). Purely a
-    /// wall-clock knob: reports, timelines and recordings are
-    /// bit-identical at every setting.
+    /// between barriers, the caller and `threads − 1` helpers (`0` =
+    /// auto, `1` = sequential). Purely a wall-clock knob: reports,
+    /// timelines and recordings are bit-identical at every setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -39,10 +39,16 @@
 //! # Threads
 //!
 //! [`ShardConfig::threads`](crate::ShardConfig::threads) is the only
-//! source of OS threads in a serving run: between barriers a shard pool
-//! moves whole engines onto its threads, and each engine runs its stage
-//! work inline. With one thread (or one shard) everything runs on the
-//! calling thread.
+//! source of OS threads in a serving run, and it counts the calling
+//! thread: `N` threads are the caller plus `N − 1` pool helpers. Each
+//! pass advances every engine to the next coordination point. The caller
+//! keeps the first engine with an event due by then and queues the later
+//! ones that have one; it advances the rest, whose clocks only move,
+//! itself. Once its own engine is done, the caller takes queued engines
+//! too, so a helper gets one only while two can run, and a pass with at
+//! most one runnable engine queues nothing and wakes no helper. Whichever
+//! thread holds an engine runs its stage work inline. With one thread (or
+//! one shard) there is no pool.
 //!
 //! # Reporting
 //!
@@ -60,10 +66,10 @@ use crate::scheduler::{Engine, StreamSpec, EPS};
 use crate::shard::{build_partition, MigrationEvent, RebalanceSignal};
 use crate::ShardConfig;
 use catdet_recorder::{Event, FlightRecorder, NullRecorder, SharedRecorder};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// One cross-shard fused refinement dispatch.
@@ -475,58 +481,134 @@ pub(crate) fn expect_valid(cfg: &ServeConfig) {
     }
 }
 
-/// One unit of pool work: advance shard `idx`'s engine to the barrier.
+/// One queued unit of helper work: advance shard `idx`'s engine to `limit`.
 type ShardJob = (usize, Engine, f64);
-/// What comes back: the engine (or a worker-panic message) and whether it
-/// still has work.
-type ShardResult = (usize, Result<(Engine, bool), String>);
+/// A finished job: the shard index, its engine, and what [`advance`]
+/// returned for it.
+type ShardDone = (usize, Engine, Result<bool, String>);
 
-/// A persistent pool of OS threads that advance whole shard engines
-/// between fleet barriers.
+/// The pool helpers: `threads − 1` persistent OS threads that take
+/// runnable engines off the calling thread's queue during a pass (see
+/// [`run_all`]).
 ///
-/// Engines move **by value** through the channels: a pool thread owns the
-/// engine outright while stepping it — its pipelines, scratch buffers and
-/// recorder writing end — and runs its stage work inline, so there is no
-/// shared mutable state and nothing to lock on the simulation path. The
-/// fleet's coordination points (fuse deadlines, rebalance ticks, recorder
-/// flushes) all happen on the control thread after every engine has been
-/// reassembled, which is the whole determinism argument: threads change
-/// *when* wall-clock work happens, never *what* the simulation computes.
+/// Engines move **by value** through the queue: whichever thread holds
+/// an engine owns it outright while stepping it — its pipelines, scratch
+/// buffers and recorder writing end — so there is no shared mutable state
+/// on the simulation path. The queue is a `Mutex<VecDeque>` with two
+/// condvars rather than a channel because the caller takes jobs from it
+/// too, while a helper may be blocked waiting on it. The fleet's
+/// coordination points (fuse deadlines, rebalance ticks, recorder
+/// flushes) all happen on the calling thread after every engine is back
+/// at its shard index, which is the whole determinism argument: threads
+/// change *when* wall-clock work happens, never *what* the simulation
+/// computes.
 struct ShardPool {
-    job_tx: Option<Sender<ShardJob>>,
-    result_rx: Receiver<ShardResult>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<PoolShared>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+/// What the caller and the helpers share.
+#[derive(Default)]
+struct PoolShared {
+    queue: Mutex<PoolQueue>,
+    /// Wakes helpers: a job was queued, or the pool is closing.
+    job_queued: Condvar,
+    /// Wakes the caller: a job finished.
+    job_done: Condvar,
+}
+
+/// The pool's work and results, under one lock.
+#[derive(Default)]
+struct PoolQueue {
+    /// Engines waiting for a thread.
+    jobs: VecDeque<ShardJob>,
+    /// Engines advanced this pass, in finishing order.
+    done: Vec<ShardDone>,
+    /// Set when the fleet drops the pool: helpers exit.
+    closed: bool,
 }
 
 impl ShardPool {
-    fn new(threads: usize) -> Self {
-        let (job_tx, job_rx) = channel::<ShardJob>();
-        let (result_tx, result_rx) = channel::<ShardResult>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let workers = (0..threads)
+    fn new(helpers: usize) -> Self {
+        let shared = Arc::new(PoolShared::default());
+        let helpers = (0..helpers)
             .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                std::thread::spawn(move || loop {
-                    let job = job_rx.lock().expect("shard pool queue").recv();
-                    let Ok((idx, mut engine, limit)) = job else {
-                        return; // fleet dropped the sender: run is over
-                    };
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        let more = engine.run_until(limit);
-                        (engine, more)
-                    }))
-                    .map_err(|e| panic_message(&*e));
-                    let _ = result_tx.send((idx, out));
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    drop(shared.work(&shared.job_queued, |q| q.closed));
                 })
             })
             .collect();
-        ShardPool {
-            job_tx: Some(job_tx),
-            result_rx,
-            workers,
+        ShardPool { shared, helpers }
+    }
+
+    /// Queues `job` for whichever thread is free first.
+    fn queue(&self, job: ShardJob) {
+        self.shared.lock().jobs.push_back(job);
+        self.shared.job_queued.notify_one();
+    }
+
+    /// The caller's half of a pass, after its own engine: takes queued
+    /// jobs until none is left, waits until all `queued` engines are
+    /// done, and puts each back at its shard index.
+    fn collect(&self, queued: usize, engines: &mut Vec<Engine>, pass: &mut Pass) {
+        let shared = &*self.shared;
+        let mut q = shared.work(&shared.job_done, |q| q.done.len() == queued);
+        // Ascending inserts land every engine at its own index.
+        q.done.sort_unstable_by_key(|d| d.0);
+        for (idx, engine, out) in q.done.drain(..) {
+            engines.insert(idx, engine);
+            pass.record(idx, out);
         }
     }
+}
+
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, PoolQueue> {
+        // Only queue operations run under the lock, and none of them panics.
+        self.queue.lock().expect("shard pool queue poisoned")
+    }
+
+    /// Runs queued jobs on this thread, sleeping on `wake` while the queue
+    /// is empty, until `stop` holds with nothing left to take.
+    fn work(&self, wake: &Condvar, stop: impl Fn(&PoolQueue) -> bool) -> MutexGuard<'_, PoolQueue> {
+        let mut q = self.lock();
+        loop {
+            if let Some((idx, mut engine, limit)) = q.jobs.pop_front() {
+                drop(q);
+                let out = advance(&mut engine, limit);
+                q = self.lock();
+                q.done.push((idx, engine, out));
+                self.job_done.notify_one();
+            } else if stop(&q) {
+                return q;
+            } else {
+                q = wake.wait(q).expect("shard pool queue poisoned");
+            }
+        }
+    }
+}
+
+impl Drop for ShardPool {
+    fn drop(&mut self) {
+        // Setting the flag leaves even a poisoned queue valid.
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.shared.job_queued.notify_all();
+        for handle in self.helpers.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Advances one engine to `limit` on the current thread. This is the one
+/// place an engine panic is caught, on the caller and the helpers alike;
+/// [`Pass::finish`] re-raises it once every engine is back.
+fn advance(engine: &mut Engine, limit: f64) -> Result<bool, String> {
+    catch_unwind(AssertUnwindSafe(|| engine.run_until(limit))).map_err(|e| panic_message(&*e))
 }
 
 /// The text of a caught panic payload.
@@ -540,12 +622,33 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        drop(self.job_tx.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+/// What one pass learned from its engines: whether any still has work,
+/// and the panic of the lowest shard index that hit one.
+#[derive(Default)]
+struct Pass {
+    work_left: bool,
+    panic: Option<(usize, String)>,
+}
+
+impl Pass {
+    fn record(&mut self, idx: usize, out: Result<bool, String>) {
+        match out {
+            Ok(more) => self.work_left |= more,
+            Err(msg) => {
+                if self.panic.as_ref().is_none_or(|&(k, _)| idx < k) {
+                    self.panic = Some((idx, msg));
+                }
+            }
         }
+    }
+
+    /// Re-raises the lowest shard's panic, if any shard hit one; returns
+    /// whether any shard still has work otherwise.
+    fn finish(self) -> bool {
+        if let Some((idx, msg)) = self.panic {
+            panic!("shard {idx} engine panicked: {msg}");
+        }
+        self.work_left
     }
 }
 
@@ -563,54 +666,51 @@ fn resolve_threads(threads: usize, shards: usize) -> usize {
     t.clamp(1, shards.max(1))
 }
 
-/// Advances every engine to `limit` — on the pool when one exists, in
-/// shard order on the control thread otherwise — and reports whether any
-/// shard still has work. Both paths compute the identical result; the
-/// pool path scatters the engines to pool threads and reassembles them
-/// **by shard index**, so downstream code never observes thread
-/// scheduling order.
+/// Advances every engine to `limit` and reports whether any shard still
+/// has work.
+///
+/// An engine is *runnable* when its next event is at or before `limit`,
+/// the test [`Engine::run_until`] itself applies. The calling thread
+/// keeps the first runnable engine and, with a pool, queues every later
+/// runnable one. It advances each engine it did not queue where it
+/// stands, its own last, then takes queued jobs until none is left and
+/// collects what the helpers took. So with at most one runnable engine
+/// nothing moves and no helper wakes. Every engine still gets its
+/// `run_until(limit)`: skipping one whose clock only moves would split
+/// its worker-seconds accrual differently. Every engine is back at its
+/// shard index before this returns, so downstream code never observes
+/// which thread ran what.
 ///
 /// # Panics
 ///
-/// Re-raises (with its message) any panic a shard engine hit on a pool
-/// thread, after every surviving engine has been collected. This is the
-/// one place an engine panic is caught; without a pool it propagates
-/// unchanged.
+/// Re-raises a pipeline panic as `shard {k} engine panicked: {payload}`,
+/// for the lowest panicking shard `k`, once every engine is back. The
+/// message is the same at every thread count.
 fn run_all(pool: Option<&ShardPool>, engines: &mut Vec<Engine>, limit: f64) -> bool {
-    let Some(pool) = pool else {
-        let mut work_left = false;
-        for e in engines.iter_mut() {
-            work_left |= e.run_until(limit);
+    let runnable = |e: &Engine| e.next_event_time().is_some_and(|t| t <= limit);
+    let own = engines.iter().position(runnable);
+    let mut pass = Pass::default();
+    let mut queued = 0;
+    // Back to front, so every index still to visit holds its own shard.
+    for idx in (0..engines.len()).rev() {
+        if Some(idx) == own {
+            continue; // runs once every other runnable engine is queued
         }
-        return work_left;
-    };
-    let n = engines.len();
-    let job_tx = pool.job_tx.as_ref().expect("pool alive");
-    for (idx, engine) in engines.drain(..).enumerate() {
-        job_tx.send((idx, engine, limit)).expect("pool alive");
-    }
-    let mut slots: Vec<Option<Engine>> = (0..n).map(|_| None).collect();
-    let mut work_left = false;
-    let mut panicked: Option<String> = None;
-    for _ in 0..n {
-        let (idx, res) = pool.result_rx.recv().expect("pool alive");
-        match res {
-            Ok((engine, more)) => {
-                work_left |= more;
-                slots[idx] = Some(engine);
+        match pool {
+            Some(pool) if runnable(&engines[idx]) => {
+                pool.queue((idx, engines.remove(idx), limit));
+                queued += 1;
             }
-            Err(msg) => panicked = Some(msg),
+            _ => pass.record(idx, advance(&mut engines[idx], limit)),
         }
     }
-    if let Some(msg) = panicked {
-        panic!("shard engine panicked on a pool thread: {msg}");
+    if let Some(idx) = own {
+        pass.record(idx, advance(&mut engines[idx], limit));
     }
-    engines.extend(
-        slots
-            .into_iter()
-            .map(|s| s.expect("every shard sent its engine back")),
-    );
-    work_left
+    if let Some(pool) = pool {
+        pool.collect(queued, engines, &mut pass);
+    }
+    pass.finish()
 }
 
 /// Runs a validated fleet, sealing `recorder`'s open chunks at the end.
@@ -651,11 +751,10 @@ pub(crate) fn serve_fleet_impl(
         })
         .collect();
 
-    // Real-thread execution: between barriers, whole engines move to pool
-    // threads. One thread (the default) keeps the plain sequential loop —
-    // no pool, no channels.
+    // The caller plus `threads − 1` helpers advance the engines; one thread
+    // (the default) has no pool at all.
     let threads = resolve_threads(sc.threads, shards);
-    let pool = (threads > 1).then(|| ShardPool::new(threads));
+    let pool = (threads > 1).then(|| ShardPool::new(threads - 1));
     // Drains every engine's recorder buffer in shard-id order; called at
     // each barrier so store ingest order is thread-count-independent.
     let flush_in_order = |engines: &mut [Engine]| {
@@ -676,12 +775,15 @@ pub(crate) fn serve_fleet_impl(
         f64::INFINITY
     };
 
-    if fleet_fuse {
-        // Lock-step global discrete-event loop: every engine advances to
-        // the fleet-wide next event, then due fuse deadlines fire across
-        // shards. This is what lets a frame suspended on shard 0 share a
-        // dispatch with one on shard 3.
-        loop {
+    // Each pass advances every engine to the next coordination point: the
+    // next rebalance tick or, with fleet fusion, the next fleet-wide event,
+    // whichever comes first. Fusion's lock-step at event granularity is
+    // what lets a frame suspended on shard 0 share a dispatch with one on
+    // shard 3; without it, shards are fully independent between ticks and
+    // each runs a whole tick (or to completion) per pass.
+    loop {
+        let mut limit = next_rebalance;
+        if fleet_fuse {
             // Fire only deadlines at or before the pending rebalance tick:
             // a dispatch semantically at t > tick must not execute first
             // (it returns systems to their slots, and the earlier-in-time
@@ -693,48 +795,15 @@ pub(crate) fn serve_fleet_impl(
                 &mut fused_refinements,
                 &mut fused_gpu,
             );
-            let mut next = f64::INFINITY;
-            for e in &engines {
-                if let Some(t) = e.next_event_time() {
-                    next = next.min(t);
-                }
-            }
-            if !next.is_finite() {
-                break;
-            }
-            let next = next.min(next_rebalance);
-            run_all(pool.as_ref(), &mut engines, next);
-            if rebalance_on && next_rebalance <= next + EPS {
-                flush_in_order(&mut engines);
-                rebalance(
-                    &sc,
-                    &mut engines,
-                    next_rebalance,
-                    &mut migrations,
-                    recorder,
-                    &mut rebalance_state,
-                );
-                next_rebalance += sc.rebalance_interval_s;
-            }
+            limit = engines
+                .iter()
+                .filter_map(Engine::next_event_time)
+                .fold(limit, f64::min);
         }
-        // Late stragglers: deadlines due exactly at the final instant.
-        fire_fleet_refinements(
-            cfg,
-            &mut engines,
-            f64::INFINITY,
-            &mut fused_refinements,
-            &mut fused_gpu,
-        );
-    } else {
-        // Shards are fully independent between rebalance ticks: run each
-        // to the next tick (or completion when rebalancing is off). This
-        // is the embarrassingly parallel phase — with a pool, every shard
-        // advances a whole tick of virtual time on its own OS thread.
-        loop {
-            let work_left = run_all(pool.as_ref(), &mut engines, next_rebalance);
-            if !work_left {
-                break;
-            }
+        if !run_all(pool.as_ref(), &mut engines, limit) {
+            break;
+        }
+        if rebalance_on && next_rebalance <= limit + EPS {
             flush_in_order(&mut engines);
             rebalance(
                 &sc,
@@ -747,6 +816,19 @@ pub(crate) fn serve_fleet_impl(
             next_rebalance += sc.rebalance_interval_s;
         }
     }
+    if fleet_fuse {
+        // Late stragglers: deadlines due exactly at the final instant.
+        fire_fleet_refinements(
+            cfg,
+            &mut engines,
+            f64::INFINITY,
+            &mut fused_refinements,
+            &mut fused_gpu,
+        );
+    }
+    // No pass is left: join the helpers and free the queue, which holds
+    // room for every shard's engine, before the reports are built.
+    drop(pool);
 
     // The final drains, in shard-id order like every barrier's.
     flush_in_order(&mut engines);

@@ -182,9 +182,10 @@ USAGE:
                         keep refinement fusion within each shard instead
                         of pooling work items fleet-wide [fleet-wide]
     --threads <N>       OS threads advancing shard engines between
-                        barriers (0 = auto, one per host core; capped at
-                        the shard count). Bit-identical results at every
-                        setting -- threads only change wall-clock time [1]
+                        barriers, counting the caller: N - 1 helpers
+                        (0 = auto, one per host core; capped at the shard
+                        count). Bit-identical results at every setting --
+                        threads only change wall-clock time [1]
 
   ingest (how frames reach the partition layer):
     --ingest <K>        direct (in-memory timelines) | net (simulated

@@ -1,6 +1,8 @@
 //! One execution path: `serve` is a 1-shard fleet down to the recorded
-//! bytes, and a pipeline panic surfaces with its original payload at
-//! every thread count instead of hanging the run.
+//! bytes; a pipeline panic surfaces with its original payload, in the
+//! same text at every thread count, instead of hanging the run; and the
+//! calling thread runs shard engines itself, handing one to a pool
+//! helper only while two can run.
 
 mod common;
 
@@ -8,12 +10,15 @@ use catdet_core::{DetectionSystem, FrameOutput, OpsBreakdown};
 use catdet_data::Frame;
 use catdet_serve::{
     mixed_workload, serve, serve_fleet, serve_fleet_with_recorder, serve_with_recorder, EventKind,
-    Query, ServeConfig, ServeReport, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
+    PartitionKind, Query, ServeConfig, ServeReport, ShardConfig, SharedRecorder, StreamSpec,
+    SystemKind,
 };
 use common::null_spec_steady;
+use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -128,17 +133,15 @@ impl DetectionSystem for PanicAt {
     }
 }
 
-/// Four cheap streams; stream 2's pipeline panics on its 5th frame.
-fn streams_with_a_panic() -> Vec<StreamSpec> {
+/// Four cheap streams; stream `id`'s pipeline panics on its
+/// `panic_at(id)`-th frame, if that is `Some`.
+fn streams_with_panics(panic_at: fn(usize) -> Option<usize>) -> Vec<StreamSpec> {
     (0..4)
         .map(|id| {
             let mut spec = null_spec_steady(id, 20.0, 12, id as f64 * 0.003);
-            if id == 2 {
-                spec.factory = Arc::new(|| {
-                    Box::new(PanicAt {
-                        seen: 0,
-                        panic_at: 5,
-                    }) as Box<dyn DetectionSystem>
+            if let Some(panic_at) = panic_at(id) {
+                spec.factory = Arc::new(move || {
+                    Box::new(PanicAt { seen: 0, panic_at }) as Box<dyn DetectionSystem>
                 });
             }
             spec
@@ -170,20 +173,187 @@ fn panic_message_of(call: impl FnOnce() + Send + 'static) -> String {
 #[test]
 fn pipeline_panics_surface_with_their_payload_and_never_hang() {
     let want = format!("{PAYLOAD} 5");
-    let msg = panic_message_of(|| {
-        serve(streams_with_a_panic(), &ServeConfig::new().with_workers(2));
+    let stream_2_panics = |id| (id == 2).then_some(5);
+    let msg = panic_message_of(move || {
+        serve(
+            streams_with_panics(stream_2_panics),
+            &ServeConfig::new().with_workers(2),
+        );
     });
     assert!(msg.contains(&want), "serve lost the payload: {msg:?}");
-    for threads in [1, 2] {
-        let msg = panic_message_of(move || {
-            let cfg = ServeConfig::new()
-                .with_workers(2)
-                .with_shard(ShardConfig::sharded(2).with_threads(threads));
-            serve_fleet(streams_with_a_panic(), &cfg);
+
+    // One capture point: the same text at every thread count, for an
+    // independent-phase fleet and for a fused lock-step one.
+    let unfused = ServeConfig::new()
+        .with_workers(2)
+        .with_shard(ShardConfig::sharded(2));
+    let fused = ServeConfig::new()
+        .with_workers(2)
+        .with_fuse_refinement(true)
+        .with_refine_batch_window_s(0.004)
+        .with_shard(ShardConfig::sharded(4));
+    for (name, cfg) in [("unfused", unfused), ("fused", fused)] {
+        let msgs = [1, 2, 4].map(|threads| {
+            let cfg = cfg.with_shard(cfg.shard.with_threads(threads));
+            panic_message_of(move || {
+                serve_fleet(streams_with_panics(stream_2_panics), &cfg);
+            })
         });
         assert!(
-            msg.contains(&want),
-            "serve_fleet at --threads {threads} lost the payload: {msg:?}"
+            msgs[0].contains(&want),
+            "{name} fleet lost the payload: {msgs:?}"
+        );
+        assert!(
+            msgs.iter().all(|m| *m == msgs[0]),
+            "{name} fleet's panic text depends on --threads 1/2/4: {msgs:?}"
         );
     }
+
+    // Every stream panics, stream `id` on frame 5 + id. Equal lengths put
+    // streams 0 and 2 on shard 0, 1 and 3 on shard 1, and with no
+    // rebalance ticks the whole run is one pass: both shards panic in it,
+    // and the lower one is re-raised whichever finished last.
+    for threads in [1, 2, 4] {
+        let cfg = ServeConfig::new().with_workers(2).with_shard(
+            ShardConfig::sharded(2)
+                .with_partition(PartitionKind::LeastLoaded)
+                .with_threads(threads),
+        );
+        let msg = panic_message_of(move || {
+            serve_fleet(streams_with_panics(|id| Some(5 + id)), &cfg);
+        });
+        assert_eq!(
+            msg,
+            format!("shard 0 engine panicked: {PAYLOAD} 5"),
+            "--threads {threads} did not re-raise the lower shard"
+        );
+    }
+}
+
+/// Holds each arrival until two have arrived, for at most 30 s. Two
+/// pipelines that both pass through it ran on two threads at once.
+#[derive(Default)]
+struct Meet {
+    arrived: Mutex<usize>,
+    all_in: Condvar,
+}
+
+impl Meet {
+    fn arrive(&self) {
+        let mut arrived = self.arrived.lock().expect("meet lock");
+        *arrived += 1;
+        self.all_in.notify_all();
+        // Bounded, so a fleet that runs both pipelines on one thread
+        // fails the thread check instead of hanging.
+        let _ = self
+            .all_in
+            .wait_timeout_while(arrived, Duration::from_secs(30), |a| *a < 2)
+            .expect("meet lock");
+    }
+}
+
+/// A pipeline that notes the OS thread running each of its frames and,
+/// given a meeting point, holds its first frame there.
+struct ThreadLog {
+    log: Arc<Mutex<Vec<ThreadId>>>,
+    meet: Option<Arc<Meet>>,
+}
+
+impl DetectionSystem for ThreadLog {
+    fn name(&self) -> String {
+        "thread-log".into()
+    }
+
+    fn reset(&mut self) {}
+
+    fn process_frame(&mut self, _frame: &Frame) -> FrameOutput {
+        self.log
+            .lock()
+            .expect("thread log lock")
+            .push(std::thread::current().id());
+        if let Some(meet) = self.meet.take() {
+            meet.arrive();
+        }
+        FrameOutput {
+            detections: Vec::new(),
+            ops: OpsBreakdown::default(),
+            num_refinement_regions: 0,
+            refinement_coverage: 0.0,
+        }
+    }
+}
+
+/// Runs two logged streams starting at `starts` on a 2-shard fleet at
+/// `--threads 2`, one stream per shard (equal lengths under least-loaded
+/// placement), and returns the thread of every frame.
+fn run_logged(
+    cfg: ServeConfig,
+    shard: ShardConfig,
+    starts: [f64; 2],
+    meet: Option<Arc<Meet>>,
+) -> Vec<ThreadId> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let streams = starts
+        .iter()
+        .enumerate()
+        .map(|(id, &start)| {
+            let mut spec = null_spec_steady(id, 20.0, 12, start);
+            let (log, meet) = (Arc::clone(&log), meet.clone());
+            spec.factory = Arc::new(move || {
+                Box::new(ThreadLog {
+                    log: Arc::clone(&log),
+                    meet: meet.clone(),
+                }) as Box<dyn DetectionSystem>
+            });
+            spec
+        })
+        .collect();
+    let shard = shard
+        .with_partition(PartitionKind::LeastLoaded)
+        .with_threads(2);
+    let report = serve_fleet(streams, &cfg.with_shard(shard));
+    assert!(
+        report.shards.iter().all(|s| s.frames_processed > 0),
+        "a shard served nothing: the fleet proves nothing"
+    );
+    let threads = log.lock().expect("thread log lock").clone();
+    assert_eq!(threads.len(), report.frames_processed());
+    threads
+}
+
+#[test]
+fn a_lone_runnable_engine_never_leaves_the_calling_thread() {
+    // `crowd`'s shape: a fused lock-step fleet whose shards never have
+    // events at the same instant, so every pass has one runnable engine.
+    let threads = run_logged(
+        ServeConfig::new().with_fuse_refinement(true),
+        ShardConfig::sharded(2),
+        [0.0, 0.0123],
+        None,
+    );
+    let caller = std::thread::current().id();
+    assert!(
+        threads.iter().all(|&t| t == caller),
+        "a frame ran off the calling thread although no two engines could run"
+    );
+}
+
+#[test]
+fn two_runnable_engines_run_on_the_caller_and_a_helper() {
+    // Independent shards between rebalance ticks. Each stream's first
+    // frame waits for the other's, so the pass that starts them must run
+    // both engines at once: the caller its own, a helper the queued one.
+    let threads = run_logged(
+        ServeConfig::new(),
+        ShardConfig::sharded(2).with_rebalance_interval_s(0.05),
+        [0.0, 0.0],
+        Some(Arc::default()),
+    );
+    let caller = std::thread::current().id();
+    let distinct: HashSet<ThreadId> = threads.into_iter().collect();
+    assert_eq!(distinct.len(), 2, "frames ran on {distinct:?}");
+    assert!(
+        distinct.contains(&caller),
+        "the calling thread ran no frame: {distinct:?}"
+    );
 }

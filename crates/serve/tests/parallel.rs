@@ -214,13 +214,16 @@ fn oversubscribed_threads_cap_at_shard_count() {
 proptest! {
     /// Random fleets — shard counts, thread counts, fusion, rebalance
     /// cadence and workload shape all vary — and the threaded run must
-    /// stay bit-identical to the sequential one every time.
+    /// stay bit-identical to the sequential one every time. Rebalancing is
+    /// off in about half the cases: fused with no ticks is `crowd`'s
+    /// shape, where most passes have a single runnable engine.
     #[test]
     fn prop_threaded_fleet_is_bit_identical(
         shards in 2usize..5,
         threads in 2usize..6,
         fuse in proptest::bool::ANY,
-        rebalance_ms in 20.0f64..120.0,
+        rebalance_ms in (proptest::bool::ANY, 20.0f64..120.0)
+            .prop_map(|(on, ms)| if on { ms } else { 0.0 }),
         specs in proptest::collection::vec((10.0f64..120.0, 4usize..20, 0.0f64..0.05), 2..8),
     ) {
         let build = || -> Vec<StreamSpec> {

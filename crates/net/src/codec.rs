@@ -69,16 +69,75 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 
 /// Appends the record's wire encoding to `out`.
 pub fn encode_record(r: &FrameRecord, out: &mut Vec<u8>) {
-    let body_len = (BODY_HEADER_BYTES + r.payload.len()) as u32;
+    encode_with(r.stream_id, r.frame_index, r.capture_bits, out, |out| {
+        out.extend_from_slice(&r.payload)
+    });
+}
+
+/// Appends the wire encoding of `(stream_id, frame_index)`'s
+/// [`synth_payload`] record to `out`, building the payload in place: the
+/// bytes equal [`encode_record`] of that record, with no payload `Vec`.
+pub(crate) fn encode_synth_record(
+    stream_id: u32,
+    frame_index: u32,
+    capture_bits: u64,
+    out: &mut Vec<u8>,
+) {
+    encode_with(stream_id, frame_index, capture_bits, out, |out| {
+        synth_payload_into(stream_id, frame_index, out)
+    });
+}
+
+/// Appends one record to `out`: the header, the payload `payload`
+/// appends, then the body length and checksum patched in around it.
+fn encode_with(
+    stream_id: u32,
+    frame_index: u32,
+    capture_bits: u64,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&body_len.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // body length, patched below
     let body_start = out.len();
-    out.extend_from_slice(&r.stream_id.to_le_bytes());
-    out.extend_from_slice(&r.frame_index.to_le_bytes());
-    out.extend_from_slice(&r.capture_bits.to_le_bytes());
-    out.extend_from_slice(&r.payload);
+    out.extend_from_slice(&stream_id.to_le_bytes());
+    out.extend_from_slice(&frame_index.to_le_bytes());
+    out.extend_from_slice(&capture_bits.to_le_bytes());
+    payload(out);
+    let body_len = (out.len() - body_start) as u32;
+    out[start + MAGIC.len()..body_start].copy_from_slice(&body_len.to_le_bytes());
     let crc = fnv1a(&out[body_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// The fixed fields of a verified record, read in place from the
+/// decoder's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordHeader {
+    /// Fleet-wide camera/stream id.
+    pub stream_id: u32,
+    /// Index of the frame within its camera's capture sequence.
+    pub frame_index: u32,
+    /// Capture timestamp bits (see [`FrameRecord::capture_bits`]).
+    pub capture_bits: u64,
+}
+
+impl RecordHeader {
+    /// Capture timestamp in seconds.
+    pub fn capture_s(&self) -> f64 {
+        f64::from_bits(self.capture_bits)
+    }
+
+    fn read(body: &[u8]) -> Self {
+        let word =
+            |at: usize| u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
+        RecordHeader {
+            stream_id: word(0),
+            frame_index: word(4),
+            capture_bits: word(8) as u64 | (word(12) as u64) << 32,
+        }
+    }
 }
 
 /// Streaming CamLink decoder: push byte chunks in arrival order, pop
@@ -148,6 +207,32 @@ impl Decoder {
     /// Decodes the next verified record, or `None` if the buffer holds no
     /// complete one yet.
     pub fn next_record(&mut self) -> Option<FrameRecord> {
+        let body = self.next_body()?;
+        let bytes = &self.buf[body];
+        let header = RecordHeader::read(bytes);
+        let record = FrameRecord {
+            stream_id: header.stream_id,
+            frame_index: header.frame_index,
+            capture_bits: header.capture_bits,
+            payload: bytes[BODY_HEADER_BYTES..].to_vec(),
+        };
+        self.compact();
+        Some(record)
+    }
+
+    /// [`next_record`](Decoder::next_record) without the payload: the
+    /// same verification, the same counters and the same resync, but the
+    /// header is read in place and nothing is copied out.
+    pub(crate) fn next_header(&mut self) -> Option<RecordHeader> {
+        let body = self.next_body()?;
+        let header = RecordHeader::read(&self.buf[body]);
+        self.compact();
+        Some(header)
+    }
+
+    /// Finds the next verified record and steps past it, returning its
+    /// body's span in `buf`. The caller compacts once it has read the span.
+    fn next_body(&mut self) -> Option<std::ops::Range<usize>> {
         loop {
             let avail = &self.buf[self.head..];
             // Hunt for the preamble.
@@ -204,18 +289,10 @@ impl Decoder {
                 self.records_corrupted += 1;
                 continue;
             }
-            let record = FrameRecord {
-                stream_id: u32::from_le_bytes([body[0], body[1], body[2], body[3]]),
-                frame_index: u32::from_le_bytes([body[4], body[5], body[6], body[7]]),
-                capture_bits: u64::from_le_bytes([
-                    body[8], body[9], body[10], body[11], body[12], body[13], body[14], body[15],
-                ]),
-                payload: body[BODY_HEADER_BYTES..].to_vec(),
-            };
+            let body_start = self.head + MAGIC.len() + 4;
             self.head += total;
             self.records_decoded += 1;
-            self.compact();
-            return Some(record);
+            return Some(body_start..body_start + body_len);
         }
     }
 }
@@ -223,6 +300,13 @@ impl Decoder {
 /// Deterministic stand-in payload for a frame: size and bytes derived
 /// from `(stream, frame)` alone, so every run sends identical traffic.
 pub fn synth_payload(stream_id: u32, frame_index: u32) -> Vec<u8> {
+    let mut out = Vec::new();
+    synth_payload_into(stream_id, frame_index, &mut out);
+    out
+}
+
+/// Appends [`synth_payload`]'s bytes to `out`.
+fn synth_payload_into(stream_id: u32, frame_index: u32, out: &mut Vec<u8>) {
     let mut h = (stream_id as u64) << 32 | frame_index as u64;
     // SplitMix64 to decorrelate sizes and bytes.
     let mut next = move || {
@@ -233,12 +317,12 @@ pub fn synth_payload(stream_id: u32, frame_index: u32) -> Vec<u8> {
         z ^ (z >> 31)
     };
     let len = 96 + (next() % 160) as usize;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
+    let end = out.len() + len;
+    out.reserve(len + 8);
+    while out.len() < end {
         out.extend_from_slice(&next().to_le_bytes());
     }
-    out.truncate(len);
-    out
+    out.truncate(end);
 }
 
 #[cfg(test)]
@@ -269,6 +353,19 @@ mod tests {
         assert_eq!(dec.next_record(), None);
         assert_eq!(dec.records_decoded, 5);
         assert_eq!(dec.bytes_skipped, 0);
+    }
+
+    #[test]
+    fn a_synth_record_encodes_as_its_payload_would() {
+        for (stream, frame) in [(0, 0), (3, 7), (63, 299)] {
+            let r = record(stream, frame);
+            let mut direct = Vec::new();
+            encode_record(&r, &mut direct);
+            // Behind bytes already in the buffer, as on a reused one.
+            let mut synth = vec![0xAA];
+            encode_synth_record(stream, frame, r.capture_bits, &mut synth);
+            assert_eq!(synth[1..], direct[..]);
+        }
     }
 
     #[test]

@@ -8,7 +8,13 @@
 //! `(sources, params)`. Per-client randomness is keyed by
 //! `mix_seed(params.seed, stream_id)`, and clients never share mutable
 //! state while running, so the outcome for one client is bit-identical
-//! whatever other clients exist and however tasks interleave.
+//! whatever other clients exist and however tasks interleave. That is
+//! also why a pass may be split: [`run_ingest`] over contiguous runs of
+//! the clients, merged in slot order with [`IngestOutcome::append`],
+//! equals one pass over them all.
+//!
+//! Once a connection's buffers have grown, a frame costs the pass no
+//! allocation but the clone of the delivered frame itself.
 
 use crate::door::DoorPolicy;
 use crate::rt::{Executor, Handle};
@@ -244,6 +250,30 @@ pub struct IngestOutcome {
     pub report: IngestReport,
 }
 
+impl IngestOutcome {
+    /// Appends `later`, the outcome of clients that follow this outcome's
+    /// in slot order, so that the result is exactly what one
+    /// [`run_ingest`] over all of them returns. Clients share no state,
+    /// so the slots simply concatenate; both event logs are sorted by
+    /// `(t_s, client)` with ties in slot order, and a stable sort of their
+    /// concatenation keeps that order.
+    ///
+    /// This is what lets a caller split one pass's clients into
+    /// contiguous runs, ingest the runs on different threads, and merge.
+    pub fn append(&mut self, later: IngestOutcome) {
+        debug_assert_eq!(self.report.recv_window, later.report.recv_window);
+        self.delivered.extend(later.delivered);
+        self.report.clients.extend(later.report.clients);
+        self.events.extend(later.events);
+        self.events.sort_by(by_time_then_client);
+    }
+}
+
+/// The order of the merged connection-event log.
+fn by_time_then_client(a: &ConnEvent, b: &ConnEvent) -> std::cmp::Ordering {
+    a.t_s.total_cmp(&b.t_s).then(a.client.cmp(&b.client))
+}
+
 struct ClientOutcome {
     /// Frames admitted past the door, as `(frame index, drain time)`.
     admitted: Vec<(usize, f64)>,
@@ -309,7 +339,7 @@ pub fn run_ingest(sources: &[StreamSource], params: &NetParams) -> IngestOutcome
     }
     // Stable merge across clients: per-client order is preserved, ties
     // at one instant order by client id.
-    events.sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.client.cmp(&b.client)));
+    events.sort_by(by_time_then_client);
     IngestOutcome {
         delivered,
         events,

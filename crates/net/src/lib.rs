@@ -28,7 +28,11 @@
 //!
 //! The ingest pass runs *before* the serving engines as a deterministic
 //! pre-pass, so its output — and therefore everything downstream — is
-//! bit-identical at every `--threads` count.
+//! bit-identical at every `--threads` count. Clients share no state, so
+//! a caller may split the pass into contiguous runs of clients on
+//! different threads and merge them with [`IngestOutcome::append`]; and
+//! a connection reuses its encode, schedule and decode buffers, so a
+//! frame costs no allocation on the wire.
 
 #![warn(missing_docs)]
 

@@ -146,12 +146,19 @@ impl Future for Sleep {
     }
 }
 
+/// One spawned task and the waker it keeps for its whole life, so polling
+/// and sleeping allocate nothing.
+struct Task {
+    future: Pin<Box<dyn Future<Output = ()>>>,
+    waker: Waker,
+}
+
 /// The virtual-time executor. Spawn tasks, then [`run`](Executor::run) the
 /// simulation to quiescence.
 pub struct Executor {
     inner: Rc<RefCell<Inner>>,
     ready: Arc<ReadyQueue>,
-    tasks: Vec<Option<Pin<Box<dyn Future<Output = ()>>>>>,
+    tasks: Vec<Option<Task>>,
 }
 
 impl Executor {
@@ -180,7 +187,14 @@ impl Executor {
     /// Adds a task; tasks first run in spawn order.
     pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'static) {
         let id = self.tasks.len();
-        self.tasks.push(Some(Box::pin(fut)));
+        let waker = Waker::from(Arc::new(TaskWaker {
+            id,
+            ready: Arc::clone(&self.ready),
+        }));
+        self.tasks.push(Some(Task {
+            future: Box::pin(fut),
+            waker,
+        }));
         self.ready
             .queue
             .lock()
@@ -206,12 +220,8 @@ impl Executor {
                 let Some(task) = self.tasks[id].as_mut() else {
                     continue; // stale wake of a finished task
                 };
-                let waker = Waker::from(Arc::new(TaskWaker {
-                    id,
-                    ready: Arc::clone(&self.ready),
-                }));
-                let mut cx = Context::from_waker(&waker);
-                if task.as_mut().poll(&mut cx).is_ready() {
+                let mut cx = Context::from_waker(&task.waker);
+                if task.future.as_mut().poll(&mut cx).is_ready() {
                     self.tasks[id] = None;
                 }
             }

@@ -4,13 +4,16 @@
 //! mid-record disconnects.
 //!
 //! The link is a *schedule generator*, not an I/O object: given a send
-//! time and the record bytes, it returns the chunks the receiver will see
-//! and when — the reactor then sleeps to those times, which is what makes
-//! the whole network timeline a pure function of the seed.
+//! time and the record's length, it schedules the chunks the receiver
+//! will see, as spans of the sender's buffer, and when — the reactor then
+//! sleeps to those times, which is what makes the whole network timeline
+//! a pure function of the seed. The schedule lives in one buffer per link,
+//! so sending allocates nothing once it has grown.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Connection-level behaviour knobs. All times are virtual seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,26 +93,27 @@ impl LinkParams {
     }
 }
 
-/// One byte chunk as the receiver sees it.
+/// One byte chunk as the receiver sees it: when it arrives, and which
+/// span of the sent record's bytes it carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkDelivery {
     /// Arrival time at the door.
     pub at_s: f64,
-    /// The bytes (possibly out of original order relative to neighbours).
-    pub bytes: Vec<u8>,
+    /// Offsets of the chunk's bytes within the record (possibly out of
+    /// original order relative to neighbours).
+    pub bytes: Range<usize>,
 }
 
-/// Outcome of sending one record.
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of sending one record; its chunks are in
+/// [`SimLink::deliveries`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SendOutcome {
     /// Every chunk arrives; deliveries are in arrival-time order.
-    Sent(Vec<ChunkDelivery>),
-    /// The connection dropped mid-record: only `delivered` arrived, the
-    /// rest was lost in flight, and the camera may reconnect at
+    Sent,
+    /// The connection dropped mid-record: only the deliveries arrived,
+    /// the rest was lost in flight, and the camera may reconnect at
     /// `reconnect_at_s`.
     Dropped {
-        /// Chunks that made it out before the drop.
-        delivered: Vec<ChunkDelivery>,
         /// When the drop is observed at the door.
         dropped_at_s: f64,
         /// When the camera is back up and resumes from its cursor.
@@ -126,6 +130,8 @@ pub struct SimLink {
     rng: ChaCha8Rng,
     /// Time the channel frees up: in-order byte delivery cursor.
     channel_free_s: f64,
+    /// The last send's chunk deliveries, reused from send to send.
+    schedule: Vec<ChunkDelivery>,
     /// Total connection drops so far.
     pub disconnects: usize,
     /// Total bytes scheduled for delivery.
@@ -148,31 +154,37 @@ impl SimLink {
             params,
             rng: ChaCha8Rng::seed_from_u64(seed),
             channel_free_s: 0.0,
+            schedule: Vec::new(),
             disconnects: 0,
             bytes_sent: 0,
         }
     }
 
-    /// Schedules one record's bytes onto the wire starting no earlier
-    /// than `now_s`, returning the chunk deliveries (or a mid-record
-    /// drop).
-    pub fn send_record(&mut self, now_s: f64, bytes: &[u8]) -> SendOutcome {
+    /// Schedules one `len`-byte record onto the wire starting no earlier
+    /// than `now_s`: the chunk deliveries land in
+    /// [`deliveries`](SimLink::deliveries) as spans of the record, and the
+    /// outcome says whether the connection dropped mid-record.
+    pub fn send_record(&mut self, now_s: f64, len: usize) -> SendOutcome {
         let p = self.params;
+        let schedule = &mut self.schedule;
+        schedule.clear();
         // Partial writes: split into random chunks of 1..=chunk_bytes.
-        let mut chunks: Vec<Vec<u8>> = Vec::new();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let take = self.rng.gen_range(1..=p.chunk_bytes.min(rest.len()));
-            chunks.push(rest[..take].to_vec());
-            rest = &rest[take..];
+        let mut at = 0;
+        while at < len {
+            let take = self.rng.gen_range(1..=p.chunk_bytes.min(len - at));
+            schedule.push(ChunkDelivery {
+                at_s: 0.0,
+                bytes: at..at + take,
+            });
+            at += take;
         }
         // In-flight reordering: adjacent chunk *contents* swap while the
         // arrival instants stay ordered — i.e. the bytes arrive out of
         // order. A swapped span fails the record checksum downstream.
         let mut k = 0;
-        while k + 1 < chunks.len() {
+        while k + 1 < schedule.len() {
             if self.rng.gen_bool(p.reorder_rate) {
-                chunks.swap(k, k + 1);
+                schedule.swap(k, k + 1);
                 k += 2; // a chunk swaps at most once
             } else {
                 k += 1;
@@ -180,38 +192,43 @@ impl SimLink {
         }
         // Delivery schedule: serialised on the channel, each chunk paying
         // transmission time plus jitter.
-        let mut deliveries = Vec::with_capacity(chunks.len());
         self.channel_free_s = self.channel_free_s.max(now_s + p.base_latency_s);
-        for bytes in chunks {
+        for chunk in schedule.iter_mut() {
             let jitter = if p.jitter_s > 0.0 {
                 self.rng.gen::<f64>() * p.jitter_s
             } else {
                 0.0
             };
-            let at_s = self.channel_free_s + bytes.len() as f64 / p.bytes_per_s + jitter;
-            self.channel_free_s = at_s;
-            self.bytes_sent += bytes.len() as u64;
-            deliveries.push(ChunkDelivery { at_s, bytes });
+            let n = chunk.bytes.len();
+            chunk.at_s = self.channel_free_s + n as f64 / p.bytes_per_s + jitter;
+            self.channel_free_s = chunk.at_s;
+            self.bytes_sent += n as u64;
         }
         // Mid-record disconnect: the tail chunks vanish in flight.
         if self.rng.gen_bool(p.disconnect_rate) {
-            let keep = self.rng.gen_range(0..deliveries.len().max(1));
+            let keep = self.rng.gen_range(0..schedule.len().max(1));
             let dropped_at_s = keep
                 .checked_sub(1)
-                .and_then(|i| deliveries.get(i))
+                .and_then(|i| schedule.get(i))
                 .map_or(now_s + p.base_latency_s, |c| c.at_s);
-            deliveries.truncate(keep);
+            schedule.truncate(keep);
             self.disconnects += 1;
             let reconnect_at_s = dropped_at_s + p.reconnect_delay_s;
             // A reconnect re-opens the channel from scratch.
             self.channel_free_s = reconnect_at_s;
             return SendOutcome::Dropped {
-                delivered: deliveries,
                 dropped_at_s,
                 reconnect_at_s,
             };
         }
-        SendOutcome::Sent(deliveries)
+        SendOutcome::Sent
+    }
+
+    /// The chunks of the last [`send_record`](SimLink::send_record) that
+    /// arrive, in arrival-time order (after a drop, only those that made
+    /// it out before it).
+    pub fn deliveries(&self) -> &[ChunkDelivery] {
+        &self.schedule
     }
 }
 
@@ -247,13 +264,14 @@ mod tests {
     fn clean_link_delivers_in_order_and_decodes() {
         let mut link = SimLink::new(LinkParams::clean(), mix_seed(7, 0));
         let bytes = wire(0, 0);
-        let SendOutcome::Sent(chunks) = link.send_record(0.0, &bytes) else {
+        let SendOutcome::Sent = link.send_record(0.0, bytes.len()) else {
             panic!("clean link never drops");
         };
+        let chunks = link.deliveries();
         assert!(chunks.windows(2).all(|w| w[0].at_s <= w[1].at_s));
         let mut dec = Decoder::new();
-        for c in &chunks {
-            dec.push(&c.bytes);
+        for c in chunks {
+            dec.push(&bytes[c.bytes.clone()]);
         }
         assert!(dec.next_record().is_some());
         assert_eq!(dec.records_corrupted, 0);
@@ -273,7 +291,10 @@ mod tests {
                 seed,
             );
             (0..20)
-                .map(|i| link.send_record(i as f64 * 0.03, &wire(1, i)))
+                .map(|i| {
+                    let outcome = link.send_record(i as f64 * 0.03, wire(1, i).len());
+                    (outcome, link.deliveries().to_vec())
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(42), run(42));
@@ -293,9 +314,10 @@ mod tests {
         let mut dec = Decoder::new();
         let n = 50;
         for i in 0..n {
-            if let SendOutcome::Sent(chunks) = link.send_record(i as f64 * 0.02, &wire(3, i)) {
-                for c in chunks {
-                    dec.push(&c.bytes);
+            let bytes = wire(3, i);
+            if let SendOutcome::Sent = link.send_record(i as f64 * 0.02, bytes.len()) {
+                for c in link.deliveries() {
+                    dec.push(&bytes[c.bytes.clone()]);
                 }
             }
         }
@@ -319,18 +341,17 @@ mod tests {
             1,
         );
         let bytes = wire(0, 0);
-        match link.send_record(1.0, &bytes) {
+        match link.send_record(1.0, bytes.len()) {
             SendOutcome::Dropped {
-                delivered,
                 dropped_at_s,
                 reconnect_at_s,
             } => {
-                let total: usize = delivered.iter().map(|c| c.bytes.len()).sum();
+                let total: usize = link.deliveries().iter().map(|c| c.bytes.len()).sum();
                 assert!(total < bytes.len(), "the tail must be lost");
                 assert!(reconnect_at_s > dropped_at_s);
                 assert_eq!(link.disconnects, 1);
             }
-            SendOutcome::Sent(_) => panic!("p=0.999 drop did not fire"),
+            SendOutcome::Sent => panic!("p=0.999 drop did not fire"),
         }
     }
 }

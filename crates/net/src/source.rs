@@ -2,11 +2,10 @@
 //! the server-side view of one camera connection, yielding decoded frames
 //! as they finish arriving on the simulated wire.
 
-use crate::codec::{encode_record, synth_payload, Decoder, FrameRecord};
+use crate::codec::{encode_synth_record, Decoder, RecordHeader};
 use crate::rt::Handle;
 use crate::sim::{SendOutcome, SimLink};
 use std::future::Future;
-use std::pin::Pin;
 
 /// One frame as delivered by a source: which capture it was and when its
 /// last byte arrived.
@@ -27,10 +26,11 @@ pub struct SourcedFrame {
 /// The returned future borrows the source, so a caller drives one frame
 /// at a time; *not* polling is backpressure (a throttled door simply
 /// stops reading the socket, and the connection's remaining traffic is
-/// scheduled later).
+/// scheduled later). The future is the implementation's own type, so a
+/// caller's task holds it inline, with no allocation per frame.
 pub trait FrameSource {
     /// Resolves to the next delivered frame, or `None` at end of stream.
-    fn next_frame(&mut self) -> Pin<Box<dyn Future<Output = Option<SourcedFrame>> + '_>>;
+    fn next_frame(&mut self) -> impl Future<Output = Option<SourcedFrame>> + '_;
 }
 
 /// Connection-lifecycle notifications a [`CamLinkSource`] emits while it
@@ -54,12 +54,18 @@ pub enum LinkNotice {
 /// disconnect/reconnect with a resume cursor (frames are acknowledged
 /// only when fully decoded-or-corrupted, so a drop mid-record
 /// retransmits that frame after the reconnect delay).
+///
+/// Every record is encoded into one buffer the connection keeps, the link
+/// schedules chunks as spans of it, and the decoder reads headers in
+/// place, so once the buffers have grown a frame costs no allocation.
 pub struct CamLinkSource {
     client: usize,
     /// Capture schedule: `(capture_s)` per frame index.
     captures: Vec<f64>,
     link: SimLink,
     decoder: Decoder,
+    /// The record on the wire, re-encoded for every send.
+    wire: Vec<u8>,
     handle: Handle,
     /// Next frame index the camera will send (the resume cursor).
     cursor: usize,
@@ -77,6 +83,7 @@ impl CamLinkSource {
             captures,
             link,
             decoder: Decoder::new(),
+            wire: Vec::new(),
             handle,
             cursor: 0,
             notices: Vec::new(),
@@ -97,17 +104,19 @@ impl CamLinkSource {
         self.link.disconnects
     }
 
-    async fn next_frame_inner(&mut self) -> Option<SourcedFrame> {
+    /// Runs the connection until the next record decodes, or the stream
+    /// ends.
+    async fn next_record(&mut self) -> Option<RecordHeader> {
         loop {
             // A record may already be decodable from previously received
             // bytes (it never is, in practice, because sends are
             // per-record — but the decoder owns that invariant, not us).
-            if let Some(r) = self.decoder.next_record() {
-                return Some(sourced(&r));
+            if let Some(r) = self.decoder.next_header() {
+                return Some(r);
             }
             if self.cursor >= self.captures.len() {
                 self.decoder.finish();
-                return self.decoder.next_record().map(|r| sourced(&r));
+                return self.decoder.next_header();
             }
             let idx = self.cursor;
             let capture_s = self.captures[idx];
@@ -120,21 +129,21 @@ impl CamLinkSource {
                 self.handle.sleep_until(capture_s).await;
             }
             let send_s = self.handle.now_s();
-            let record = FrameRecord {
-                stream_id: self.client as u32,
-                frame_index: idx as u32,
-                capture_bits: capture_s.to_bits(),
-                payload: synth_payload(self.client as u32, idx as u32),
-            };
-            let mut bytes = Vec::with_capacity(record.encoded_len());
-            encode_record(&record, &mut bytes);
-            match self.link.send_record(send_s, &bytes) {
-                SendOutcome::Sent(chunks) => {
-                    let mut last = send_s;
-                    for c in &chunks {
-                        last = c.at_s;
-                        self.decoder.push(&c.bytes);
-                    }
+            self.wire.clear();
+            encode_synth_record(
+                self.client as u32,
+                idx as u32,
+                capture_s.to_bits(),
+                &mut self.wire,
+            );
+            let outcome = self.link.send_record(send_s, self.wire.len());
+            // Whatever arrives reaches the decoder in arrival order.
+            for c in self.link.deliveries() {
+                self.decoder.push(&self.wire[c.bytes.clone()]);
+            }
+            match outcome {
+                SendOutcome::Sent => {
+                    let last = self.link.deliveries().last().map_or(send_s, |c| c.at_s);
                     self.handle.sleep_until(last).await;
                     // The frame is acknowledged whether or not it decoded:
                     // corruption is not detectable by the camera, so there
@@ -143,19 +152,15 @@ impl CamLinkSource {
                     // latched onto a false preamble resyncs), so loss is
                     // only known once the stream ends.
                     self.cursor = idx + 1;
-                    if let Some(r) = self.decoder.next_record() {
-                        return Some(sourced(&r));
+                    if let Some(r) = self.decoder.next_header() {
+                        return Some(r);
                     }
                 }
                 SendOutcome::Dropped {
-                    delivered,
                     dropped_at_s,
                     reconnect_at_s,
                 } => {
                     // Partial bytes of this record die with the socket.
-                    for c in &delivered {
-                        self.decoder.push(&c.bytes);
-                    }
                     self.handle.sleep_until(dropped_at_s).await;
                     self.decoder.reset();
                     self.notices
@@ -171,25 +176,15 @@ impl CamLinkSource {
     }
 }
 
-fn sourced(r: &FrameRecord) -> SourcedFrame {
-    SourcedFrame {
-        frame_index: r.frame_index as usize,
-        capture_s: r.capture_s(),
-        // `next_record` returns only after the last chunk's sleep, so the
-        // clock *is* the delivery time; the caller reads it from the
-        // frame rather than the handle to keep the value explicit.
-        delivered_s: f64::NAN, // overwritten below by next_frame()
-    }
-}
-
 impl FrameSource for CamLinkSource {
-    fn next_frame(&mut self) -> Pin<Box<dyn Future<Output = Option<SourcedFrame>> + '_>> {
-        Box::pin(async move {
-            let frame = self.next_frame_inner().await;
-            frame.map(|mut f| {
-                f.delivered_s = self.handle.now_s();
-                f
-            })
+    async fn next_frame(&mut self) -> Option<SourcedFrame> {
+        let record = self.next_record().await?;
+        Some(SourcedFrame {
+            frame_index: record.frame_index as usize,
+            capture_s: record.capture_s(),
+            // A record decodes only after its last chunk's sleep, so the
+            // clock *is* its delivery time.
+            delivered_s: self.handle.now_s(),
         })
     }
 }

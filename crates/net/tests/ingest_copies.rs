@@ -1,10 +1,11 @@
 //! Net ingest keeps one copy of each delivered frame: client tasks see
 //! only capture times, and `run_ingest` clones each admitted frame once,
-//! from the sources it borrows.
+//! from the sources it borrows. Nor does the wire allocate per frame:
+//! each connection reuses its encode, schedule and decode buffers.
 //!
-//! A counting global allocator tracks live and peak heap bytes per
-//! thread, so the figures cover exactly the ingest call under test
-//! whatever other tests run alongside.
+//! A counting global allocator tracks allocations and live and peak heap
+//! bytes per thread, so the figures cover exactly the ingest call under
+//! test whatever other tests run alongside.
 
 use catdet_data::{kitti_like, StreamFrame, StreamSource};
 use catdet_net::{run_ingest, NetParams};
@@ -12,8 +13,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation (a `realloc` is one too: it may move the block).
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 fn note(delta: isize) {
@@ -31,11 +38,13 @@ struct Counting;
 // unchanged and only updates thread-local counters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
         note(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
         note(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
@@ -46,6 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
         note(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
@@ -61,6 +71,14 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (R, isize) {
     PEAK.with(|peak| peak.set(base));
     let out = f();
     (out, PEAK.with(Cell::get) - base)
+}
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - base)
 }
 
 /// `clients` 10 fps cameras of `frames` KITTI-like frames each.
@@ -100,5 +118,33 @@ fn ingest_holds_one_copy_of_each_delivered_frame() {
         ratio <= 1.25,
         "run_ingest peaked at {peak} bytes, {ratio:.2}x one clone of its sources \
          ({one_clone} bytes)"
+    );
+}
+
+#[test]
+fn ingest_allocates_at_most_two_times_per_offered_frame() {
+    let sources = workload(16, 200);
+    // A faulty link and a door that bites, so every wire path runs:
+    // partial writes, jitter, reordered spans, disconnect and resume,
+    // throttling and door rejects.
+    let mut params = NetParams::new(5);
+    params.link.jitter_s = 0.004;
+    params.link.chunk_bytes = 64;
+    params.link.reorder_rate = 0.01;
+    params.link.disconnect_rate = 0.02;
+    params.recv_window = 4;
+    params.door_rate_fps = 8.0;
+    params.door_burst = 4.0;
+    let (outcome, allocs) = allocs_during(|| run_ingest(&sources, &params));
+    let report = &outcome.report;
+    assert!(report.disconnects() > 0 && report.rejected_at_door() > 0 && report.lost() > 0);
+    // What is left is the clone of each delivered frame and the buffers'
+    // amortised growth.
+    let offered = report.offered();
+    let per_frame = allocs as f64 / offered as f64;
+    assert!(
+        per_frame <= 2.0,
+        "run_ingest made {allocs} allocations for {offered} offered frames, \
+         {per_frame:.2} per frame"
     );
 }

@@ -24,7 +24,10 @@
 //! makes every hook a no-op so the hot path pays one virtual `enabled()`
 //! check when recording is off. [`SharedRecorder`] is the live
 //! implementation: a cheaply-clonable handle over one [`ChunkStore`]
-//! that per-shard engines write into and queries read out of.
+//! that per-shard engines write into and queries read out of. Each
+//! engine writes through a [`BarrierRecorder`], which encodes its rows
+//! into open chunks of its own on the engine's thread, so the store only
+//! takes in whole chunks, in a fixed order, at the fleet's barriers.
 
 #![warn(missing_docs)]
 
@@ -43,7 +46,9 @@ pub use query::{LatencySummary, Query, RecordedEvent, RollingWindow};
 pub use store::{ChunkStore, Snapshot, StoreStats};
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use store::append_row;
 
 /// Producer-side recording hooks, threaded through the serving engine and
 /// the staged drive loop.
@@ -83,9 +88,18 @@ pub trait FlightRecorder: Send {
         0
     }
 
-    /// Drains any events the implementation has buffered into the backing
-    /// store. Producers call this once their run finishes, before the
-    /// store is sealed or queried.
+    /// Publishes what the implementation has completed to the backing
+    /// store, and may keep the rest for [`flush`](FlightRecorder::flush).
+    /// Barrier-synchronised producers call this at each barrier. Defaults
+    /// to `flush`.
+    fn publish(&mut self) {
+        self.flush();
+    }
+
+    /// Drains everything the implementation has buffered into the backing
+    /// store: for a [`BarrierRecorder`], what `publish` would plus the
+    /// chunks still filling. Producers call this once their run finishes,
+    /// before the store is sealed or queried.
     fn flush(&mut self) {}
 }
 
@@ -132,25 +146,35 @@ impl SharedRecorder {
     }
 
     /// A per-shard [`FlightRecorder`] that stamps `shard` on everything
-    /// it books and buffers **everything** — events and snapshots —
-    /// locally, touching the shared store only on
+    /// it books and keeps **everything** — rows, encoded into chunks of
+    /// its own, and snapshots — locally, touching the shared store only
+    /// on [`publish`](FlightRecorder::publish) and
     /// [`flush`](FlightRecorder::flush).
     ///
-    /// This is the writing end the fleet hands its shard engines. Draining
+    /// This is the writing end the fleet hands its shard engines. Writing
     /// mid-run from engines on real threads would ingest events in
     /// whatever order the OS scheduled the threads — chunk boundaries,
     /// seal sequence, LRU stamps and snapshot order would all vary run to
-    /// run. The barrier handle defers every store write to the flush
-    /// points the fleet invokes in **shard-id order at its lock-step
-    /// barriers**, making the store's ingest order a pure function of
-    /// virtual time at any thread count.
+    /// run. The barrier handle defers every store write to the points the
+    /// fleet invokes in **shard-id order at its lock-step barriers**,
+    /// making the store's ingest order a pure function of virtual time at
+    /// any thread count, while the encoding runs on the engine's thread.
+    ///
+    /// The handle owns its shard's partitions. Rows booked through
+    /// [`record`](SharedRecorder::record) should use kinds the handle
+    /// never writes (the fleet's migrations and connection events do): a
+    /// partition written both ways gets the handle's rows behind the
+    /// direct ones at the end of the run, not in barrier order.
     pub fn barrier_handle(&self, shard: usize) -> BarrierRecorder {
         BarrierRecorder {
             store: Arc::clone(&self.store),
             shard,
             snapshot_every: self.snapshot_every,
-            events: Vec::with_capacity(EVENT_BUF_CAPACITY),
+            chunk_events: self.with_store(|s| s.chunk_events()),
+            open: BTreeMap::new(),
+            full: Vec::new(),
             snaps: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -208,30 +232,69 @@ impl SharedRecorder {
     }
 }
 
-/// Initial event-buffer capacity of a [`BarrierRecorder`].
-const EVENT_BUF_CAPACITY: usize = 256;
-
-/// Fully-buffering writing end of a [`SharedRecorder`] for barrier-
-/// synchronised producers (see
-/// [`barrier_handle`](SharedRecorder::barrier_handle)).
+/// Writing end of a [`SharedRecorder`] for barrier-synchronised
+/// producers (see [`barrier_handle`](SharedRecorder::barrier_handle)).
 ///
-/// Nothing reaches the store until [`flush`](FlightRecorder::flush):
-/// events and snapshots accumulate in record order and drain under one
-/// lock, events first (so no snapshot ever precedes the events that led
-/// to it), then snapshots. Dropping the handle flushes, so a forgotten
-/// flush loses nothing — it only books later than the barrier discipline
-/// intended.
+/// Each row is encoded into the handle's own open chunk for its
+/// partition on whichever thread runs the producer; snapshots queue in
+/// record order. Nothing reaches the store until
+/// [`publish`](FlightRecorder::publish), at a barrier: under one lock it
+/// seals the chunks that filled since the last publish, in the order they
+/// filled, then books the snapshots, so no snapshot ever precedes the rows
+/// that led to it. A row changes the store's shared state (seal order,
+/// LRU stamps, eviction, and with it which snapshots survive) only when
+/// it fills a chunk, so this is the very sequence that booking every row
+/// into the store at the barrier makes; only the encoding has left the
+/// barrier. Open chunks reach the store at [`flush`](FlightRecorder::flush),
+/// once the run is over and before the store seals them.
+///
+/// Dropping the handle flushes, so a forgotten flush loses nothing — it
+/// only books later than the barrier discipline intended. A drop that
+/// finds the store's lock poisoned drops the handle's rows instead of
+/// panicking: it may run while a shard's panic unwinds, and a second
+/// panic there would abort the process.
 pub struct BarrierRecorder {
     store: Arc<Mutex<ChunkStore>>,
     shard: usize,
     snapshot_every: usize,
-    events: Vec<(f64, Event)>,
+    chunk_events: usize,
+    /// Chunks still filling, keyed as the store keys its own.
+    open: BTreeMap<ChunkKey, Chunk>,
+    /// Chunks filled since the last publish, in the order they filled.
+    full: Vec<Chunk>,
     snaps: Vec<(f64, usize, usize, Arc<dyn Any + Send + Sync>)>,
+    scratch: Vec<u64>,
+}
+
+impl BarrierRecorder {
+    /// Seals the chunks filled since the last publish, then books the
+    /// snapshots.
+    fn publish_into(&mut self, store: &mut ChunkStore) {
+        for chunk in self.full.drain(..) {
+            store.seal(chunk);
+        }
+        for (t_s, stream, seq, payload) in self.snaps.drain(..) {
+            store.snapshot(t_s, self.shard, stream, seq, payload);
+        }
+    }
+
+    /// Publishes, then hands the open chunks over.
+    fn drain_into(&mut self, store: &mut ChunkStore) {
+        self.publish_into(store);
+        for (_, chunk) in std::mem::take(&mut self.open) {
+            store.adopt_open(chunk);
+        }
+    }
 }
 
 impl Drop for BarrierRecorder {
     fn drop(&mut self) {
-        self.flush();
+        // Poisoned: a panic elsewhere held the store. The rows go with the
+        // handle rather than raise a second panic.
+        let store = Arc::clone(&self.store);
+        if let Ok(mut store) = store.lock() {
+            self.drain_into(&mut store);
+        };
     }
 }
 
@@ -240,7 +303,8 @@ impl std::fmt::Debug for BarrierRecorder {
         f.debug_struct("BarrierRecorder")
             .field("shard", &self.shard)
             .field("snapshot_every", &self.snapshot_every)
-            .field("buffered_events", &self.events.len())
+            .field("open_chunks", &self.open.len())
+            .field("full_chunks", &self.full.len())
             .field("buffered_snapshots", &self.snaps.len())
             .finish()
     }
@@ -252,7 +316,10 @@ impl FlightRecorder for BarrierRecorder {
     }
 
     fn record(&mut self, t_s: f64, event: Event) {
-        self.events.push((t_s, event));
+        let (cap, shard) = (self.chunk_events, self.shard);
+        if let Some(full) = append_row(&mut self.open, cap, &mut self.scratch, t_s, shard, &event) {
+            self.full.push(full);
+        }
     }
 
     fn snapshot(
@@ -269,17 +336,20 @@ impl FlightRecorder for BarrierRecorder {
         self.snapshot_every
     }
 
-    fn flush(&mut self) {
-        if self.events.is_empty() && self.snaps.is_empty() {
+    fn publish(&mut self) {
+        if self.full.is_empty() && self.snaps.is_empty() {
             return;
         }
-        let mut store = self.store.lock().expect("recorder lock");
-        for (t_s, event) in self.events.drain(..) {
-            store.record(t_s, self.shard, event);
+        let store = Arc::clone(&self.store);
+        self.publish_into(&mut store.lock().expect("recorder lock"));
+    }
+
+    fn flush(&mut self) {
+        if self.full.is_empty() && self.snaps.is_empty() && self.open.is_empty() {
+            return;
         }
-        for (t_s, stream, seq, payload) in self.snaps.drain(..) {
-            store.snapshot(t_s, self.shard, stream, seq, payload);
-        }
+        let store = Arc::clone(&self.store);
+        self.drain_into(&mut store.lock().expect("recorder lock"));
     }
 }
 
@@ -343,13 +413,16 @@ mod tests {
         assert_eq!(events[2].shard, 5);
     }
 
+    /// Rows booked per handle by the buffering tests.
+    const ROWS: usize = 256;
+
     #[test]
     fn barrier_handle_defers_everything_until_flush() {
         let shared = SharedRecorder::new(4, usize::MAX, 2);
         let mut h = shared.barrier_handle(3);
         assert!(h.enabled());
         assert_eq!(h.snapshot_interval(), 2);
-        for i in 0..2 * EVENT_BUF_CAPACITY {
+        for i in 0..2 * ROWS {
             h.record(
                 i as f64 * 0.001,
                 Event::Admission {
@@ -363,7 +436,7 @@ mod tests {
         assert_eq!(shared.scan(&Query::all()).len(), 0);
         assert!(shared.nearest_snapshot(0, 1.0).is_none());
         h.flush();
-        assert_eq!(shared.scan(&Query::all()).len(), 2 * EVENT_BUF_CAPACITY);
+        assert_eq!(shared.scan(&Query::all()).len(), 2 * ROWS);
         assert_eq!(shared.nearest_snapshot(0, 1.0).expect("snapshot").shard, 3);
     }
 
@@ -381,6 +454,31 @@ mod tests {
             );
         }
         assert_eq!(shared.scan(&Query::all()).len(), 1);
+    }
+
+    #[test]
+    fn dropping_a_handle_over_a_poisoned_store_loses_its_rows_quietly() {
+        let shared = SharedRecorder::new(4, usize::MAX, 2);
+        let mut h = shared.barrier_handle(0);
+        for i in 0..6 {
+            h.record(
+                i as f64 * 0.1,
+                Event::Admission {
+                    stream: 0,
+                    reason: 0,
+                },
+            );
+        }
+        h.snapshot(0.5, 0, 2, Arc::new(2usize));
+        // A panic while the store is held poisons its lock.
+        let poisoner = shared.clone();
+        let held = std::thread::spawn(move || poisoner.with_store(|_| panic!("store poisoned")));
+        assert!(held.join().is_err());
+        assert!(shared.store.is_poisoned());
+        // The drop must not panic: during a shard panic's unwinding that
+        // would abort the process.
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(h)));
+        assert!(dropped.is_ok(), "dropping the handle panicked");
     }
 
     #[test]

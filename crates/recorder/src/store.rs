@@ -2,6 +2,7 @@
 //! chunks, LRU retention, and snapshot storage for time-travel replay.
 
 use std::any::Any;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -10,6 +11,32 @@ use crate::event::{Event, EventKind};
 
 /// Column of [`Event::Detection`]'s `seq` in [`EventKind::columns`].
 const DETECTION_SEQ_COL: usize = 0;
+
+/// Appends one row recorded on `shard` to its partition's chunk in
+/// `open`, opening one of `capacity` rows if there is none, and returns
+/// the chunk if the row filled it. The intake step shared by
+/// [`ChunkStore::record`] and a barrier writer's own open chunks.
+pub(crate) fn append_row(
+    open: &mut BTreeMap<ChunkKey, Chunk>,
+    capacity: usize,
+    scratch: &mut Vec<u64>,
+    t_s: f64,
+    shard: usize,
+    event: &Event,
+) -> Option<Chunk> {
+    let key = ChunkKey {
+        kind: event.kind(),
+        shard,
+        stream: event.stream(),
+    };
+    let chunk = open.entry(key).or_insert_with(|| Chunk::new(key, capacity));
+    chunk.push(t_s, event, scratch);
+    if chunk.is_full() {
+        open.remove(&key)
+    } else {
+        None
+    }
+}
 
 /// A point-in-time capture of one stream's replayable state.
 ///
@@ -146,17 +173,27 @@ impl ChunkStore {
 
     /// Appends one event recorded on `shard` at virtual time `t_s`.
     pub fn record(&mut self, t_s: f64, shard: usize, event: Event) {
-        let key = ChunkKey {
-            kind: event.kind(),
-            shard,
-            stream: event.stream(),
-        };
         let cap = self.chunk_events;
-        let chunk = self.open.entry(key).or_insert_with(|| Chunk::new(key, cap));
-        chunk.push(t_s, &event, &mut self.scratch);
-        if chunk.is_full() {
-            let full = self.open.remove(&key).expect("open chunk present");
+        if let Some(full) = append_row(&mut self.open, cap, &mut self.scratch, t_s, shard, &event) {
             self.seal(full);
+        }
+    }
+
+    /// Takes over a chunk another writer filled to the end of its run,
+    /// as an open chunk, exactly as if its rows had been recorded here.
+    /// Should this store already hold an open chunk of the same partition,
+    /// the rows are recorded behind that chunk's instead, so none is lost.
+    pub(crate) fn adopt_open(&mut self, chunk: Chunk) {
+        match self.open.entry(chunk.key()) {
+            Entry::Vacant(slot) => {
+                slot.insert(chunk);
+            }
+            Entry::Occupied(_) => {
+                let shard = chunk.key().shard;
+                for (t_s, event) in chunk.rows() {
+                    self.record(t_s, shard, event);
+                }
+            }
         }
     }
 
@@ -259,7 +296,10 @@ impl ChunkStore {
         self.sealed[idx].stamp = self.clock;
     }
 
-    fn seal(&mut self, chunk: Chunk) {
+    /// Seals a full chunk into the time index, evicting to the retention
+    /// budget: [`record`](ChunkStore::record)'s step once a row fills a
+    /// chunk, and a barrier writer's when it publishes a chunk it filled.
+    pub(crate) fn seal(&mut self, chunk: Chunk) {
         self.clock += 1;
         self.seal_seq += 1;
         let sealed = SealedChunk {

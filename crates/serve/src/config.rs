@@ -522,12 +522,13 @@ pub struct ShardConfig {
     /// barriers, counting the calling thread: `N` threads are the caller
     /// plus `N − 1` pool helpers, the only threads a serving run starts.
     /// A helper gets an engine only while the caller is busy with another
-    /// one in the same pass. `1` (the default) keeps the sequential loop
-    /// with no pool; `0` means auto (the host's available parallelism).
-    /// Either way the count is capped at the shard count. Results are
-    /// **bit-identical at every setting** — threads change wall-clock
-    /// time only, never the simulation (the cli-determinism CI job pins
-    /// this).
+    /// one in the same pass; the same threads split the net front door's
+    /// clients before the engines start. `1` (the default) keeps the
+    /// sequential loop with no pool; `0` means auto (the host's available
+    /// parallelism). Either way the count is capped at the shard count.
+    /// Results are **bit-identical at every setting** — threads change
+    /// wall-clock time only, never the simulation (the cli-determinism CI
+    /// job pins this).
     pub threads: usize,
 }
 

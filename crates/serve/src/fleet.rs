@@ -47,8 +47,15 @@
 //! itself. Once its own engine is done, the caller takes queued engines
 //! too, so a helper gets one only while two can run, and a pass with at
 //! most one runnable engine queues nothing and wakes no helper. Whichever
-//! thread holds an engine runs its stage work inline. With one thread (or
-//! one shard) there is no pool.
+//! thread holds an engine runs its stage work inline, and its recorder
+//! handle encodes the engine's rows there too; a barrier only publishes
+//! the chunks they filled. The same threads run the network front door's
+//! pre-pass before any engine exists: its clients split into one
+//! contiguous run per thread, merged in slot order. An idle pool thread,
+//! the caller waiting for its helpers included, spins for up to 200 µs
+//! before it parks, unless there are more threads than the host's
+//! available parallelism. With one thread (or one shard) there is no
+//! pool.
 //!
 //! # Reporting
 //!
@@ -59,18 +66,23 @@
 //! fused-dispatch histories are fleet-level records.
 
 use crate::config::ServeConfig;
+use crate::ingest::front_door;
 use crate::report::{
     merge_timelines, BatchRecord, BatchStats, LatencyStats, ServeReport, StreamReport,
 };
 use crate::scheduler::{Engine, StreamSpec, EPS};
 use crate::shard::{build_partition, MigrationEvent, RebalanceSignal};
 use crate::ShardConfig;
+use catdet_data::StreamSource;
+use catdet_net::{run_ingest, IngestOutcome, NetParams};
 use catdet_recorder::{Event, FlightRecorder, NullRecorder, SharedRecorder};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// One cross-shard fused refinement dispatch.
 #[derive(Debug, Clone, PartialEq)]
@@ -453,7 +465,7 @@ pub fn serve_fleet(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> FleetReport {
     // [`serve`](crate::serve)); pass a recorder via
     // [`serve_fleet_with_recorder`] to keep the store.
     let recorder = cfg.recorder.enabled.then(|| cfg.recorder.build());
-    serve_fleet_impl(streams, cfg, recorder.as_ref())
+    serve_fleet_impl(streams, cfg, recorder.as_ref(), None)
 }
 
 /// Runs a sharded fleet with every event booked into `recorder`: each
@@ -470,7 +482,7 @@ pub fn serve_fleet_with_recorder(
     recorder: &SharedRecorder,
 ) -> FleetReport {
     expect_valid(cfg);
-    serve_fleet_impl(streams, cfg, Some(recorder))
+    serve_fleet_impl(streams, cfg, Some(recorder), None)
 }
 
 /// The entry points' check, made before any work: panics with the broken
@@ -481,40 +493,58 @@ pub(crate) fn expect_valid(cfg: &ServeConfig) {
     }
 }
 
-/// One queued unit of helper work: advance shard `idx`'s engine to `limit`.
+/// One queued unit of engine work: advance shard `idx`'s engine to `limit`.
 type ShardJob = (usize, Engine, f64);
-/// A finished job: the shard index, its engine, and what [`advance`]
-/// returned for it.
+/// A finished engine job: the shard index, its engine, and what
+/// [`advance`] returned for it.
 type ShardDone = (usize, Engine, Result<bool, String>);
+/// One run of a split ingest pass: its index among the runs, its
+/// contiguous run of clients, and the front door's parameters.
+pub(crate) type IngestRun = (usize, Vec<StreamSource>, NetParams);
+/// An ingested run: its index and its outcome, or the text of the panic
+/// it raised.
+pub(crate) type IngestDone = (usize, Result<IngestOutcome, String>);
 
-/// The pool helpers: `threads − 1` persistent OS threads that take
-/// runnable engines off the calling thread's queue during a pass (see
-/// [`run_all`]).
+/// How long an idle pool thread spins before it parks on its condvar:
+/// long enough that a helper usually finds the next pass's engine, and
+/// the caller its helper's result, without a sleep and a wake-up on
+/// either side.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// The pool helpers: `threads − 1` persistent OS threads that take jobs
+/// off the calling thread's queue — runnable engines during a pass (see
+/// [`run_all`]), and runs of clients during the front door's pre-pass
+/// (see [`crate::ingest`]).
 ///
-/// Engines move **by value** through the queue: whichever thread holds
-/// an engine owns it outright while stepping it — its pipelines, scratch
-/// buffers and recorder writing end — so there is no shared mutable state
-/// on the simulation path. The queue is a `Mutex<VecDeque>` with two
-/// condvars rather than a channel because the caller takes jobs from it
-/// too, while a helper may be blocked waiting on it. The fleet's
-/// coordination points (fuse deadlines, rebalance ticks, recorder
-/// flushes) all happen on the calling thread after every engine is back
-/// at its shard index, which is the whole determinism argument: threads
-/// change *when* wall-clock work happens, never *what* the simulation
-/// computes.
-struct ShardPool {
+/// Jobs move **by value** through the queue: whichever thread holds an
+/// engine owns it outright while stepping it — its pipelines, scratch
+/// buffers and recorder writing end, which encodes its rows right there —
+/// so there is no shared mutable state on the simulation path. The queue
+/// is a `Mutex<VecDeque>` with two condvars rather than a channel because
+/// the caller takes jobs from it too, while a helper may be blocked
+/// waiting on it. The fleet's coordination points (fuse deadlines,
+/// rebalance ticks, recorder publishes) all happen on the calling thread
+/// after every engine is back at its shard index, which is the whole
+/// determinism argument: threads change *when* wall-clock work happens,
+/// never *what* the simulation computes.
+pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
     helpers: Vec<JoinHandle<()>>,
 }
 
 /// What the caller and the helpers share.
-#[derive(Default)]
 struct PoolShared {
     queue: Mutex<PoolQueue>,
     /// Wakes helpers: a job was queued, or the pool is closing.
     job_queued: Condvar,
     /// Wakes the caller: a job finished.
     job_done: Condvar,
+    /// Bumped under the lock at every change to the queue, so a spinning
+    /// thread sees one without taking the lock.
+    changes: AtomicU64,
+    /// Whether an idle thread spins for [`SPIN`] before it parks: only
+    /// when every pool thread can have a CPU to itself.
+    spin: bool,
 }
 
 /// The pool's work and results, under one lock.
@@ -524,13 +554,25 @@ struct PoolQueue {
     jobs: VecDeque<ShardJob>,
     /// Engines advanced this pass, in finishing order.
     done: Vec<ShardDone>,
+    /// Runs of a split ingest pass waiting for a thread.
+    runs: VecDeque<IngestRun>,
+    /// Runs ingested so far, in finishing order.
+    ingested: Vec<IngestDone>,
+    /// Threads parked on either condvar, so a change wakes no one in vain.
+    parked: usize,
     /// Set when the fleet drops the pool: helpers exit.
     closed: bool,
 }
 
 impl ShardPool {
     fn new(helpers: usize) -> Self {
-        let shared = Arc::new(PoolShared::default());
+        let shared = Arc::new(PoolShared {
+            queue: Mutex::default(),
+            job_queued: Condvar::new(),
+            job_done: Condvar::new(),
+            changes: AtomicU64::new(0),
+            spin: helpers < host_cpus(),
+        });
         let helpers = (0..helpers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -542,10 +584,25 @@ impl ShardPool {
         ShardPool { shared, helpers }
     }
 
+    /// The threads that take jobs: the caller and the helpers.
+    pub(crate) fn threads(&self) -> usize {
+        self.helpers.len() + 1
+    }
+
     /// Queues `job` for whichever thread is free first.
     fn queue(&self, job: ShardJob) {
-        self.shared.lock().jobs.push_back(job);
-        self.shared.job_queued.notify_one();
+        let shared = &*self.shared;
+        let mut q = shared.lock();
+        q.jobs.push_back(job);
+        shared.changed(&q, &shared.job_queued);
+    }
+
+    /// Queues an ingest run for whichever thread is free first.
+    pub(crate) fn queue_run(&self, run: IngestRun) {
+        let shared = &*self.shared;
+        let mut q = shared.lock();
+        q.runs.push_back(run);
+        shared.changed(&q, &shared.job_queued);
     }
 
     /// The caller's half of a pass, after its own engine: takes queued
@@ -561,6 +618,15 @@ impl ShardPool {
             pass.record(idx, out);
         }
     }
+
+    /// [`collect`](ShardPool::collect) for an ingest pass: waits until all
+    /// `queued` runs are ingested and hands each to `each`, in run order.
+    pub(crate) fn collect_runs(&self, queued: usize, mut each: impl FnMut(IngestDone)) {
+        let shared = &*self.shared;
+        let mut q = shared.work(&shared.job_done, |q| q.ingested.len() == queued);
+        q.ingested.sort_unstable_by_key(|d| d.0);
+        q.ingested.drain(..).for_each(&mut each);
+    }
 }
 
 impl PoolShared {
@@ -569,23 +635,70 @@ impl PoolShared {
         self.queue.lock().expect("shard pool queue poisoned")
     }
 
-    /// Runs queued jobs on this thread, sleeping on `wake` while the queue
+    /// Notes a change to `q`, made under its lock: spinners see the bump,
+    /// and a parked thread, if there is one, gets `wake`'s notice. The
+    /// bump's `Release` pairs with the spinner's `Acquire` load; the queue
+    /// itself is only ever read under the lock.
+    fn changed(&self, q: &PoolQueue, wake: &Condvar) {
+        self.changes.fetch_add(1, Ordering::Release);
+        if q.parked > 0 {
+            wake.notify_one();
+        }
+    }
+
+    /// Runs queued jobs on this thread, idling on `wake` while the queue
     /// is empty, until `stop` holds with nothing left to take.
     fn work(&self, wake: &Condvar, stop: impl Fn(&PoolQueue) -> bool) -> MutexGuard<'_, PoolQueue> {
         let mut q = self.lock();
+        let mut spin_until = None;
         loop {
             if let Some((idx, mut engine, limit)) = q.jobs.pop_front() {
                 drop(q);
                 let out = advance(&mut engine, limit);
                 q = self.lock();
                 q.done.push((idx, engine, out));
-                self.job_done.notify_one();
+            } else if let Some((idx, sources, params)) = q.runs.pop_front() {
+                drop(q);
+                let out = caught(|| run_ingest(&sources, &params));
+                drop(sources);
+                q = self.lock();
+                q.ingested.push((idx, out));
             } else if stop(&q) {
                 return q;
             } else {
-                q = wake.wait(q).expect("shard pool queue poisoned");
+                q = self.idle(q, wake, &mut spin_until);
+                continue;
+            }
+            self.changed(&q, &self.job_done);
+            spin_until = None;
+        }
+    }
+
+    /// One idle step of [`work`](PoolShared::work): spins off the lock
+    /// until the queue changes or the idle spell has spun for [`SPIN`],
+    /// then parks on `wake`. There is no spinning when it is off.
+    fn idle<'a>(
+        &'a self,
+        mut q: MutexGuard<'a, PoolQueue>,
+        wake: &Condvar,
+        spin_until: &mut Option<Instant>,
+    ) -> MutexGuard<'a, PoolQueue> {
+        if self.spin {
+            let until = *spin_until.get_or_insert_with(|| Instant::now() + SPIN);
+            if Instant::now() < until {
+                let seen = self.changes.load(Ordering::Acquire);
+                drop(q);
+                while self.changes.load(Ordering::Acquire) == seen && Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                return self.lock();
             }
         }
+        q.parked += 1;
+        q = wake.wait(q).expect("shard pool queue poisoned");
+        q.parked -= 1;
+        *spin_until = None;
+        q
     }
 }
 
@@ -597,6 +710,7 @@ impl Drop for ShardPool {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .closed = true;
+        self.shared.changes.fetch_add(1, Ordering::Release);
         self.shared.job_queued.notify_all();
         for handle in self.helpers.drain(..) {
             let _ = handle.join();
@@ -608,7 +722,12 @@ impl Drop for ShardPool {
 /// place an engine panic is caught, on the caller and the helpers alike;
 /// [`Pass::finish`] re-raises it once every engine is back.
 fn advance(engine: &mut Engine, limit: f64) -> Result<bool, String> {
-    catch_unwind(AssertUnwindSafe(|| engine.run_until(limit))).map_err(|e| panic_message(&*e))
+    caught(|| engine.run_until(limit))
+}
+
+/// Runs `f`, catching a panic as its payload's text.
+fn caught<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|e| panic_message(&*e))
 }
 
 /// The text of a caught panic payload.
@@ -656,14 +775,15 @@ impl Pass {
 /// the shard count: `0` means the host's available parallelism, and no
 /// run ever uses more threads than it has shards.
 fn resolve_threads(threads: usize, shards: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
+    let t = if threads == 0 { host_cpus() } else { threads };
     t.clamp(1, shards.max(1))
+}
+
+/// The host's available parallelism, asked once per process: the query
+/// reads the cgroup's CPU quota from files, which costs allocations.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Advances every engine to `limit` and reports whether any shard still
@@ -714,13 +834,29 @@ fn run_all(pool: Option<&ShardPool>, engines: &mut Vec<Engine>, limit: f64) -> b
 }
 
 /// Runs a validated fleet, sealing `recorder`'s open chunks at the end.
+/// With a `net_seed`, the streams first come through the network front
+/// door (see [`crate::ingest`]), keyed by that seed.
 pub(crate) fn serve_fleet_impl(
     streams: Vec<StreamSpec>,
     cfg: &ServeConfig,
     recorder: Option<&SharedRecorder>,
+    net_seed: Option<u64>,
 ) -> FleetReport {
     let sc = cfg.shard;
     let shards = sc.shards;
+
+    // The caller plus `threads − 1` helpers run the front door's clients,
+    // then advance the engines; one thread (the default) has no pool at
+    // all.
+    let threads = resolve_threads(sc.threads, shards);
+    let pool = (threads > 1).then(|| ShardPool::new(threads - 1));
+    let (streams, ingest) = match net_seed {
+        Some(seed) => {
+            let (streams, report) = front_door(streams, cfg, seed, pool.as_ref(), recorder);
+            (streams, Some(report))
+        }
+        None => (streams, None),
+    };
 
     // Placement.
     let mut policy = build_partition(sc.partition);
@@ -739,10 +875,10 @@ pub(crate) fn serve_fleet_impl(
         .into_iter()
         .enumerate()
         .map(|(k, g)| {
-            // Fleets hand engines the *barrier* writing end: everything
-            // buffers locally and reaches the shared store only at the
-            // in-shard-order flushes below, so the store's ingest order is
-            // identical at every thread count.
+            // Fleets hand engines the *barrier* writing end: rows encode
+            // into its own chunks on the engine's thread and reach the
+            // shared store only at the in-shard-order publishes below, so
+            // the store's ingest order is identical at every thread count.
             let sink: Box<dyn FlightRecorder> = match recorder {
                 Some(r) => Box::new(r.barrier_handle(k)),
                 None => Box::new(NullRecorder),
@@ -750,20 +886,6 @@ pub(crate) fn serve_fleet_impl(
             Engine::new(g, cfg, 0.0, fleet_fuse, sink)
         })
         .collect();
-
-    // The caller plus `threads − 1` helpers advance the engines; one thread
-    // (the default) has no pool at all.
-    let threads = resolve_threads(sc.threads, shards);
-    let pool = (threads > 1).then(|| ShardPool::new(threads - 1));
-    // Drains every engine's recorder buffer in shard-id order; called at
-    // each barrier so store ingest order is thread-count-independent.
-    let flush_in_order = |engines: &mut [Engine]| {
-        if recorder.is_some() {
-            for e in engines.iter_mut() {
-                e.flush_recorder();
-            }
-        }
-    };
 
     let mut migrations: Vec<MigrationEvent> = Vec::new();
     let mut fused_refinements: Vec<FleetRefineRecord> = Vec::new();
@@ -804,7 +926,11 @@ pub(crate) fn serve_fleet_impl(
             break;
         }
         if rebalance_on && next_rebalance <= limit + EPS {
-            flush_in_order(&mut engines);
+            // Every engine's recorder publishes in shard-id order, so the
+            // store's ingest order is thread-count-independent.
+            if recorder.is_some() {
+                engines.iter_mut().for_each(Engine::publish_recorder);
+            }
             rebalance(
                 &sc,
                 &mut engines,
@@ -830,8 +956,11 @@ pub(crate) fn serve_fleet_impl(
     // room for every shard's engine, before the reports are built.
     drop(pool);
 
-    // The final drains, in shard-id order like every barrier's.
-    flush_in_order(&mut engines);
+    // The final drains, in shard-id order like every barrier's publishes:
+    // the open chunks reach the store before it seals them.
+    if recorder.is_some() {
+        engines.iter_mut().for_each(Engine::flush_recorder);
+    }
     let shards = engines.iter_mut().map(Engine::finish_report).collect();
     if let Some(r) = recorder {
         r.seal_open_chunks();
@@ -841,7 +970,7 @@ pub(crate) fn serve_fleet_impl(
         migrations,
         fused_refinements,
         fused_gpu_dispatch_s: fused_gpu,
-        ingest: None,
+        ingest,
     }
 }
 

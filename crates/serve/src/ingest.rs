@@ -2,28 +2,35 @@
 //! deterministic pre-pass, books its connection events into the flight
 //! recorder, then serves the *delivered* streams.
 //!
-//! The pre-pass runs on the control thread on its own virtual-time
-//! reactor, entirely before any shard engine starts. That ordering is
-//! the determinism argument: the delivered timelines, the connection
-//! events and their position in the recorder store cannot depend on
-//! `--threads`, because no engine thread exists yet when they are
-//! produced.
+//! The pre-pass runs entirely before any shard engine starts, on the
+//! fleet's own threads: the clients split into contiguous runs, one per
+//! thread, each simulated on its own virtual-time reactor, and the runs
+//! merge in slot order. Clients share no state, so the merge is exactly
+//! one pass over them all. That is the determinism argument: the
+//! delivered timelines, the connection events and their position in the
+//! recorder store cannot depend on `--threads`, because the merged
+//! outcome does not, and it is booked on the calling thread before any
+//! engine runs.
 
 use crate::config::{IngestKind, ServeConfig};
-use crate::fleet::{expect_valid, serve_fleet_impl, FleetReport};
+use crate::fleet::{expect_valid, serve_fleet_impl, FleetReport, ShardPool};
 use crate::scheduler::StreamSpec;
-use catdet_net::{run_ingest, ConnEvent, IngestOutcome, IngestReport};
+use catdet_data::StreamSource;
+use catdet_net::{run_ingest, ConnEvent, IngestOutcome, IngestReport, NetParams};
 use catdet_recorder::{Event, SharedRecorder};
 
-/// Runs the front door over every spec's source and rebuilds the specs
-/// around the delivered timelines (arrival = door drain time, frames =
-/// the survivors). The original sources are dropped once the door has
-/// run, so the delivered streams are the only frame copy left.
-fn ingest_pass(
+/// Runs the front door over every spec's source, books the connection
+/// events into `recorder`, and rebuilds the specs around the delivered
+/// timelines (arrival = door drain time, frames = the survivors). The
+/// original sources are dropped once the door has run, so the delivered
+/// streams are the only frame copy left.
+pub(crate) fn front_door(
     specs: Vec<StreamSpec>,
     cfg: &ServeConfig,
     seed: u64,
-) -> (Vec<StreamSpec>, Vec<ConnEvent>, IngestReport) {
+    pool: Option<&ShardPool>,
+    recorder: Option<&SharedRecorder>,
+) -> (Vec<StreamSpec>, IngestReport) {
     assert!(
         cfg.ingest.kind == IngestKind::Net,
         "serve_net_fleet needs IngestKind::Net (cfg.ingest is direct)"
@@ -37,8 +44,10 @@ fn ingest_pass(
         delivered,
         events,
         report,
-    } = run_ingest(&sources, &params);
-    drop(sources);
+    } = split_ingest(sources, &params, pool);
+    if let Some(r) = recorder {
+        record_conn_events(&events, r);
+    }
     let specs = rest
         .into_iter()
         .zip(delivered)
@@ -49,7 +58,41 @@ fn ingest_pass(
             policy,
         })
         .collect();
-    (specs, events, report)
+    (specs, report)
+}
+
+/// [`run_ingest`] over `sources`, split into one contiguous run of
+/// clients per pool thread: the caller ingests the first run while the
+/// helpers take the others, and the runs merge in slot order. Clients
+/// share no state, so the outcome is the one a single pass returns.
+fn split_ingest(
+    mut sources: Vec<StreamSource>,
+    params: &NetParams,
+    pool: Option<&ShardPool>,
+) -> IngestOutcome {
+    let Some(pool) = pool else {
+        return run_ingest(&sources, params);
+    };
+    let clients = sources.len();
+    let runs = pool.threads().min(clients).max(1);
+    // Split off the back, so the first run is what stays here.
+    for run in (1..runs).rev() {
+        let later = sources.split_off(run * clients / runs);
+        pool.queue_run((run, later, *params));
+    }
+    let mut outcome = run_ingest(&sources, params);
+    drop(sources);
+    let mut panic = None;
+    pool.collect_runs(runs - 1, |(_, later)| match later {
+        Ok(later) => outcome.append(later),
+        Err(msg) => {
+            panic.get_or_insert(msg);
+        }
+    });
+    if let Some(msg) = panic {
+        panic!("{msg}");
+    }
+    outcome
 }
 
 /// Books the connection-event log into the store, stamped on shard 0
@@ -87,7 +130,7 @@ fn record_conn_events(events: &[ConnEvent], recorder: &SharedRecorder) {
 pub fn serve_net_fleet(specs: Vec<StreamSpec>, cfg: &ServeConfig, seed: u64) -> FleetReport {
     expect_valid(cfg);
     let recorder = cfg.recorder.enabled.then(|| cfg.recorder.build());
-    net_fleet(specs, cfg, seed, recorder.as_ref())
+    serve_fleet_impl(specs, cfg, recorder.as_ref(), Some(seed))
 }
 
 /// [`serve_net_fleet`] with every event — connection lifecycle included
@@ -105,21 +148,5 @@ pub fn serve_net_fleet_with_recorder(
     recorder: &SharedRecorder,
 ) -> FleetReport {
     expect_valid(cfg);
-    net_fleet(specs, cfg, seed, Some(recorder))
-}
-
-/// The ingest pre-pass, then the fleet, for a validated `cfg`.
-fn net_fleet(
-    specs: Vec<StreamSpec>,
-    cfg: &ServeConfig,
-    seed: u64,
-    recorder: Option<&SharedRecorder>,
-) -> FleetReport {
-    let (specs, events, ingest) = ingest_pass(specs, cfg, seed);
-    if let Some(r) = recorder {
-        record_conn_events(&events, r);
-    }
-    let mut report = serve_fleet_impl(specs, cfg, recorder);
-    report.ingest = Some(ingest);
-    report
+    serve_fleet_impl(specs, cfg, Some(recorder), Some(seed))
 }

@@ -1588,10 +1588,17 @@ impl Engine {
         }
     }
 
-    /// Drains the engine's recorder buffer into the backing store. The
-    /// fleet calls this at its lock-step barriers, **in shard-id order**,
-    /// so a [`BarrierRecorder`](catdet_recorder::SharedRecorder::barrier_handle)
+    /// Publishes what the engine's recorder has completed to the backing
+    /// store. The fleet calls this at its lock-step barriers, **in
+    /// shard-id order**, so a
+    /// [`BarrierRecorder`](catdet_recorder::SharedRecorder::barrier_handle)
     /// books into the shared store deterministically at any thread count.
+    pub(crate) fn publish_recorder(&mut self) {
+        self.recorder.publish();
+    }
+
+    /// Drains everything the engine's recorder still holds into the
+    /// backing store: the fleet's last barrier, again in shard-id order.
     pub(crate) fn flush_recorder(&mut self) {
         self.recorder.flush();
     }

@@ -10,14 +10,22 @@
 //! per `(sequence, track)`** and consumed incrementally as frames advance:
 //! the temporal-noise innovations and the detect / region-validate draws
 //! for a track all come from three persistent streams cached in the
-//! detector. The cache is pure memoization of a well-defined reference:
+//! detector, in one record per track next to the track's persistent
+//! difficulty and noise state. The cache is pure memoization of a
+//! well-defined reference:
 //! [`with_stream_cache(false)`](SimulatedDetector::with_stream_cache)
-//! re-derives each stream from its base key on every draw and fast-forwards
+//! re-derives each stream from its base key on every draw and seeks it
 //! past the consumed words, producing bit-identical output (a determinism
 //! test pins the two modes together). Like the temporal-noise state before
 //! it, the stream position is sequential state: a sequence's frames must
 //! be processed once each, in order — exactly what every runner, evaluator
 //! and the serving scheduler already guarantee.
+//!
+//! The same reference makes state capture cheap: a stream is its key and
+//! its word count, so a [`DetectorState`] keeps three counts per track,
+//! not three generators, and import re-derives each stream with an O(1)
+//! seek ([`ChaCha8Rng::set_word_pos`]) — through the one helper the
+//! uncached mode draws from.
 
 use crate::accuracy::{object_quality, sigmoid, AccuracyProfile};
 use crate::latent::{derive_rng, name_key, sample_normal, TemporalNoise};
@@ -54,10 +62,9 @@ const REGION_AREA_RATIO: f32 = 4.0;
 const REGION_GATE_MIN_PAIRS: usize = 256;
 
 /// One persistent derived stream: the live generator plus the number of
-/// 32-bit words drawn so far. The uncached reference mode re-derives the
-/// stream from its base key and skips `consumed` words, landing on
-/// exactly the same next draw — which is what makes the cache a pure
-/// memoization.
+/// 32-bit words drawn so far. The word count alone, with the stream's
+/// key, defines the next draw ([`stream_at`]), which is what makes the
+/// cache a pure memoization and a snapshot a list of counts.
 #[derive(Debug, Clone)]
 struct StreamState {
     rng: ChaCha8Rng,
@@ -65,16 +72,30 @@ struct StreamState {
 }
 
 impl StreamState {
-    fn new(key: &[u64]) -> Self {
+    /// The stream of `key` after `consumed` drawn words.
+    fn at(key: &[u64], consumed: u64) -> Self {
         Self {
-            rng: derive_rng(key),
-            consumed: 0,
+            rng: stream_at(key, consumed),
+            consumed,
         }
     }
 }
 
+/// The stream derived from `key`, positioned after `consumed` drawn words
+/// by an O(1) seek: what the uncached mode draws from and what
+/// [`SimulatedDetector::import_state`] restores. A stream nothing has
+/// drawn from yet stays unseeked, so its first block is only computed if
+/// a draw needs it.
+fn stream_at(key: &[u64], consumed: u64) -> ChaCha8Rng {
+    let mut rng = derive_rng(key);
+    if consumed > 0 {
+        rng.set_word_pos(u128::from(consumed));
+    }
+    rng
+}
+
 /// Word-counting adapter around a ChaCha stream: every draw is tallied so
-/// the uncached mode can fast-forward to the same position.
+/// the uncached mode can seek to the same position.
 struct CountedRng<'a> {
     rng: &'a mut ChaCha8Rng,
     consumed: &'a mut u64,
@@ -92,8 +113,8 @@ impl rand::RngCore for CountedRng<'_> {
     }
 }
 
-/// Draws from a persistent stream (cached mode) or from a freshly derived
-/// copy fast-forwarded to the same position (uncached reference mode).
+/// Draws from a persistent stream (cached mode) or from a fresh copy at
+/// the same position (uncached reference mode).
 fn draw_from<T>(
     cached: bool,
     state: &mut StreamState,
@@ -106,27 +127,60 @@ fn draw_from<T>(
             consumed: &mut state.consumed,
         })
     } else {
-        let mut fresh = derive_rng(key);
-        for _ in 0..state.consumed {
-            use rand::RngCore;
-            fresh.next_u32();
-        }
         f(&mut CountedRng {
-            rng: &mut fresh,
+            rng: &mut stream_at(key, state.consumed),
             consumed: &mut state.consumed,
         })
     }
 }
 
-/// The cached per-`(sequence, track)` stream bundle: the AR(1) temporal
-/// noise process plus the three persistent draw streams it and the
-/// detection sites consume.
+/// The cached per-`(sequence, track)` record: the object's persistent
+/// difficulty, the AR(1) temporal noise process, and the three persistent
+/// draw streams it and the detection sites consume.
 #[derive(Debug, Clone)]
 struct TrackStreams {
+    latent: f32,
     noise: TemporalNoise,
     temporal: StreamState,
     detect: StreamState,
     region: StreamState,
+}
+
+impl TrackStreams {
+    /// A track's record with its temporal, detect and region streams
+    /// (keyed by `key(salt)`) after `consumed` drawn words each.
+    fn at(
+        key: impl Fn(u64) -> [u64; 5],
+        latent: f32,
+        noise: TemporalNoise,
+        consumed: [u64; 3],
+    ) -> Self {
+        let [temporal, detect, region] = consumed;
+        TrackStreams {
+            latent,
+            noise,
+            temporal: StreamState::at(&key(SALT_TEMPORAL_STEP), temporal),
+            detect: StreamState::at(&key(SALT_DETECT), detect),
+            region: StreamState::at(&key(SALT_DETECT_REGION), region),
+        }
+    }
+}
+
+/// The base key of `(seq, track)`'s stream `salt` under a detector's seed
+/// and model.
+fn stream_key(seed: u64, model_key: u64, salt: u64, seq: usize, track: u64) -> [u64; 5] {
+    [seed, salt, model_key, seq as u64, track]
+}
+
+/// What a [`DetectorState`] keeps of one cached track: everything but the
+/// generators, which the stream keys and word counts re-derive.
+#[derive(Debug, Clone, Copy)]
+struct TrackPosition {
+    track: u64,
+    /// Words drawn from the temporal, detect and region streams.
+    consumed: [u64; 3],
+    latent: f32,
+    noise: TemporalNoise,
 }
 
 /// Reusable per-detector buffers for the region-conditioned hot path.
@@ -144,14 +198,19 @@ struct RegionScratch {
 
 /// The complete portable cross-frame state of a [`SimulatedDetector`], as
 /// produced by [`SimulatedDetector::export_state`] and consumed by
-/// [`SimulatedDetector::import_state`]. Opaque by design: the stream
-/// cache layout is an implementation detail of the detector; holders just
-/// carry it between a matching export/import pair.
+/// [`SimulatedDetector::import_state`].
+///
+/// It holds the current sequence and, for every track the detector has
+/// seen in it, sorted by track id: the track's persistent difficulty, its
+/// AR(1) noise state, and how many words each of its three random streams
+/// has drawn — 48 bytes per track. The generators themselves are not
+/// kept: a stream is defined by its key and its word count, so import
+/// re-derives it. Opaque by design; holders just carry it between a
+/// matching export/import pair.
 #[derive(Debug, Clone)]
 pub struct DetectorState {
     current_seq: Option<usize>,
-    tracks: HashMap<u64, TrackStreams>,
-    latent_cache: HashMap<u64, f32>,
+    tracks: Vec<TrackPosition>,
 }
 
 /// A stochastic stand-in for a trained CNN detector.
@@ -166,12 +225,11 @@ pub struct SimulatedDetector {
     frame_w: f32,
     frame_h: f32,
     current_seq: Option<usize>,
-    /// Per-track cached streams (temporal noise + draw streams); see the
-    /// module docs on random-stream caching.
+    /// Per-track cached record (difficulty, temporal noise, draw streams);
+    /// see the module docs on random-stream caching.
     tracks: HashMap<u64, TrackStreams>,
-    latent_cache: HashMap<u64, f32>,
     /// Whether per-track streams are served from the cache (`true`, the
-    /// default) or re-derived and fast-forwarded on every draw (the
+    /// default) or re-derived at their position on every draw (the
     /// bit-identical reference mode).
     stream_cache: bool,
     scratch: RegionScratch,
@@ -195,7 +253,6 @@ impl SimulatedDetector {
             frame_h,
             current_seq: None,
             tracks: HashMap::new(),
-            latent_cache: HashMap::new(),
             stream_cache: true,
             scratch: RegionScratch {
                 dilated: Vec::new(),
@@ -214,9 +271,10 @@ impl SimulatedDetector {
     /// Switches the per-track stream cache on (the default) or off.
     ///
     /// Both modes produce **bit-identical** output; the uncached mode
-    /// re-derives every stream from its base key on each draw and exists
-    /// as the reference the cache is tested against (it is strictly
-    /// slower — quadratic in frames per track).
+    /// re-derives every stream from its base key on each draw and seeks it
+    /// to the drawn word count. It exists as the reference the cache is
+    /// tested against, and is slower: a key expansion and a ChaCha block
+    /// per draw.
     pub fn with_stream_cache(mut self, enabled: bool) -> Self {
         self.stream_cache = enabled;
         self
@@ -227,90 +285,95 @@ impl SimulatedDetector {
     pub fn reset(&mut self) {
         self.current_seq = None;
         self.tracks.clear();
-        self.latent_cache.clear();
     }
 
     /// Exports the detector's complete cross-frame state: the current
-    /// sequence and every cached per-track stream position.
+    /// sequence and, per track seen in it, its difficulty, its noise state
+    /// and its three stream positions (see [`DetectorState`]).
     ///
     /// The random-stream caching scheme (see module docs) makes detector
     /// output *sequential*: each draw advances a persistent per-track
     /// stream, so a fresh detector asked for frame `k` does not reproduce
     /// a live detector that already processed frames `0..k`. Capturing
     /// this state is what lets a flight-recorder snapshot resume a stream
-    /// mid-sequence bit-identically. Importing into a detector with the
-    /// same model/seed/frame-size configuration restores exactly the next
-    /// draw on every stream (the cache-mode flag is *not* part of the
-    /// state — both modes draw from the same positions).
+    /// mid-sequence bit-identically. It costs 48 heap bytes per track and
+    /// holds no generator.
     pub fn export_state(&self) -> DetectorState {
+        let mut tracks: Vec<TrackPosition> = self
+            .tracks
+            .iter()
+            .map(|(&track, ts)| TrackPosition {
+                track,
+                consumed: [ts.temporal.consumed, ts.detect.consumed, ts.region.consumed],
+                latent: ts.latent,
+                noise: ts.noise,
+            })
+            .collect();
+        tracks.sort_unstable_by_key(|t| t.track);
         DetectorState {
             current_seq: self.current_seq,
-            tracks: self.tracks.clone(),
-            latent_cache: self.latent_cache.clone(),
+            tracks,
         }
     }
 
-    /// Restores state captured by [`export_state`](Self::export_state);
-    /// see there for the configuration contract.
+    /// Restores state captured by [`export_state`](Self::export_state).
+    ///
+    /// The importing detector must have the exporter's model, seed and
+    /// frame size: the streams are re-derived from keys built of those,
+    /// and seeked to the exported positions, so the next draw on every
+    /// stream is exactly the exporter's. The cache-mode flag is *not* part
+    /// of the state — both modes draw from the same positions. O(tracks):
+    /// one key expansion and at most one ChaCha block per stream.
     pub fn import_state(&mut self, state: DetectorState) {
         self.current_seq = state.current_seq;
-        self.tracks = state.tracks;
-        self.latent_cache = state.latent_cache;
+        self.tracks.clear();
+        // Tracks exist only inside a sequence.
+        let Some(seq) = state.current_seq else {
+            return;
+        };
+        self.tracks.reserve(state.tracks.len());
+        for t in state.tracks {
+            let key = |salt| self.key(salt, seq, t.track);
+            let streams = TrackStreams::at(key, t.latent, t.noise, t.consumed);
+            self.tracks.insert(t.track, streams);
+        }
     }
 
     fn enter_frame(&mut self, seq: usize) {
         if self.current_seq != Some(seq) {
             self.current_seq = Some(seq);
             self.tracks.clear();
-            self.latent_cache.clear();
         }
     }
 
-    /// The cached stream bundle of one `(sequence, track)`, derived on
-    /// first touch.
+    /// The base key of one of `(seq, track)`'s persistent streams.
+    fn key(&self, salt: u64, seq: usize, track: u64) -> [u64; 5] {
+        stream_key(self.seed, self.model_key, salt, seq, track)
+    }
+
+    /// The cached record of one `(sequence, track)`, derived on first
+    /// touch.
     fn track_streams(&mut self, seq: usize, track: u64) -> &mut TrackStreams {
-        let (seed, model_key) = (self.seed, self.model_key);
-        let (corr, sigma) = (
-            self.model.profile.temporal_corr,
-            self.model.profile.temporal_sigma,
-        );
-        self.tracks.entry(track).or_insert_with(|| TrackStreams {
-            noise: TemporalNoise::new(
-                corr,
-                sigma,
-                &mut derive_rng(&[seed, SALT_TEMPORAL_INIT, model_key, seq as u64, track]),
-            ),
-            temporal: StreamState::new(&[seed, SALT_TEMPORAL_STEP, model_key, seq as u64, track]),
-            detect: StreamState::new(&[seed, SALT_DETECT, model_key, seq as u64, track]),
-            region: StreamState::new(&[seed, SALT_DETECT_REGION, model_key, seq as u64, track]),
+        let (seed, model_key, p) = (self.seed, self.model_key, &self.model.profile);
+        let key = |salt| stream_key(seed, model_key, salt, seq, track);
+        self.tracks.entry(track).or_insert_with(|| {
+            // Persistent per-object difficulty: a component shared by all
+            // models plus a model-specific one.
+            let shared = p.shared_heterogeneity
+                * sample_normal(&mut derive_rng(&[
+                    seed,
+                    SALT_LATENT_SHARED,
+                    seq as u64,
+                    track,
+                ]));
+            let own = p.own_heterogeneity * sample_normal(&mut derive_rng(&key(SALT_LATENT_OWN)));
+            let noise = TemporalNoise::new(
+                p.temporal_corr,
+                p.temporal_sigma,
+                &mut derive_rng(&key(SALT_TEMPORAL_INIT)),
+            );
+            TrackStreams::at(key, shared + own, noise, [0; 3])
         })
-    }
-
-    /// Persistent per-object difficulty: a component shared by all models
-    /// plus a model-specific one.
-    fn latent(&mut self, seq: usize, track: u64) -> f32 {
-        if let Some(&h) = self.latent_cache.get(&track) {
-            return h;
-        }
-        let p = &self.model.profile;
-        let shared = p.shared_heterogeneity
-            * sample_normal(&mut derive_rng(&[
-                self.seed,
-                SALT_LATENT_SHARED,
-                seq as u64,
-                track,
-            ]));
-        let own = p.own_heterogeneity
-            * sample_normal(&mut derive_rng(&[
-                self.seed,
-                SALT_LATENT_OWN,
-                self.model_key,
-                seq as u64,
-                track,
-            ]));
-        let h = shared + own;
-        self.latent_cache.insert(track, h);
-        h
     }
 
     /// The detection margin of an object (logits). The temporal-noise
@@ -320,14 +383,16 @@ impl SimulatedDetector {
     fn margin(&mut self, seq: usize, gt: &GroundTruthObject) -> f32 {
         let p = self.model.profile.clone();
         let q = object_quality(gt);
-        let h = self.latent(seq, gt.track_id);
-        let (seed, model_key, cached) = (self.seed, self.model_key, self.stream_cache);
-        let key = [seed, SALT_TEMPORAL_STEP, model_key, seq as u64, gt.track_id];
+        let cached = self.stream_cache;
+        let key = self.key(SALT_TEMPORAL_STEP, seq, gt.track_id);
         let TrackStreams {
-            noise, temporal, ..
+            latent,
+            noise,
+            temporal,
+            ..
         } = self.track_streams(seq, gt.track_id);
         let eps = draw_from(cached, temporal, &key, |rng| noise.step(rng));
-        p.offset + p.discrimination * q - p.occlusion_sensitivity * gt.occlusion + h + eps
+        p.offset + p.discrimination * q - p.occlusion_sensitivity * gt.occlusion + *latent + eps
     }
 
     fn poisson<R: Rng>(rng: &mut R, lambda: f32) -> usize {
@@ -387,9 +452,9 @@ impl SimulatedDetector {
             let m = self.margin(seq, gt);
             let detect_p = self.model.profile.detection_probability(m);
             let profile = self.model.profile.clone();
-            let (seed, model_key, cached) = (self.seed, self.model_key, self.stream_cache);
+            let cached = self.stream_cache;
             let (frame_w, frame_h) = (self.frame_w, self.frame_h);
-            let key = [seed, SALT_DETECT, model_key, seq as u64, gt.track_id];
+            let key = self.key(SALT_DETECT, seq, gt.track_id);
             let ts = self.track_streams(seq, gt.track_id);
             let det = draw_from(cached, &mut ts.detect, &key, |rng| {
                 (rng.gen::<f32>() < detect_p)
@@ -494,9 +559,9 @@ impl SimulatedDetector {
             let m = self.margin(seq, gt);
             let validate_p = self.model.profile.validation_probability(m);
             let profile = self.model.profile.clone();
-            let (seed, model_key, cached) = (self.seed, self.model_key, self.stream_cache);
+            let cached = self.stream_cache;
             let (frame_w, frame_h) = (self.frame_w, self.frame_h);
-            let key = [seed, SALT_DETECT_REGION, model_key, seq as u64, gt.track_id];
+            let key = self.key(SALT_DETECT_REGION, seq, gt.track_id);
             let ts = self.track_streams(seq, gt.track_id);
             let det = draw_from(cached, &mut ts.region, &key, |rng| {
                 (rng.gen::<f32>() < validate_p)
@@ -929,7 +994,7 @@ mod tests {
     #[test]
     fn cached_streams_match_uncached_reference_bit_for_bit() {
         // The per-(sequence, track) stream cache is pure memoization: a
-        // detector with the cache disabled (re-derive + fast-forward on
+        // detector with the cache disabled (re-derive + seek on
         // every draw) must produce identical detections on an interleaved
         // full-frame / region workload with persisting, appearing and
         // disappearing tracks — across sequence boundaries too.

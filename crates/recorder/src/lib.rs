@@ -27,7 +27,8 @@
 //! that per-shard engines write into and queries read out of. Each
 //! engine writes through a [`BarrierRecorder`], which encodes its rows
 //! into open chunks of its own on the engine's thread, so the store only
-//! takes in whole chunks, in a fixed order, at the fleet's barriers.
+//! takes in whole chunks, in a fixed order, at the fleet's barriers — or,
+//! from a one-shard fleet's sole writer, as each chunk fills.
 
 #![warn(missing_docs)]
 
@@ -165,12 +166,36 @@ impl SharedRecorder {
     /// never writes (the fleet's migrations and connection events do): a
     /// partition written both ways gets the handle's rows behind the
     /// direct ones at the end of the run, not in barrier order.
+    ///
+    /// A fleet with one shard and no barriers uses
+    /// [`sole_handle`](SharedRecorder::sole_handle) instead.
     pub fn barrier_handle(&self, shard: usize) -> BarrierRecorder {
+        self.handle(shard, false)
+    }
+
+    /// A [`barrier_handle`](SharedRecorder::barrier_handle) that also
+    /// publishes whenever one of its chunks fills, for a writer that is
+    /// the store's **only** one while it runs (a one-shard fleet).
+    ///
+    /// With no other writer, the store sees the same seals, in the same
+    /// order, whenever they are published, so it makes the same
+    /// evictions, and a snapshot's survival depends only on the highest
+    /// completion its stream lost: any publish cadence leaves the store
+    /// exactly as one flush at the end would. Publishing as chunks fill
+    /// lets retention evict — and drop the snapshots that die with the
+    /// evicted window — during the run, so a run's memory is bounded by
+    /// retention, not by its length.
+    pub fn sole_handle(&self, shard: usize) -> BarrierRecorder {
+        self.handle(shard, true)
+    }
+
+    fn handle(&self, shard: usize, publish_on_fill: bool) -> BarrierRecorder {
         BarrierRecorder {
             store: Arc::clone(&self.store),
             shard,
             snapshot_every: self.snapshot_every,
             chunk_events: self.with_store(|s| s.chunk_events()),
+            publish_on_fill,
             open: BTreeMap::new(),
             full: Vec::new(),
             snaps: Vec::new(),
@@ -233,7 +258,9 @@ impl SharedRecorder {
 }
 
 /// Writing end of a [`SharedRecorder`] for barrier-synchronised
-/// producers (see [`barrier_handle`](SharedRecorder::barrier_handle)).
+/// producers (see [`barrier_handle`](SharedRecorder::barrier_handle)), or
+/// for a sole writer that publishes as its chunks fill (see
+/// [`sole_handle`](SharedRecorder::sole_handle)).
 ///
 /// Each row is encoded into the handle's own open chunk for its
 /// partition on whichever thread runs the producer; snapshots queue in
@@ -246,7 +273,9 @@ impl SharedRecorder {
 /// it fills a chunk, so this is the very sequence that booking every row
 /// into the store at the barrier makes; only the encoding has left the
 /// barrier. Open chunks reach the store at [`flush`](FlightRecorder::flush),
-/// once the run is over and before the store seals them.
+/// once the run is over and before the store seals them. A sole handle
+/// also publishes each time a row fills a chunk, so its snapshots reach
+/// the store — and die there with their evicted window — as the run goes.
 ///
 /// Dropping the handle flushes, so a forgotten flush loses nothing — it
 /// only books later than the barrier discipline intended. A drop that
@@ -258,6 +287,8 @@ pub struct BarrierRecorder {
     shard: usize,
     snapshot_every: usize,
     chunk_events: usize,
+    /// Whether a row that fills a chunk publishes (a sole handle).
+    publish_on_fill: bool,
     /// Chunks still filling, keyed as the store keys its own.
     open: BTreeMap<ChunkKey, Chunk>,
     /// Chunks filled since the last publish, in the order they filled.
@@ -303,6 +334,7 @@ impl std::fmt::Debug for BarrierRecorder {
         f.debug_struct("BarrierRecorder")
             .field("shard", &self.shard)
             .field("snapshot_every", &self.snapshot_every)
+            .field("publish_on_fill", &self.publish_on_fill)
             .field("open_chunks", &self.open.len())
             .field("full_chunks", &self.full.len())
             .field("buffered_snapshots", &self.snaps.len())
@@ -319,6 +351,9 @@ impl FlightRecorder for BarrierRecorder {
         let (cap, shard) = (self.chunk_events, self.shard);
         if let Some(full) = append_row(&mut self.open, cap, &mut self.scratch, t_s, shard, &event) {
             self.full.push(full);
+            if self.publish_on_fill {
+                self.publish();
+            }
         }
     }
 
@@ -438,6 +473,31 @@ mod tests {
         h.flush();
         assert_eq!(shared.scan(&Query::all()).len(), 2 * ROWS);
         assert_eq!(shared.nearest_snapshot(0, 1.0).expect("snapshot").shard, 3);
+    }
+
+    #[test]
+    fn sole_handle_publishes_as_its_chunks_fill() {
+        let shared = SharedRecorder::new(4, usize::MAX, 2);
+        let mut h = shared.sole_handle(3);
+        let admission = Event::Admission {
+            stream: 0,
+            reason: 0,
+        };
+        for i in 0..3 {
+            h.record(i as f64 * 0.001, admission);
+        }
+        h.snapshot(0.002, 0, 2, Arc::new(7usize));
+        // Nothing has filled yet: the rows and the snapshot wait.
+        assert_eq!(shared.stats().sealed_chunks, 0);
+        assert!(shared.nearest_snapshot(0, 1.0).is_none());
+        // The fourth row fills the chunk, which publishes both.
+        h.record(0.003, admission);
+        assert_eq!(shared.stats().sealed_chunks, 1);
+        assert_eq!(shared.nearest_snapshot(0, 1.0).expect("snapshot").shard, 3);
+        h.record(0.004, admission);
+        assert_eq!(shared.stats().events, 4);
+        h.flush();
+        assert_eq!(shared.stats().events, 5);
     }
 
     #[test]

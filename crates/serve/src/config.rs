@@ -649,7 +649,12 @@ pub struct RecorderConfig {
     /// frames. `0` (the default) disables snapshots — and with them
     /// time-travel replay. Snapshots are kept only while every later
     /// completion of their stream survives eviction (see
-    /// `retention_chunks`).
+    /// `retention_chunks`). A snapshot holds the stream's tracker state
+    /// and, per detector, 48 bytes for each track its sequence has shown
+    /// (stream positions, not generators). A one-shard fleet publishes as
+    /// its chunks fill, so its snapshots die with their evicted window
+    /// during the run; a K-shard fleet publishes at its rebalance
+    /// barriers, and without rebalancing only at the end.
     pub snapshot_every_frames: usize,
 }
 

@@ -879,7 +879,11 @@ pub(crate) fn serve_fleet_impl(
             // into its own chunks on the engine's thread and reach the
             // shared store only at the in-shard-order publishes below, so
             // the store's ingest order is identical at every thread count.
+            // A lone shard's handle is the store's only writer from here
+            // on, so it publishes as its chunks fill: the same store at
+            // any cadence, with snapshots evicted as the run goes.
             let sink: Box<dyn FlightRecorder> = match recorder {
+                Some(r) if shards == 1 => Box::new(r.sole_handle(k)),
                 Some(r) => Box::new(r.barrier_handle(k)),
                 None => Box::new(NullRecorder),
             };

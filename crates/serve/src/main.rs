@@ -208,7 +208,8 @@ USAGE:
 
   flight recorder (chunked columnar telemetry + time-travel replay):
     --record <FILE>     record every detection/track/batch/scale/admission/
-                        migration event and save the chunk store to FILE
+                        migration event and save the chunk store to FILE;
+                        the three knobs below need it
     --record-chunk-events <N>
                         events per chunk before sealing [512]
     --record-retention-chunks <N>
@@ -424,6 +425,7 @@ const SWITCHES: &[(&str, &str, Switch)] = &[
 const FORECAST_ONLY: &str = "only applies to the predictive control plane; add \
                              --autoscale predictive or --rebalance predicted";
 const NET_ONLY: &str = "only applies to the network front door; add --ingest net";
+const RECORD_ONLY: &str = "only applies to a recorded run; add --record <FILE>";
 
 /// Whether a [`Cli`] meets a flag's condition.
 type Condition = fn(&Cli) -> bool;
@@ -470,6 +472,9 @@ const NEEDS: &[(&str, Condition, &str)] = &[
     ("--reorder-rate", net, NET_ONLY),
     ("--door-rate", net, NET_ONLY),
     ("--door-burst", net, NET_ONLY),
+    ("--record-chunk-events", recording, RECORD_ONLY),
+    ("--record-retention-chunks", recording, RECORD_ONLY),
+    ("--record-snapshot-every", recording, RECORD_ONLY),
 ];
 
 /// Every row's flag and field, switches included.
@@ -480,6 +485,10 @@ fn rows() -> impl Iterator<Item = (&'static str, &'static str)> {
 
 fn net(c: &Cli) -> bool {
     c.cfg.ingest.kind == IngestKind::Net
+}
+
+fn recording(c: &Cli) -> bool {
+    c.record.is_some()
 }
 
 fn forecasting(c: &Cli) -> bool {
@@ -944,6 +953,34 @@ mod tests {
         let err = parse(&["--door-burst", "4"]).unwrap_err();
         assert!(err.contains("--door-burst"), "{err}");
         assert!(err.contains("--ingest net"), "{err}");
+    }
+
+    #[test]
+    fn recorder_flags_require_a_recording() {
+        for flag in [
+            ["--record-chunk-events", "64"],
+            ["--record-retention-chunks", "4"],
+            ["--record-snapshot-every", "8"],
+        ] {
+            let err = parse(&flag).unwrap_err();
+            assert!(err.contains(flag[0]), "{err}");
+            assert!(err.contains("--record <FILE>"), "{err}");
+        }
+        let args = parse(&[
+            "--record",
+            "run.cdr",
+            "--record-retention-chunks",
+            "4",
+            "--record-snapshot-every",
+            "8",
+        ])
+        .unwrap();
+        assert!(args.cfg.recorder.enabled);
+        assert_eq!(args.cfg.recorder.retention_chunks, 4);
+        assert_eq!(args.cfg.recorder.snapshot_every_frames, 8);
+        // With a recording, the range rules still name the flag.
+        let err = parse(&["--record", "run.cdr", "--record-chunk-events", "0"]).unwrap_err();
+        assert!(err.contains("--record-chunk-events 0"), "{err}");
     }
 
     #[test]

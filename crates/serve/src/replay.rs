@@ -33,6 +33,7 @@ use catdet_core::{drive_frame, output_hash, PipelineState, PolicyDecision, Stage
 use catdet_metrics::Detection;
 use catdet_recorder::{Event, EventKind, Query, SharedRecorder};
 use std::collections::HashMap;
+use std::mem::discriminant;
 
 /// Per-stream state captured at a snapshot point: the complete pipeline
 /// state plus the serving counters at capture. Stored opaquely in the
@@ -144,6 +145,13 @@ pub enum ReplayError {
         /// The recorded frame index with no source frame.
         frame_index: usize,
     },
+    /// The snapshot holds another kind of pipeline's state than the
+    /// provided factory builds (say, a single-model spec for a CaTDet
+    /// recording), or the factory's pipeline cannot import state at all.
+    ForeignPipeline {
+        /// The requested stream.
+        stream: usize,
+    },
     /// The recording coasted a frame, but the provided factory's pipeline
     /// cannot coast.
     CannotCoast {
@@ -195,6 +203,12 @@ impl std::fmt::Display for ReplayError {
                 "stream {stream}: recorded completion references frame index {frame_index} \
                  absent from the provided source — replay needs the same StreamSource the \
                  live run served"
+            ),
+            ReplayError::ForeignPipeline { stream } => write!(
+                f,
+                "stream {stream}: the nearest snapshot holds another pipeline's state than \
+                 the provided factory builds, or that pipeline cannot import state — replay \
+                 needs the same factory the live run served"
             ),
             ReplayError::CannotCoast {
                 stream,
@@ -328,10 +342,20 @@ pub fn replay_stream(
         // A policied stream's wrapper state is superfluous here — the
         // recorded rows already say what each frame did — so replay drives
         // the bare pipeline from the inner state.
-        system.import_state(match state {
+        let state = match state {
             PipelineState::Policied { inner, .. } => *inner,
             other => other,
-        });
+        };
+        // Import panics on another pipeline's state, so the fresh
+        // pipeline's own export (`None` when it cannot import) must be of
+        // the same kind.
+        let fits = system
+            .export_state()
+            .is_some_and(|own| discriminant(&own) == discriminant(&state));
+        if !fits {
+            return Err(ReplayError::ForeignPipeline { stream });
+        }
+        system.import_state(state);
     }
     let frames = spec.source.frames();
     let mut replayed = Vec::with_capacity(todo.len());

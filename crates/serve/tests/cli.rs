@@ -84,11 +84,21 @@ fn one_bad_value_per_group_exits_2_naming_its_flag() {
             &["--ingest", "net", "--reorder-rate", "1.5"],
             "--reorder-rate",
         ),
-        (&["--record-chunk-events", "0"], "--record-chunk-events"),
+        (
+            &["--record", "run.cdr", "--record-chunk-events", "0"],
+            "--record-chunk-events",
+        ),
         (&["--door-rate", "30"], "--door-rate"),
     ] {
         assert_rejected(args, flag);
     }
+}
+
+#[test]
+fn recorder_knobs_without_a_recording_exit_2() {
+    // The recorder stays off without --record, so its knobs would do
+    // nothing: an error, not a run that silently measures something else.
+    assert_rejected(&["--record-snapshot-every", "8"], "--record-snapshot-every");
 }
 
 #[test]

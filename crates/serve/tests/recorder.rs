@@ -216,6 +216,33 @@ fn replaying_coasts_on_a_pipeline_that_cannot_coast_is_an_error() {
 }
 
 #[test]
+fn replaying_a_snapshot_into_another_pipeline_is_an_error() {
+    // A policied CaTDet recording snapshots CaTDet state under the policy
+    // wrapper's. A factory that builds another kind of pipeline, or one
+    // that cannot import state at all, cannot resume from it: replay must
+    // say so with a typed error, not panic inside the import.
+    let streams = |system| mixed_workload(2, 40, 7, system);
+    let cfg = no_drop_config().with_policy(PolicyConfig::confidence_trigger(1.0));
+    let recorder = SharedRecorder::new(128, usize::MAX, 8);
+    let report = serve_with_recorder(streams(SystemKind::CatdetA), &cfg, &recorder);
+    let mid = report.makespan_s * 0.5;
+    assert!(recorder.nearest_snapshot(0, mid).is_some());
+    let single = streams(SystemKind::SingleResnet50).remove(0);
+    let opaque = StreamSpec::new(single.source.clone(), common::null_factory());
+    for spec in [&single, &opaque] {
+        match replay_stream(&recorder, spec, mid) {
+            Err(ReplayError::ForeignPipeline { stream: 0 }) => {}
+            other => panic!("expected ForeignPipeline, got {other:?}"),
+        }
+    }
+    // The live run's own factory still replays from the same snapshot.
+    let own = streams(SystemKind::CatdetA).remove(0);
+    let replay = replay_stream(&recorder, &own, mid).expect("the live factory replays");
+    assert!(replay.resumed_after_seq > 0);
+    assert!(replay.verified());
+}
+
+#[test]
 fn fleet_recording_partitions_by_shard_and_matches_merged_report() {
     // A recorded 2-shard fleet: per-shard queries must partition the
     // fleet's completions exactly, and the full-window latency summary

@@ -4,6 +4,11 @@
 //! store exactly as booking every row straight into one `ChunkStore`, in
 //! barrier order, would — saved bytes, scans, statistics and the
 //! snapshots that survive retention.
+//!
+//! And for the store's only writer, the publish cadence changes nothing:
+//! a sole handle that publishes whenever a chunk fills leaves the store
+//! exactly as one flush at the end does, while retention evicts as the
+//! run goes.
 
 use catdet_recorder::{encode, ChunkStore, Event, FlightRecorder, Query, SharedRecorder};
 use proptest::prelude::*;
@@ -189,5 +194,77 @@ proptest! {
         // Dropping drained handles books nothing more.
         drop(handles);
         prop_assert_eq!(shared.with_store(|live| encode(live)), encode(&want));
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_sole_handle_publishing_at_every_fill_books_what_one_final_flush_books(
+        chunk_events in 1usize..9,
+        retention in (0usize..14).prop_map(|r| if r == 0 { usize::MAX } else { r }),
+        snapshot_every in 0usize..4,
+        // Rows booked straight into the store before the handle's, as a
+        // one-shard fleet's front door books its connection events.
+        prelude in 0u64..6,
+        // (step selector, stream, time step in µs)
+        script in proptest::collection::vec((0usize..8, 0usize..4, 0u64..4000), 0..400),
+    ) {
+        let sole_store = SharedRecorder::new(chunk_events, retention, snapshot_every);
+        let once_store = SharedRecorder::new(chunk_events, retention, snapshot_every);
+        let mut direct = ChunkStore::new(chunk_events, retention);
+        for n in 0..prelude {
+            let (_, event) = fleet_row(2 * n + 1, n as usize % 4, 1);
+            let t_s = n as f64 * 1e-4;
+            sole_store.record(t_s, 0, event);
+            once_store.record(t_s, 0, event);
+            direct.record(t_s, 0, event);
+        }
+        let mut sole = sole_store.sole_handle(0);
+        let mut once = once_store.barrier_handle(0);
+        let mut seqs = [0usize; 4];
+        let mut t_us = 1_000u64;
+        let mut snaps = 0usize;
+        for (n, &(step, stream, dt_us)) in script.iter().enumerate() {
+            t_us += dt_us;
+            let t_s = t_us as f64 * 1e-6;
+            let n = n as u64;
+            if step <= 5 {
+                if step == 0 {
+                    seqs[stream] += 1;
+                }
+                let seq = seqs[stream];
+                let event = engine_row(step, stream, seq, n);
+                sole.record(t_s, event);
+                once.record(t_s, event);
+                direct.record(t_s, 0, event);
+                if step == 0 && snapshot_every > 0 && seq.is_multiple_of(snapshot_every) {
+                    snaps += 1;
+                    sole.snapshot(t_s, stream, seq, Arc::new(snaps));
+                    once.snapshot(t_s, stream, seq, Arc::new(snaps));
+                }
+            } else {
+                // Extra publishes, at any point, change nothing either.
+                sole.publish();
+            }
+            // The sole handle's seals and evictions happen as its chunks
+            // fill, as if every row were booked straight into the store.
+            let (live, want) = (sole_store.stats(), direct.stats());
+            prop_assert_eq!(live.sealed_chunks, want.sealed_chunks);
+            prop_assert_eq!(live.chunks_evicted, want.chunks_evicted);
+            prop_assert_eq!(live.events_evicted, want.events_evicted);
+        }
+        sole.flush();
+        once.flush();
+        sole_store.seal_open_chunks();
+        once_store.seal_open_chunks();
+        let want = once_store.with_store(|s| {
+            (encode(s), s.stats(), snapshot_set(s), s.scan(&Query::all()))
+        });
+        sole_store.with_store(|live| {
+            prop_assert_eq!(encode(live), want.0);
+            prop_assert_eq!(live.stats(), want.1);
+            prop_assert_eq!(snapshot_set(live), want.2);
+            prop_assert_eq!(live.scan(&Query::all()), want.3);
+        });
     }
 }

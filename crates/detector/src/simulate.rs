@@ -447,7 +447,7 @@ impl SimulatedDetector {
         gts: &[GroundTruthObject],
     ) -> Vec<Detection> {
         self.enter_frame(seq);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(gts.len());
         for gt in gts {
             let m = self.margin(seq, gt);
             let detect_p = self.model.profile.detection_probability(m);
@@ -539,7 +539,7 @@ impl SimulatedDetector {
                 .build(proposals.len(), |i| proposals[i]);
             self.scratch.gt_grid.build(gts.len(), |i| gts[i].bbox);
         }
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(gts.len());
         for gt in gts {
             // A proposal that can match `gt` strictly overlaps it (an IoU
             // above threshold, or containment of its interior centre), so

@@ -15,6 +15,11 @@ use crate::Box2;
 
 /// A boolean occupancy grid over a frame, aligned to a convolutional stride.
 ///
+/// Each grid row is stored as bits in `u64` words: cell `x` of a row is bit
+/// `x % 64` of the row's word `x / 64`, and the bits past the last cell of a
+/// row stay clear. Marking a box ORs one span mask into each word it
+/// covers: a row of a 2048-pixel frame at stride 16 is two words.
+///
 /// # Example
 ///
 /// ```
@@ -33,10 +38,10 @@ pub struct CoverageGrid {
     grid_h: usize,
     width: f32,
     height: f32,
-    cells: Vec<bool>,
-    /// Number of `true` cells, maintained incrementally so
-    /// [`covered_cells`](Self::covered_cells) is O(1).
-    covered: usize,
+    /// `u64` words per grid row.
+    row_words: usize,
+    /// Row-major cell bits, `row_words` words per row.
+    bits: Vec<u64>,
 }
 
 impl CoverageGrid {
@@ -53,8 +58,8 @@ impl CoverageGrid {
             grid_h: 0,
             width: 1.0,
             height: 1.0,
-            cells: Vec::new(),
-            covered: 0,
+            row_words: 0,
+            bits: Vec::new(),
         };
         g.reset(width, height, stride);
         g
@@ -77,9 +82,9 @@ impl CoverageGrid {
         self.height = height;
         self.grid_w = (width / stride as f32).ceil() as usize;
         self.grid_h = (height / stride as f32).ceil() as usize;
-        self.cells.clear();
-        self.cells.resize(self.grid_w * self.grid_h, false);
-        self.covered = 0;
+        self.row_words = self.grid_w.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(self.row_words * self.grid_h, 0);
     }
 
     /// The feature stride the grid is aligned to.
@@ -105,19 +110,29 @@ impl CoverageGrid {
         if !c.is_valid() {
             return;
         }
+        // A valid clipped box is finite and non-negative, so truncation is
+        // floor here, and a ceiling is the truncation plus one when it
+        // falls short: no libm call on a target without SSE4.1 rounding.
         let s = self.stride as f32;
-        let x0 = (c.x1 / s).floor() as usize;
-        let y0 = (c.y1 / s).floor() as usize;
+        let x0 = (c.x1 / s) as usize;
+        let y0 = (c.y1 / s) as usize;
         // A cell [k*s, (k+1)*s) intersects iff k*s < c.x2, i.e. k <= ceil(x2/s)-1.
-        let x1 = ((c.x2 / s).ceil() as usize).min(self.grid_w);
-        let y1 = ((c.y2 / s).ceil() as usize).min(self.grid_h);
-        for y in y0..y1 {
-            let row = y * self.grid_w;
-            for x in x0..x1 {
-                if !self.cells[row + x] {
-                    self.cells[row + x] = true;
-                    self.covered += 1;
-                }
+        let x1 = ceil_non_negative(c.x2 / s).min(self.grid_w);
+        let y1 = ceil_non_negative(c.y2 / s).min(self.grid_h);
+        if x0 >= x1 || y0 >= y1 {
+            return;
+        }
+        let (w0, w1) = (x0 / 64, (x1 - 1) / 64);
+        let first = !0u64 << (x0 % 64);
+        let last = !0u64 >> (63 - (x1 - 1) % 64);
+        let rows = &mut self.bits[y0 * self.row_words..y1 * self.row_words];
+        for row in rows.chunks_exact_mut(self.row_words) {
+            if w0 == w1 {
+                row[w0] |= first & last;
+            } else {
+                row[w0] |= first;
+                row[w0 + 1..w1].fill(!0);
+                row[w1] |= last;
             }
         }
     }
@@ -129,14 +144,14 @@ impl CoverageGrid {
         }
     }
 
-    /// Number of covered cells (O(1); maintained incrementally).
+    /// Number of covered cells: one population count over the bit rows.
     pub fn covered_cells(&self) -> usize {
-        self.covered
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Fraction of the grid that is covered, in `[0, 1]`.
     pub fn coverage_fraction(&self) -> f64 {
-        if self.cells.is_empty() {
+        if self.bits.is_empty() {
             0.0
         } else {
             self.covered_cells() as f64 / self.total_cells() as f64
@@ -154,15 +169,28 @@ impl CoverageGrid {
         if x < 0.0 || y < 0.0 || x >= self.width || y >= self.height {
             return false;
         }
-        let cx = (x / self.stride as f32).floor() as usize;
-        let cy = (y / self.stride as f32).floor() as usize;
-        self.cells[cy * self.grid_w + cx]
+        // In-frame coordinates are non-negative, so truncation is floor; a
+        // NaN coordinate truncates to cell 0, as its floor did.
+        let s = self.stride as f32;
+        let cx = (x / s) as usize;
+        let cy = (y / s) as usize;
+        self.bits[cy * self.row_words + cx / 64] >> (cx % 64) & 1 == 1
     }
 
     /// Clears all cells, keeping the geometry.
     pub fn clear(&mut self) {
-        self.cells.fill(false);
-        self.covered = 0;
+        self.bits.fill(0);
+    }
+}
+
+/// `v.ceil() as usize` for a finite `v >= 0`, without a libm call.
+#[inline]
+fn ceil_non_negative(v: f32) -> usize {
+    let t = v as usize;
+    if (t as f32) < v {
+        t + 1
+    } else {
+        t
     }
 }
 
@@ -198,6 +226,70 @@ pub fn masked_fraction_with(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The raster the bit rows replaced: one `bool` per cell, marked
+    /// through `floor`/`ceil`. The bit rows must match it cell for cell.
+    struct PerCellReference {
+        stride: u32,
+        grid_w: usize,
+        grid_h: usize,
+        width: f32,
+        height: f32,
+        cells: Vec<bool>,
+    }
+
+    impl PerCellReference {
+        fn new(width: f32, height: f32, stride: u32) -> Self {
+            let grid_w = (width / stride as f32).ceil() as usize;
+            let grid_h = (height / stride as f32).ceil() as usize;
+            Self {
+                stride,
+                grid_w,
+                grid_h,
+                width,
+                height,
+                cells: vec![false; grid_w * grid_h],
+            }
+        }
+
+        fn add_box(&mut self, b: &Box2) {
+            let c = b.clip(self.width, self.height);
+            if !c.is_valid() {
+                return;
+            }
+            let s = self.stride as f32;
+            let x0 = (c.x1 / s).floor() as usize;
+            let y0 = (c.y1 / s).floor() as usize;
+            let x1 = ((c.x2 / s).ceil() as usize).min(self.grid_w);
+            let y1 = ((c.y2 / s).ceil() as usize).min(self.grid_h);
+            for y in y0..y1 {
+                for x in x0..x1 {
+                    self.cells[y * self.grid_w + x] = true;
+                }
+            }
+        }
+
+        fn covered_cells(&self) -> usize {
+            self.cells.iter().filter(|&&c| c).count()
+        }
+
+        fn coverage_fraction(&self) -> f64 {
+            if self.cells.is_empty() {
+                0.0
+            } else {
+                self.covered_cells() as f64 / self.cells.len() as f64
+            }
+        }
+
+        fn is_covered(&self, x: f32, y: f32) -> bool {
+            if x < 0.0 || y < 0.0 || x >= self.width || y >= self.height {
+                return false;
+            }
+            let cx = (x / self.stride as f32).floor() as usize;
+            let cy = (y / self.stride as f32).floor() as usize;
+            self.cells[cy * self.grid_w + cx]
+        }
+    }
 
     #[test]
     fn empty_grid_is_uncovered() {
@@ -306,6 +398,60 @@ mod tests {
             }
             let f = g.coverage_fraction();
             prop_assert!((0.0..=1.0).contains(&f));
+        }
+
+        /// The bit rows equal the per-cell reference on rows of 1, 63, 64,
+        /// 65, 128 and 129 cells, at any stride, with boxes that hang off
+        /// the frame, are degenerate or carry NaN and infinite edges.
+        #[test]
+        fn prop_bit_rows_match_per_cell_reference(
+            stride in 1u32..=128,
+            rows in 1usize..5,
+            // Where the frame edge falls inside the last column and row.
+            edge in 0.05f32..=1.0,
+            margin in -8.0f32..40.0,
+            raw in proptest::collection::vec(
+                ((0u8..24, -0.3f32..1.3),
+                 (0u8..24, -0.3f32..1.3),
+                 (0u8..24, -0.1f32..0.6),
+                 (0u8..24, -0.1f32..0.6)), 0..10),
+        ) {
+            let lift = |(sel, v): (u8, f32)| match sel {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => v,
+            };
+            let s = stride as f32;
+            let mut grid = CoverageGrid::new(1.0, 1.0, 1);
+            for cells in [1usize, 63, 64, 65, 128, 129] {
+                let width = (cells as f32 - 1.0 + edge) * s;
+                let height = (rows as f32 - 1.0 + edge) * s;
+                grid.reset(width, height, stride);
+                let mut reference = PerCellReference::new(width, height, stride);
+                prop_assert_eq!(grid.grid_dims(), (reference.grid_w, reference.grid_h));
+                for &(a, b, c, d) in &raw {
+                    let (x, y) = (lift(a) * width, lift(b) * height);
+                    let bx = Box2::new(x, y, x + lift(c) * width, y + lift(d) * height);
+                    grid.add_box(&bx.dilate(margin));
+                    reference.add_box(&bx.dilate(margin));
+                }
+                prop_assert_eq!(grid.covered_cells(), reference.covered_cells(), "{} cells", cells);
+                prop_assert_eq!(grid.coverage_fraction(), reference.coverage_fraction());
+                for cy in 0..reference.grid_h {
+                    for cx in 0..reference.grid_w {
+                        let (x, y) = (cx as f32 * s, cy as f32 * s);
+                        let probes = [(x, y), (x + 0.5 * s, y + 0.5 * s), (f32::NAN, y), (x, -0.0)];
+                        for (px, py) in probes {
+                            prop_assert_eq!(
+                                grid.is_covered(px, py),
+                                reference.is_covered(px, py),
+                                "cell ({}, {}) of {} at ({}, {})", cx, cy, cells, px, py
+                            );
+                        }
+                    }
+                }
+            }
         }
 
         #[test]

@@ -172,12 +172,17 @@ impl GridIndex {
     /// Inclusive cell range covered by a box extent, clamped to the grid.
     #[inline]
     fn cell_range(&self, b: &Box2) -> (usize, usize, usize, usize) {
-        let cx0 = ((b.x1 - self.x0) * self.inv_cw).floor();
-        let cy0 = ((b.y1 - self.y0) * self.inv_ch).floor();
-        let cx1 = ((b.x2 - self.x0) * self.inv_cw).floor();
-        let cy1 = ((b.y2 - self.y0) * self.inv_ch).floor();
+        let cx0 = (b.x1 - self.x0) * self.inv_cw;
+        let cy0 = (b.y1 - self.y0) * self.inv_ch;
+        let cx1 = (b.x2 - self.x0) * self.inv_cw;
+        let cy1 = (b.y2 - self.y0) * self.inv_ch;
         let hi_x = (self.nx - 1) as f32;
         let hi_y = (self.ny - 1) as f32;
+        // Each ordinate is clamped to `[0, hi]` and then truncated. That
+        // equals flooring it and then clamping, because `hi` is integral,
+        // and spares a libm `floorf` call per ordinate on targets without
+        // SSE4.1 rounding.
+        //
         // A NaN coordinate gives a NaN cell ordinate. The exact predicates
         // resolve NaN edges through `f32::min`/`f32::max` (which ignore
         // NaN), so in `Box2::intersection` a NaN lower edge behaves like
@@ -263,6 +268,93 @@ mod tests {
         let mut seen = vec![false; grid.len()];
         grid.for_each_candidate(q, |i| seen[i] = true);
         (0..grid.len()).filter(|&i| seen[i]).collect()
+    }
+
+    /// `cell_range` as written with libm rounding: floor each ordinate,
+    /// then clamp it to the grid, sending a NaN lower edge to the first
+    /// cell and a NaN upper edge to the last.
+    fn cell_range_floor(g: &GridIndex, b: &Box2) -> (usize, usize, usize, usize) {
+        let ordinate = |v: f32, hi: usize, nan: usize| {
+            let v = v.floor();
+            if v.is_nan() {
+                nan
+            } else {
+                v.clamp(0.0, hi as f32) as usize
+            }
+        };
+        let (hi_x, hi_y) = (g.nx - 1, g.ny - 1);
+        let cx0 = ordinate((b.x1 - g.x0) * g.inv_cw, hi_x, 0);
+        let cy0 = ordinate((b.y1 - g.y0) * g.inv_ch, hi_y, 0);
+        let cx1 = ordinate((b.x2 - g.x0) * g.inv_cw, hi_x, hi_x);
+        let cy1 = ordinate((b.y2 - g.y0) * g.inv_ch, hi_y, hi_y);
+        (cx0.min(cx1), cy0.min(cy1), cx0.max(cx1), cy0.max(cy1))
+    }
+
+    /// A 4 × 4 grid of 16-pixel cells whose origin is (-8, -8), so every
+    /// cell edge `-8 + 16k` is an exact ordinate.
+    fn four_by_four() -> GridIndex {
+        let boxes: Vec<Box2> = (0..16)
+            .map(|i| {
+                Box2::from_xywh(
+                    -8.0 + 16.0 * (i % 4) as f32,
+                    -8.0 + 16.0 * (i / 4) as f32,
+                    16.0,
+                    16.0,
+                )
+            })
+            .collect();
+        let mut grid = GridIndex::new();
+        grid.build(boxes.len(), |i| boxes[i]);
+        assert_eq!(
+            (grid.nx, grid.ny, grid.x0, grid.inv_cw),
+            (4, 4, -8.0, 1.0 / 16.0)
+        );
+        grid
+    }
+
+    #[test]
+    fn cell_range_matches_floor_on_adversarial_coordinates() {
+        let grid = four_by_four();
+        let mut coords = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            -1e-30,
+            -1.0,
+            -9.0,
+            -1e30,
+            1e9,
+            16_777_217.0,
+        ];
+        // Every cell edge, past the last one too, and its neighbours.
+        for k in -1..=6 {
+            let edge = -8.0 + 16.0 * k as f32;
+            coords.extend([edge, edge.next_down(), edge.next_up(), edge + 0.5]);
+        }
+        for &a in &coords {
+            for &b in &coords {
+                for q in [
+                    Box2::new(a, b, b, a),
+                    Box2::new(b, a, a, b),
+                    Box2::new(a, a, b, b),
+                ] {
+                    assert_eq!(
+                        grid.cell_range(&q),
+                        cell_range_floor(&grid, &q),
+                        "{a:?} / {b:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

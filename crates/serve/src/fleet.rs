@@ -46,16 +46,33 @@
 //! ones that have one; it advances the rest, whose clocks only move,
 //! itself. Once its own engine is done, the caller takes queued engines
 //! too, so a helper gets one only while two can run, and a pass with at
-//! most one runnable engine queues nothing and wakes no helper. Whichever
-//! thread holds an engine runs its stage work inline, and its recorder
-//! handle encodes the engine's rows there too; a barrier only publishes
-//! the chunks they filled. The same threads run the network front door's
-//! pre-pass before any engine exists: its clients split into one
-//! contiguous run per thread, merged in slot order. An idle pool thread,
-//! the caller waiting for its helpers included, spins for up to 200 µs
+//! most one runnable engine queues nothing and wakes no engine to a
+//! helper. Whichever thread holds an engine runs its proposals inline,
+//! and its recorder handle encodes the engine's rows there too; a barrier
+//! only publishes the chunks they filled. An unrecorded run hands each
+//! frame's refinement to the pool as a job (see the scheduler's
+//! refinement handoff), served after engine jobs and ingest runs: a
+//! helper takes it once it has no engine to run, and the caller only
+//! while it waits for its helpers' engines. The job is joined at the
+//! stream's next batch claim, when the stream migrates, or in one final
+//! join before the pool is dropped; a join takes back a job no thread has
+//! started and runs it itself. So in a lock-step fleet with one runnable
+//! engine per pass, the caller runs the proposals while a helper runs
+//! most refinements. A recorded run refines inline. The same threads run
+//! the network front door's pre-pass before any engine exists: its
+//! clients split into one contiguous run per thread, merged in slot
+//! order. An idle pool thread, the caller waiting for its helpers
+//! and a join waiting for a running job included, spins for up to 200 µs
 //! before it parks, unless there are more threads than the host's
 //! available parallelism. With one thread (or one shard) there is no
-//! pool.
+//! pool, and a handed-off refinement runs at once, its result waiting for
+//! the same join.
+//!
+//! Every pipeline panic surfaces as `shard {k} engine panicked:
+//! {payload}`, for the lowest panicking shard `k` of the pass (or of the
+//! fleet's step between passes) that raises it: a refinement's panic is
+//! caught where it runs and raised at its join, so the text is the same
+//! at every thread count.
 //!
 //! # Reporting
 //!
@@ -70,9 +87,10 @@ use crate::ingest::front_door;
 use crate::report::{
     merge_timelines, BatchRecord, BatchStats, LatencyStats, ServeReport, StreamReport,
 };
-use crate::scheduler::{Engine, StreamSpec, EPS};
+use crate::scheduler::{refine_job, Engine, Refinement, StreamSpec, EPS};
 use crate::shard::{build_partition, MigrationEvent, RebalanceSignal};
 use crate::ShardConfig;
+use catdet_core::{RefinementWork, StagedDetector};
 use catdet_data::StreamSource;
 use catdet_net::{run_ingest, IngestOutcome, NetParams};
 use catdet_recorder::{Event, FlightRecorder, NullRecorder, SharedRecorder};
@@ -513,20 +531,22 @@ const SPIN: Duration = Duration::from_micros(200);
 
 /// The pool helpers: `threads − 1` persistent OS threads that take jobs
 /// off the calling thread's queue — runnable engines during a pass (see
-/// [`run_all`]), and runs of clients during the front door's pre-pass
-/// (see [`crate::ingest`]).
+/// [`run_all`]), runs of clients during the front door's pre-pass (see
+/// [`crate::ingest`]), and handed-off refinement jobs (see [`Refiner`]).
 ///
 /// Jobs move **by value** through the queue: whichever thread holds an
 /// engine owns it outright while stepping it — its pipelines, scratch
 /// buffers and recorder writing end, which encodes its rows right there —
-/// so there is no shared mutable state on the simulation path. The queue
-/// is a `Mutex<VecDeque>` with two condvars rather than a channel because
-/// the caller takes jobs from it too, while a helper may be blocked
-/// waiting on it. The fleet's coordination points (fuse deadlines,
-/// rebalance ticks, recorder publishes) all happen on the calling thread
-/// after every engine is back at its shard index, which is the whole
-/// determinism argument: threads change *when* wall-clock work happens,
-/// never *what* the simulation computes.
+/// and a refinement job owns its stream's pipeline the same way. The
+/// queue is a `Mutex<VecDeque>` with a condvar rather than a channel
+/// because the caller takes jobs from it too, and a thread holding an
+/// engine may wait on it for a refinement job it joins. The fleet's
+/// coordination points (fuse deadlines, rebalance ticks, recorder
+/// publishes) all happen on the calling thread after every engine is
+/// back at its shard index, and every refinement is booked at a join
+/// point on the engine's virtual timeline, which is the whole determinism
+/// argument: threads change *when* wall-clock work happens, never *what*
+/// the simulation computes.
 pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
     helpers: Vec<JoinHandle<()>>,
@@ -535,10 +555,9 @@ pub(crate) struct ShardPool {
 /// What the caller and the helpers share.
 struct PoolShared {
     queue: Mutex<PoolQueue>,
-    /// Wakes helpers: a job was queued, or the pool is closing.
-    job_queued: Condvar,
-    /// Wakes the caller: a job finished.
-    job_done: Condvar,
+    /// Wakes parked threads: a job was queued or finished, or the pool is
+    /// closing (see [`changed`](PoolShared::changed) for whom).
+    wake: Condvar,
     /// Bumped under the lock at every change to the queue, so a spinning
     /// thread sees one without taking the lock.
     changes: AtomicU64,
@@ -548,7 +567,6 @@ struct PoolShared {
 }
 
 /// The pool's work and results, under one lock.
-#[derive(Default)]
 struct PoolQueue {
     /// Engines waiting for a thread.
     jobs: VecDeque<ShardJob>,
@@ -558,18 +576,92 @@ struct PoolQueue {
     runs: VecDeque<IngestRun>,
     /// Runs ingested so far, in finishing order.
     ingested: Vec<IngestDone>,
-    /// Threads parked on either condvar, so a change wakes no one in vain.
+    /// Per stream slot, its refinement handoff: a stream has at most one
+    /// job out, so the run's stream count sizes this once.
+    slots: Vec<RefineSlot>,
+    /// Slots whose job may be waiting for a thread, in handoff order. A
+    /// slot is listed at most once, so this never outgrows its capacity.
+    refines: VecDeque<usize>,
+    /// Threads parked on the condvar, so a change wakes no one in vain.
     parked: usize,
+    /// Those of the parked threads that wait for a result — the caller
+    /// collecting a pass, a join — rather than only for a job to take.
+    waiting: usize,
     /// Set when the fleet drops the pool: helpers exit.
     closed: bool,
 }
 
+/// One stream's refinement handoff.
+#[derive(Default)]
+struct RefineSlot {
+    job: RefineJob,
+    /// Whether the slot is on the [`PoolQueue::refines`] list. A job its
+    /// engine took back leaves the slot listed, and the slot's next job
+    /// reuses the place, so a slot is listed at most once.
+    listed: bool,
+}
+
+/// Where a handed-off refinement job stands.
+#[derive(Default)]
+enum RefineJob {
+    /// No job out.
+    #[default]
+    Empty,
+    /// Waiting for a thread.
+    Queued(Box<dyn StagedDetector>, RefinementWork),
+    /// A thread is running it.
+    Running,
+    /// Finished, waiting for its join.
+    Done(Refinement),
+}
+
+impl PoolQueue {
+    fn new(shards: usize, slots: usize) -> Self {
+        PoolQueue {
+            jobs: VecDeque::with_capacity(shards),
+            done: Vec::with_capacity(shards),
+            runs: VecDeque::new(),
+            ingested: Vec::new(),
+            slots: (0..slots).map(|_| RefineSlot::default()).collect(),
+            refines: VecDeque::with_capacity(slots),
+            parked: 0,
+            waiting: 0,
+            closed: false,
+        }
+    }
+
+    /// Queues slot `slot`'s new job, listing the slot unless it still is.
+    fn list(&mut self, slot: usize) {
+        if !std::mem::replace(&mut self.slots[slot].listed, true) {
+            self.refines.push_back(slot);
+        }
+    }
+
+    /// Takes the next queued refinement job, marking it running.
+    fn next_refine(&mut self) -> Option<(usize, Box<dyn StagedDetector>, RefinementWork)> {
+        while let Some(slot) = self.refines.pop_front() {
+            let s = &mut self.slots[slot];
+            s.listed = false;
+            match std::mem::take(&mut s.job) {
+                RefineJob::Queued(system, work) => {
+                    s.job = RefineJob::Running;
+                    return Some((slot, system, work));
+                }
+                // Taken back by its engine since it was listed.
+                other => s.job = other,
+            }
+        }
+        None
+    }
+}
+
 impl ShardPool {
-    fn new(helpers: usize) -> Self {
+    /// A pool of `helpers` threads for `shards` engines and
+    /// `refine_slots` streams that hand refinements off.
+    fn new(helpers: usize, shards: usize, refine_slots: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::default(),
-            job_queued: Condvar::new(),
-            job_done: Condvar::new(),
+            queue: Mutex::new(PoolQueue::new(shards, refine_slots)),
+            wake: Condvar::new(),
             changes: AtomicU64::new(0),
             spin: helpers < host_cpus(),
         });
@@ -577,7 +669,7 @@ impl ShardPool {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    drop(shared.work(&shared.job_queued, |q| q.closed));
+                    drop(shared.work(false, |q| q.closed));
                 })
             })
             .collect();
@@ -589,12 +681,17 @@ impl ShardPool {
         self.helpers.len() + 1
     }
 
+    /// An engine's handle on the pool's refinement queue.
+    fn refiner(&self) -> Refiner {
+        Refiner(Arc::clone(&self.shared))
+    }
+
     /// Queues `job` for whichever thread is free first.
     fn queue(&self, job: ShardJob) {
         let shared = &*self.shared;
         let mut q = shared.lock();
         q.jobs.push_back(job);
-        shared.changed(&q, &shared.job_queued);
+        shared.changed(&q, true);
     }
 
     /// Queues an ingest run for whichever thread is free first.
@@ -602,15 +699,16 @@ impl ShardPool {
         let shared = &*self.shared;
         let mut q = shared.lock();
         q.runs.push_back(run);
-        shared.changed(&q, &shared.job_queued);
+        shared.changed(&q, true);
     }
 
     /// The caller's half of a pass, after its own engine: takes queued
-    /// jobs until none is left, waits until all `queued` engines are
-    /// done, and puts each back at its shard index.
+    /// engine jobs until none is left, then runs queued refinement jobs
+    /// while it waits for the `queued` engines, and puts each engine back
+    /// at its shard index once all are done.
     fn collect(&self, queued: usize, engines: &mut Vec<Engine>, pass: &mut Pass) {
         let shared = &*self.shared;
-        let mut q = shared.work(&shared.job_done, |q| q.done.len() == queued);
+        let mut q = shared.work(true, |q| q.done.len() == queued);
         // Ascending inserts land every engine at its own index.
         q.done.sort_unstable_by_key(|d| d.0);
         for (idx, engine, out) in q.done.drain(..) {
@@ -623,9 +721,58 @@ impl ShardPool {
     /// `queued` runs are ingested and hands each to `each`, in run order.
     pub(crate) fn collect_runs(&self, queued: usize, mut each: impl FnMut(IngestDone)) {
         let shared = &*self.shared;
-        let mut q = shared.work(&shared.job_done, |q| q.ingested.len() == queued);
+        let mut q = shared.work(true, |q| q.ingested.len() == queued);
         q.ingested.sort_unstable_by_key(|d| d.0);
         q.ingested.drain(..).for_each(&mut each);
+    }
+}
+
+/// An engine's end of the pool's refinement queue: it hands a stream's
+/// refinement to whichever thread is free first, and joins it at the
+/// stream's next join point. Both are allocation-free: the job lives in
+/// the stream's slot, and the queue holds slot indices.
+pub(crate) struct Refiner(Arc<PoolShared>);
+
+impl Refiner {
+    /// Hands stream slot `slot`'s refinement to the pool.
+    pub(crate) fn submit(
+        &self,
+        slot: usize,
+        system: Box<dyn StagedDetector>,
+        work: RefinementWork,
+    ) {
+        let shared = &*self.0;
+        let mut q = shared.lock();
+        let s = &mut q.slots[slot];
+        debug_assert!(
+            matches!(s.job, RefineJob::Empty),
+            "slot {slot} has a job out"
+        );
+        s.job = RefineJob::Queued(system, work);
+        q.list(slot);
+        shared.changed(&q, true);
+    }
+
+    /// Takes back slot `slot`'s job: runs it on this thread if no thread
+    /// has started it, and waits for it otherwise.
+    pub(crate) fn join(&self, slot: usize) -> Refinement {
+        let shared = &*self.0;
+        let mut q = shared.lock();
+        let mut spin_until = None;
+        loop {
+            match std::mem::take(&mut q.slots[slot].job) {
+                RefineJob::Queued(system, work) => {
+                    drop(q);
+                    return refine_job(system, work);
+                }
+                RefineJob::Done(done) => return done,
+                RefineJob::Running => {
+                    q.slots[slot].job = RefineJob::Running;
+                    q = shared.idle(q, true, &mut spin_until);
+                }
+                RefineJob::Empty => unreachable!("slot {slot} has no job to join"),
+            }
+        }
     }
 }
 
@@ -635,20 +782,28 @@ impl PoolShared {
         self.queue.lock().expect("shard pool queue poisoned")
     }
 
-    /// Notes a change to `q`, made under its lock: spinners see the bump,
-    /// and a parked thread, if there is one, gets `wake`'s notice. The
-    /// bump's `Release` pairs with the spinner's `Acquire` load; the queue
-    /// itself is only ever read under the lock.
-    fn changed(&self, q: &PoolQueue, wake: &Condvar) {
+    /// Notes a change to `q`, made under its lock; `queued` says whether
+    /// it queued a job. Spinners see the bump. A parked thread that waits
+    /// for a result may be waiting for this one, so while there is one,
+    /// every parked thread wakes; otherwise only helpers are parked, and
+    /// a queued job wakes one of them, while a finished one wakes none.
+    /// The bump's `Release` pairs with the spinner's `Acquire` load; the
+    /// queue itself is only ever read under the lock.
+    fn changed(&self, q: &PoolQueue, queued: bool) {
         self.changes.fetch_add(1, Ordering::Release);
-        if q.parked > 0 {
-            wake.notify_one();
+        if q.waiting > 0 {
+            self.wake.notify_all();
+        } else if queued && q.parked > 0 {
+            self.wake.notify_one();
         }
     }
 
-    /// Runs queued jobs on this thread, idling on `wake` while the queue
-    /// is empty, until `stop` holds with nothing left to take.
-    fn work(&self, wake: &Condvar, stop: impl Fn(&PoolQueue) -> bool) -> MutexGuard<'_, PoolQueue> {
+    /// Runs queued jobs on this thread — engines first, then ingest runs,
+    /// then, until `stop` holds, refinement jobs — idling while there is
+    /// nothing to take. `waits` says whether the thread also waits for a
+    /// result (the caller collecting a pass) rather than only for jobs (a
+    /// helper).
+    fn work(&self, waits: bool, stop: impl Fn(&PoolQueue) -> bool) -> MutexGuard<'_, PoolQueue> {
         let mut q = self.lock();
         let mut spin_until = None;
         loop {
@@ -665,22 +820,29 @@ impl PoolShared {
                 q.ingested.push((idx, out));
             } else if stop(&q) {
                 return q;
+            } else if let Some((slot, system, work)) = q.next_refine() {
+                drop(q);
+                let done = refine_job(system, work);
+                q = self.lock();
+                q.slots[slot].job = RefineJob::Done(done);
             } else {
-                q = self.idle(q, wake, &mut spin_until);
+                q = self.idle(q, waits, &mut spin_until);
                 continue;
             }
-            self.changed(&q, &self.job_done);
+            self.changed(&q, false);
             spin_until = None;
         }
     }
 
-    /// One idle step of [`work`](PoolShared::work): spins off the lock
-    /// until the queue changes or the idle spell has spun for [`SPIN`],
-    /// then parks on `wake`. There is no spinning when it is off.
+    /// One idle step of [`work`](PoolShared::work) or of a
+    /// [join](Refiner::join): spins off the lock until the queue changes
+    /// or the idle spell has spun for [`SPIN`], then parks, counted among
+    /// the `waiting` threads when it `waits` for a result. There is no
+    /// spinning when it is off.
     fn idle<'a>(
         &'a self,
         mut q: MutexGuard<'a, PoolQueue>,
-        wake: &Condvar,
+        waits: bool,
         spin_until: &mut Option<Instant>,
     ) -> MutexGuard<'a, PoolQueue> {
         if self.spin {
@@ -695,8 +857,10 @@ impl PoolShared {
             }
         }
         q.parked += 1;
-        q = wake.wait(q).expect("shard pool queue poisoned");
+        q.waiting += usize::from(waits);
+        q = self.wake.wait(q).expect("shard pool queue poisoned");
         q.parked -= 1;
+        q.waiting -= usize::from(waits);
         *spin_until = None;
         q
     }
@@ -711,7 +875,7 @@ impl Drop for ShardPool {
             .unwrap_or_else(PoisonError::into_inner)
             .closed = true;
         self.shared.changes.fetch_add(1, Ordering::Release);
-        self.shared.job_queued.notify_all();
+        self.shared.wake.notify_all();
         for handle in self.helpers.drain(..) {
             let _ = handle.join();
         }
@@ -726,7 +890,7 @@ fn advance(engine: &mut Engine, limit: f64) -> Result<bool, String> {
 }
 
 /// Runs `f`, catching a panic as its payload's text.
-fn caught<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+pub(crate) fn caught<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|e| panic_message(&*e))
 }
 
@@ -771,6 +935,13 @@ impl Pass {
     }
 }
 
+/// Runs `f` on shard `k`'s engine outside [`advance`] — a fused dispatch,
+/// a migration's extraction, the final join — re-raising a pipeline panic
+/// with the text [`Pass::finish`] gives it.
+fn on_shard<R>(k: usize, f: impl FnOnce() -> R) -> R {
+    caught(f).unwrap_or_else(|msg| panic!("shard {k} engine panicked: {msg}"))
+}
+
 /// Resolves [`ShardConfig::threads`](crate::ShardConfig::threads) against
 /// the shard count: `0` means the host's available parallelism, and no
 /// run ever uses more threads than it has shards.
@@ -794,12 +965,14 @@ fn host_cpus() -> usize {
 /// keeps the first runnable engine and, with a pool, queues every later
 /// runnable one. It advances each engine it did not queue where it
 /// stands, its own last, then takes queued jobs until none is left and
-/// collects what the helpers took. So with at most one runnable engine
-/// nothing moves and no helper wakes. Every engine still gets its
-/// `run_until(limit)`: skipping one whose clock only moves would split
-/// its worker-seconds accrual differently. Every engine is back at its
-/// shard index before this returns, so downstream code never observes
-/// which thread ran what.
+/// collects what the helpers took, running queued refinement jobs while
+/// it waits. So with at most one runnable engine no engine moves and no
+/// helper wakes for one. Every engine still gets its `run_until(limit)`:
+/// skipping one whose clock only moves would split its worker-seconds
+/// accrual differently. Every engine is back at its shard index before
+/// this returns, so downstream code never observes which thread ran
+/// what; refinement jobs may still be running, and each is booked at its
+/// stream's next join.
 ///
 /// # Panics
 ///
@@ -849,7 +1022,10 @@ pub(crate) fn serve_fleet_impl(
     // then advance the engines; one thread (the default) has no pool at
     // all.
     let threads = resolve_threads(sc.threads, shards);
-    let pool = (threads > 1).then(|| ShardPool::new(threads - 1));
+    // A recorded run refines inline, so only an unrecorded one needs the
+    // pool's refinement slots.
+    let refine_slots = if recorder.is_some() { 0 } else { streams.len() };
+    let pool = (threads > 1).then(|| ShardPool::new(threads - 1, shards, refine_slots));
     let (streams, ingest) = match net_seed {
         Some(seed) => {
             let (streams, report) = front_door(streams, cfg, seed, pool.as_ref(), recorder);
@@ -858,12 +1034,13 @@ pub(crate) fn serve_fleet_impl(
         None => (streams, None),
     };
 
-    // Placement.
+    // Placement. Each stream keeps its position in the run as its slot in
+    // the pool's refinement handoff table.
     let mut policy = build_partition(sc.partition);
-    let mut groups: Vec<Vec<StreamSpec>> = (0..shards).map(|_| Vec::new()).collect();
-    for spec in streams {
+    let mut groups: Vec<Vec<(usize, StreamSpec)>> = (0..shards).map(|_| Vec::new()).collect();
+    for (slot, spec) in streams.into_iter().enumerate() {
         let k = policy.place(spec.source.stream_id, spec.source.len(), shards);
-        groups[k].push(spec);
+        groups[k].push((slot, spec));
     }
 
     // A 1-shard fleet takes no coordination path at all: the engine fuses
@@ -887,7 +1064,15 @@ pub(crate) fn serve_fleet_impl(
                 Some(r) => Box::new(r.barrier_handle(k)),
                 None => Box::new(NullRecorder),
             };
-            Engine::new(g, cfg, 0.0, fleet_fuse, sink)
+            let refiner = pool.as_ref().filter(|_| refine_slots > 0);
+            Engine::new(
+                g,
+                cfg,
+                0.0,
+                fleet_fuse,
+                sink,
+                refiner.map(ShardPool::refiner),
+            )
         })
         .collect();
 
@@ -956,8 +1141,13 @@ pub(crate) fn serve_fleet_impl(
             &mut fused_gpu,
         );
     }
-    // No pass is left: join the helpers and free the queue, which holds
-    // room for every shard's engine, before the reports are built.
+    // The final join, in shard-id order: every handed-off refinement is
+    // booked before the pool goes. Then join the helpers and free the
+    // queue, which holds room for every shard's engine and every stream's
+    // refinement, before the reports are built.
+    for (k, engine) in engines.iter_mut().enumerate() {
+        on_shard(k, || engine.join_refinements());
+    }
     drop(pool);
 
     // The final drains, in shard-id order like every barrier's publishes:
@@ -981,7 +1171,12 @@ pub(crate) fn serve_fleet_impl(
 /// Fires every cross-shard fused refinement dispatch whose deadline is
 /// due (and at or before `limit`, the next fleet coordination point): all
 /// frames ready by the deadline — on any shard — ride one priced launch;
-/// each shard then executes and books its own frames.
+/// each shard then resumes and books its own frames.
+///
+/// # Panics
+///
+/// Re-raises a pipeline panic of an inline refinement as
+/// `shard {k} engine panicked: {payload}`, like [`run_all`].
 fn fire_fleet_refinements(
     cfg: &ServeConfig,
     engines: &mut [Engine],
@@ -1005,21 +1200,22 @@ fn fire_fleet_refinements(
         {
             return;
         }
-        let per_shard: Vec<_> = engines
-            .iter_mut()
-            .map(|e| e.take_ready_refinements(due))
-            .collect();
-        let mut streams = Vec::new();
-        let mut shard_ids = Vec::new();
+        let mut lifted = 0;
+        for engine in engines.iter_mut() {
+            engine.take_ready_refinements(due);
+            lifted += engine.ready_refinements().len();
+        }
+        debug_assert!(lifted > 0, "deadline fired with nothing ready");
+        let mut streams = Vec::with_capacity(lifted);
+        let mut shard_ids = Vec::with_capacity(lifted);
         let mut fused_macs = 0.0;
-        for (k, items) in per_shard.iter().enumerate() {
-            for p in items {
-                streams.push(engines[k].global_stream_id(p.stream()));
+        for (k, engine) in engines.iter().enumerate() {
+            for (stream, macs) in engine.ready_refinements() {
+                streams.push(stream);
                 shard_ids.push(k);
-                fused_macs += p.macs();
+                fused_macs += macs;
             }
         }
-        debug_assert!(!streams.is_empty(), "deadline fired with nothing ready");
         let gpu = cfg.timing.launch_time(fused_macs) + cfg.timing.stage_overhead_s;
         *fused_gpu += gpu;
         log.push(FleetRefineRecord {
@@ -1027,10 +1223,8 @@ fn fire_fleet_refinements(
             streams,
             shards: shard_ids,
         });
-        for (k, items) in per_shard.into_iter().enumerate() {
-            if !items.is_empty() {
-                engines[k].resume_refinements(due, gpu, items);
-            }
+        for (k, engine) in engines.iter_mut().enumerate() {
+            on_shard(k, || engine.resume_refinements(due, gpu));
         }
     }
 }
@@ -1183,7 +1377,7 @@ fn rebalance(
     let Some((_, local)) = candidate else {
         return; // nothing movable improves balance right now; next tick
     };
-    let Some(m) = engines[hot].extract_stream(local) else {
+    let Some(m) = on_shard(hot, || engines[hot].extract_stream(local)) else {
         return;
     };
     state.last_move.insert(m.global_id(), state.tick);

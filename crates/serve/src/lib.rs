@@ -72,10 +72,12 @@
 //!   timeline is a pure function of the workload seed.
 //!
 //! Scheduling runs in deterministic virtual time while detector compute
-//! runs for real, inline on the thread that owns each scheduler, so
-//! results are reproducible bit-for-bit at any worker or thread count —
-//! see the `scheduler` module docs for the execution model, and the
-//! integration tests for the state-isolation guarantee.
+//! runs for real — proposals on the thread that owns each scheduler,
+//! refinements of unrecorded runs on whichever pool thread takes them,
+//! booked at fixed join points — so results are reproducible bit-for-bit
+//! at any worker or thread count — see the `scheduler` module docs for
+//! the execution model, and the integration tests for the
+//! state-isolation guarantee.
 //!
 //! # Example
 //!

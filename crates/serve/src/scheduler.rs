@@ -5,13 +5,13 @@
 //!
 //! Serving is simulated in **virtual time** (the [`GpuTimingModel`] from
 //! `catdet-core` prices every launch), while the detector *compute* — the
-//! actual per-frame simulation, NMS and tracker updates — runs for real,
-//! inline on whichever thread owns the engine (a fleet's shard-pool
-//! thread, or the caller's). Workers are scheduling state only: a worker
-//! slot is a virtual GPU timeline, not an OS thread. Pipelines advance
-//! through the resumable [`StagedDetector`] protocol, so the scheduler
-//! sees (and can suspend at) each frame's stage boundaries instead of one
-//! opaque call. The event loop:
+//! actual per-frame simulation, NMS and tracker updates — runs for real.
+//! Proposals run on whichever thread owns the engine (a fleet's
+//! shard-pool thread, or the caller's). Workers are scheduling state only:
+//! a worker slot is a virtual GPU timeline, not an OS thread. Pipelines
+//! advance through the resumable [`StagedDetector`] protocol, so the
+//! scheduler sees (and can suspend at) each frame's stage boundaries
+//! instead of one opaque call. The event loop:
 //!
 //! 1. ingests camera arrivals up to the current virtual time `t`, applying
 //!    the bounded-queue drop policy;
@@ -34,6 +34,24 @@
 //!      contributing streams — across batches and across workers;
 //! 5. advances `t` to the next arrival, batch completion, refinement fuse
 //!    deadline, window deadline, or control tick.
+//!
+//! # Refinement handoff
+//!
+//! A frame's completion time is priced from its [`RefinementWork`], which
+//! is fixed at the proposal boundary, so the schedule never waits for the
+//! refinement stage to *run*. Unless the run records, resuming a frame
+//! books everything the schedule reads at once (latency, the stream's
+//! `busy_until`, worker release, counters) and hands the suspended
+//! pipeline off as a refinement job: to the fleet's shard pool when it
+//! has one, or run on the spot otherwise, its output (or its caught
+//! panic) waiting in the stream's slot either way. The job is *joined* —
+//! its ops and detections booked, its pipeline parked — only at the
+//! stream's next batch claim, when the stream migrates, or in the fleet's
+//! final join; every scheduling predicate treats a refining stream as
+//! parked. The join points are virtual-time events, so a panicking
+//! refinement surfaces at the same point, with the same text, at every
+//! thread count. A recorded run refines inline, because its `Detection`
+//! and `Track` rows and its snapshots need the output at completion.
 //!
 //! A **control plane** rides on the same virtual clock: arriving frames
 //! pass an [`AdmissionPolicy`] before
@@ -61,6 +79,7 @@ use crate::autoscale::{
     ScaleEvent, ScalePolicy,
 };
 use crate::config::{DropPolicy, ScalePolicyKind, SchedulePolicy, ServeConfig};
+use crate::fleet::{caught, Refiner};
 use crate::forecast::{ArrivalHistory, Forecast, RateForecaster};
 use crate::replay::StreamSnapshot;
 use crate::report::{BatchRecord, BatchStage, BatchStats, LatencyStats, ServeReport, StreamReport};
@@ -159,15 +178,53 @@ fn run_refinement(system: &mut dyn StagedDetector, work: RefinementWork) -> Fram
     }
 }
 
-/// A frame whose per-frame refinement ran, waiting to be booked at its
-/// priced completion time.
+/// A handed-off refinement's result: the pipeline, and its frame's output
+/// or the text of the panic the refinement raised.
+pub(crate) type Refinement = (Box<dyn StagedDetector>, Result<FrameOutput, String>);
+
+/// Runs a handed-off refinement job, catching a panic as its text (the
+/// job's join re-raises it).
+pub(crate) fn refine_job(mut system: Box<dyn StagedDetector>, work: RefinementWork) -> Refinement {
+    let out = caught(|| run_refinement(&mut *system, work));
+    (system, out)
+}
+
+/// A frame priced per-frame on its worker's timeline and resumed,
+/// waiting for its completion to be booked in stream order.
 struct Refined {
     stream: usize,
     frame_idx: usize,
     arrival_s: f64,
     completion_s: f64,
-    system: Box<dyn StagedDetector>,
-    out: FrameOutput,
+    job: Handoff,
+}
+
+/// Where a stream's pipeline is.
+enum Pipeline {
+    /// At a frame boundary, free to begin the next frame.
+    Parked(Box<dyn StagedDetector>),
+    /// A frame in flight: claimed by a batch being priced, or suspended in
+    /// a refinement fuse pool.
+    InFlight,
+    /// Frame `frame_idx` is complete on the schedule and its refinement
+    /// handed off; the stream's next join books its output and parks the
+    /// pipeline. Scheduling treats the stream as parked.
+    Refining { frame_idx: usize, job: Handoff },
+}
+
+impl Pipeline {
+    fn in_flight(&self) -> bool {
+        matches!(self, Pipeline::InFlight)
+    }
+}
+
+/// A resumed frame's refinement job.
+enum Handoff {
+    /// Run at once, because the engine has no pool to take it (a recorded
+    /// run never has one); the result waits here.
+    Ran(Refinement),
+    /// Queued on the fleet's shard pool under the stream's slot.
+    Pooled,
 }
 
 enum WorkerState {
@@ -191,14 +248,16 @@ pub(crate) struct StreamRt {
     /// Set when the stream was migrated away to another shard; the slot
     /// stays as an inert tombstone so local indices remain stable.
     departed: bool,
+    /// The stream's slot in the fleet's refinement handoff table (its
+    /// position in the run's stream list; it travels on migration).
+    slot: usize,
     frames: Vec<(f64, Frame)>,
     /// Next frame (index into `frames`) that has not yet arrived.
     next_arrival: usize,
     /// Arrived, not yet scheduled frames (indices into `frames`).
     queue: VecDeque<usize>,
-    /// The stream's pipeline; `None` while a frame is in flight: claimed
-    /// by a batch being priced, or suspended in a refinement fuse pool.
-    system: Option<Box<dyn StagedDetector>>,
+    /// The stream's pipeline.
+    pipeline: Pipeline,
     /// Virtual time until which the stream's pipeline is occupied.
     busy_until: f64,
     system_name: String,
@@ -236,9 +295,9 @@ pub(crate) struct StreamRt {
 /// shard continues it with exact frame conservation.
 ///
 /// Extraction is only possible at a **stage-boundary suspend point**: the
-/// pipeline must be parked in its slot (no frame waiting in a refinement
-/// fuse pool), which is precisely when all cross-frame state is
-/// consolidated in the system box.
+/// pipeline must not have a frame in flight (none waiting in a refinement
+/// fuse pool), and a handed-off refinement is joined first, so all
+/// cross-frame state is consolidated in the parked system box.
 pub(crate) struct MigratedStream {
     rt: StreamRt,
 }
@@ -265,7 +324,7 @@ struct PlannedBatch {
 /// A frame suspended at its refinement boundary, waiting in a fuse pool
 /// for a shared dispatch (the engine's own pool, or — in a sharded fleet
 /// with cross-shard fusion — the fleet-level pool spanning engines).
-pub(crate) struct PendingRefine {
+struct PendingRefine {
     stream: usize,
     /// Worker slot whose batch this frame came from (held open until the
     /// dispatch completes).
@@ -280,21 +339,10 @@ pub(crate) struct PendingRefine {
     system: Box<dyn StagedDetector>,
 }
 
-impl PendingRefine {
-    /// Priced MACs of the pending refinement launch.
-    pub(crate) fn macs(&self) -> f64 {
-        self.work.macs
-    }
-
-    /// Local stream slot within the owning engine.
-    pub(crate) fn stream(&self) -> usize {
-        self.stream
-    }
-}
-
 /// The embeddable per-shard scheduler: one virtual-time event loop over
-/// a set of virtual worker slots, executing stage work inline on the
-/// thread that owns it. [`serve_fleet`](crate::serve_fleet) runs one per
+/// a set of virtual worker slots, executing proposals on the thread that
+/// owns it and handing refinements off (see the module docs).
+/// [`serve_fleet`](crate::serve_fleet) runs one per
 /// shard ([`serve`](crate::serve) is the 1-shard case), advancing them
 /// in lock-step epochs via [`run_until`](Engine::run_until) and moving
 /// streams between them with [`extract_stream`](Engine::extract_stream) /
@@ -347,6 +395,12 @@ pub(crate) struct Engine {
     /// Frames suspended at the refinement boundary (only populated when
     /// `fuse_refinement` is on).
     refine_pending: Vec<PendingRefine>,
+    /// The frames of the fused dispatch being fired, lifted out of
+    /// `refine_pending` in pool order; empty between dispatches.
+    refine_ready: Vec<PendingRefine>,
+    /// The fleet's shard pool, which takes handed-off refinement jobs;
+    /// `None` when the run has no pool or records (jobs then run at once).
+    refiner: Option<Refiner>,
     /// Per worker slot: the end of any per-frame work a held-open batch
     /// priced on its timeline before suspending the rest in the fuse
     /// pool; a lower bound on the slot's release time. Zero when the slot
@@ -377,6 +431,8 @@ pub(crate) struct Engine {
     refined_buf: Vec<Refined>,
     /// Stream selection buffer for `pick_batch_into`.
     chosen_buf: Vec<usize>,
+    /// The batches one `step_workers` call plans.
+    planned_buf: Vec<PlannedBatch>,
     /// Flight-recorder sink ([`NullRecorder`] when recording is off —
     /// every site is guarded by `enabled()` so the disabled path builds
     /// no events).
@@ -386,17 +442,24 @@ pub(crate) struct Engine {
 pub(crate) const EPS: f64 = 1e-9;
 
 impl Engine {
+    /// An engine over `specs`, each paired with its slot in the fleet's
+    /// refinement handoff table.
     pub(crate) fn new(
-        specs: Vec<StreamSpec>,
+        specs: Vec<(usize, StreamSpec)>,
         cfg: &ServeConfig,
         start_clock: f64,
         external_refine: bool,
         recorder: Box<dyn FlightRecorder>,
+        refiner: Option<Refiner>,
     ) -> Self {
-        let priorities: Vec<u8> = specs.iter().map(|spec| spec.priority).collect();
+        debug_assert!(
+            refiner.is_none() || !recorder.enabled(),
+            "a recorded run refines inline"
+        );
+        let priorities: Vec<u8> = specs.iter().map(|(_, spec)| spec.priority).collect();
         let streams: Vec<StreamRt> = specs
             .into_iter()
-            .map(|spec| {
+            .map(|(slot, spec)| {
                 // Streams get a policy layer only when one can matter: a
                 // non-default policy (run-wide or per-stream), or the
                 // downgrade rung (which demotes even always-detect
@@ -413,6 +476,7 @@ impl Engine {
                     global_id: spec.source.stream_id,
                     priority: spec.priority,
                     departed: false,
+                    slot,
                     system_name: system.name(),
                     frames: spec
                         .source
@@ -421,7 +485,7 @@ impl Engine {
                         .collect(),
                     next_arrival: 0,
                     queue: VecDeque::new(),
-                    system: Some(system),
+                    pipeline: Pipeline::Parked(system),
                     busy_until: 0.0,
                     arrived: 0,
                     processed: 0,
@@ -490,6 +554,8 @@ impl Engine {
             worker_seconds: 0.0,
             gpu_dispatch_s: 0.0,
             refine_pending: Vec::new(),
+            refine_ready: Vec::new(),
+            refiner,
             hold_floor: vec![0.0; slots],
             win_arrived: 0,
             win_shed: 0,
@@ -503,6 +569,7 @@ impl Engine {
             staged_buf: Vec::new(),
             refined_buf: Vec::new(),
             chosen_buf: Vec::new(),
+            planned_buf: Vec::new(),
             recorder,
         }
     }
@@ -576,20 +643,25 @@ impl Engine {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Removes and returns every fuse-pool frame ready by `due` (the
-    /// extraction half of [`fire_refinements`], for a fleet-level fused
-    /// dispatch spanning shards).
-    pub(crate) fn take_ready_refinements(&mut self, due: f64) -> Vec<PendingRefine> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.refine_pending.len() {
-            if self.refine_pending[i].ready_s <= due + EPS {
-                out.push(self.refine_pending.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
+    /// Lifts every fuse-pool frame ready by `due` into the dispatch buffer,
+    /// keeping pool order on both sides: the extraction half of
+    /// [`fire_refinements`], which a fleet-level fused dispatch spanning
+    /// shards reads through [`ready_refinements`](Self::ready_refinements)
+    /// before [`resume_refinements`](Self::resume_refinements).
+    pub(crate) fn take_ready_refinements(&mut self, due: f64) {
+        debug_assert!(self.refine_ready.is_empty(), "a dispatch was not resumed");
+        self.refine_ready.extend(
+            self.refine_pending
+                .extract_if(.., |p| p.ready_s <= due + EPS),
+        );
+    }
+
+    /// The lifted frames as `(fleet-wide stream id, priced MACs)`, in
+    /// dispatch order.
+    pub(crate) fn ready_refinements(&self) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        self.refine_ready
+            .iter()
+            .map(|p| (self.streams[p.stream].global_id, p.work.macs))
     }
 
     /// The fleet-wide id of a local stream slot.
@@ -603,14 +675,14 @@ impl Engine {
         self.total_queued
     }
 
-    /// Local slots of streams that can migrate right now: live, with
-    /// their pipeline parked in its slot (a stage-boundary suspend point —
-    /// no frame in a fuse pool).
+    /// Local slots of streams that can migrate right now: live, with no
+    /// frame in flight (a stage-boundary suspend point — no frame in a
+    /// fuse pool; a handed-off refinement is joined on extraction).
     pub(crate) fn migratable_streams(&self) -> impl Iterator<Item = usize> + '_ {
         self.streams
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.departed && s.system.is_some())
+            .filter(|(_, s)| !s.departed && !s.pipeline.in_flight())
             .filter(|(_, s)| {
                 // Still worth moving: the stream must have any future at all.
                 !s.queue.is_empty() || s.next_arrival < s.frames.len()
@@ -698,20 +770,27 @@ impl Engine {
     /// Lifts a stream out of this engine for migration, leaving an inert
     /// tombstone in its slot. Returns `None` if the stream is not at a
     /// suspend point (frame in a fuse pool) — the
-    /// rebalancer simply tries again at the next tick.
+    /// rebalancer simply tries again at the next tick. A handed-off
+    /// refinement is joined first, so the stream leaves parked.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the payload text of a panic that refinement raised.
     pub(crate) fn extract_stream(&mut self, local: usize) -> Option<MigratedStream> {
-        let s = &mut self.streams[local];
-        if s.departed || s.system.is_none() {
+        if self.streams[local].departed || self.streams[local].pipeline.in_flight() {
             return None;
         }
+        self.join(local);
+        let s = &mut self.streams[local];
         let tombstone = StreamRt {
             global_id: s.global_id,
             priority: s.priority,
             departed: true,
+            slot: s.slot,
             frames: Vec::new(),
             next_arrival: 0,
             queue: VecDeque::new(),
-            system: None,
+            pipeline: Pipeline::InFlight,
             busy_until: 0.0,
             system_name: String::new(),
             arrived: 0,
@@ -948,7 +1027,8 @@ impl Engine {
         }
     }
 
-    /// Books a finished frame back into its stream at `completion_s`.
+    /// Books a finished frame back into its stream at `completion_s`: its
+    /// schedule, its recorder rows when recording, then its output.
     fn complete_frame(
         &mut self,
         stream: usize,
@@ -958,89 +1038,211 @@ impl Engine {
         system: Box<dyn StagedDetector>,
         out: FrameOutput,
     ) {
+        self.book_schedule(stream, arrival_s, completion_s);
+        if self.recorder.enabled() {
+            self.record_completion(stream, frame_idx, arrival_s, completion_s, &*system, &out);
+        }
+        self.book_output(stream, frame_idx, system, out);
+    }
+
+    /// Books the half of a frame's completion that scheduling reads: its
+    /// latency, the stream's `busy_until` and the frame counts.
+    fn book_schedule(&mut self, stream: usize, arrival_s: f64, completion_s: f64) {
         if self.next_control_s.is_finite() {
             self.win_latencies
                 .push((completion_s, completion_s - arrival_s));
         }
-        let recording = self.recorder.enabled();
-        let snapshot_every = if recording {
-            self.recorder.snapshot_interval()
-        } else {
-            0
-        };
         let s = &mut self.streams[stream];
         s.busy_until = completion_s;
         s.processed += 1;
         s.latencies.push(completion_s - arrival_s);
+        self.last_completion = self.last_completion.max(completion_s);
+    }
+
+    /// Books a frame's output (ops, policy counts, detections) into its
+    /// stream and parks its pipeline.
+    fn book_output(
+        &mut self,
+        stream: usize,
+        frame_idx: usize,
+        system: Box<dyn StagedDetector>,
+        out: FrameOutput,
+    ) {
+        let s = &mut self.streams[stream];
         s.ops.accumulate(&out.ops);
         // Per-policy frame accounting; detect frames (and unpoliced
         // pipelines, which report no decision) count only as processed.
-        let decision = system.policy_decision();
-        match decision {
+        match system.policy_decision() {
             Some(PolicyDecision::Coast) => s.coasted += 1,
             Some(PolicyDecision::Skip) => s.skipped += 1,
             _ => {}
         }
         let frame_index = s.frames[frame_idx].1.index;
-        if recording {
-            let global = s.global_id;
-            let seq = s.processed;
-            // A frame completes with its pipeline parked at a stage
-            // boundary — exactly the suspend points migration relies on —
-            // so a snapshot here captures the complete cross-frame state.
-            let snapshot = if snapshot_every > 0 && seq.is_multiple_of(snapshot_every) {
-                system.export_state().map(|state| StreamSnapshot {
-                    state,
-                    arrived: s.arrived,
-                    processed: s.processed,
-                    dropped: s.dropped,
-                    queue_depth: s.queue.len(),
-                })
-            } else {
-                None
-            };
-            self.recorder.record(
-                completion_s,
-                Event::Detection {
-                    stream: global,
-                    seq,
-                    frame_index,
-                    detections: out.detections.len(),
-                    latency_s: completion_s - arrival_s,
-                    output_hash: output_hash(&out.detections),
-                },
-            );
-            self.recorder.record(
-                completion_s,
-                Event::Track {
-                    stream: global,
-                    frame_index,
-                    live_tracks: system.live_tracks(),
-                },
-            );
-            // Only coasted and skipped frames book a policy row — detect
-            // frames leave the recorded byte stream exactly as an
-            // unpoliced run would write it (the golden-identity contract).
-            if let Some(d @ (PolicyDecision::Coast | PolicyDecision::Skip)) = decision {
-                self.recorder.record(
-                    completion_s,
-                    Event::Policy {
-                        stream: global,
-                        frame_index,
-                        decision: d.code(),
-                        streak: system.policy_coast_streak(),
-                    },
-                );
-            }
-            if let Some(snap) = snapshot {
-                self.recorder
-                    .snapshot(completion_s, global, seq, Arc::new(snap));
-            }
-        }
-        let s = &mut self.streams[stream];
-        s.system = Some(system);
+        s.pipeline = Pipeline::Parked(system);
         s.outputs.push((frame_index, out.detections));
-        self.last_completion = self.last_completion.max(completion_s);
+    }
+
+    /// Books a completed frame's `Detection`, `Track` and policy rows, and
+    /// its snapshot when one is due.
+    fn record_completion(
+        &mut self,
+        stream: usize,
+        frame_idx: usize,
+        arrival_s: f64,
+        completion_s: f64,
+        system: &dyn StagedDetector,
+        out: &FrameOutput,
+    ) {
+        let snapshot_every = self.recorder.snapshot_interval();
+        let s = &self.streams[stream];
+        let decision = system.policy_decision();
+        let frame_index = s.frames[frame_idx].1.index;
+        let global = s.global_id;
+        let seq = s.processed;
+        // A frame completes with its pipeline parked at a stage boundary —
+        // exactly the suspend points migration relies on — so a snapshot
+        // here captures the complete cross-frame state.
+        let snapshot = if snapshot_every > 0 && seq.is_multiple_of(snapshot_every) {
+            system.export_state().map(|state| StreamSnapshot {
+                state,
+                arrived: s.arrived,
+                processed: s.processed,
+                dropped: s.dropped,
+                queue_depth: s.queue.len(),
+            })
+        } else {
+            None
+        };
+        self.recorder.record(
+            completion_s,
+            Event::Detection {
+                stream: global,
+                seq,
+                frame_index,
+                detections: out.detections.len(),
+                latency_s: completion_s - arrival_s,
+                output_hash: output_hash(&out.detections),
+            },
+        );
+        self.recorder.record(
+            completion_s,
+            Event::Track {
+                stream: global,
+                frame_index,
+                live_tracks: system.live_tracks(),
+            },
+        );
+        // Only coasted and skipped frames book a policy row — detect frames
+        // leave the recorded byte stream exactly as an unpoliced run would
+        // write it (the golden-identity contract).
+        if let Some(d @ (PolicyDecision::Coast | PolicyDecision::Skip)) = decision {
+            self.recorder.record(
+                completion_s,
+                Event::Policy {
+                    stream: global,
+                    frame_index,
+                    decision: d.code(),
+                    streak: system.policy_coast_streak(),
+                },
+            );
+        }
+        if let Some(snap) = snapshot {
+            self.recorder
+                .snapshot(completion_s, global, seq, Arc::new(snap));
+        }
+    }
+
+    /// Resumes `system`, suspended at `stream`'s refinement boundary: the
+    /// one refine step of the per-frame and the fused paths. The job goes
+    /// to the fleet's shard pool when the engine has one, and runs here
+    /// otherwise (see the module docs).
+    fn resume(
+        &self,
+        stream: usize,
+        system: Box<dyn StagedDetector>,
+        work: RefinementWork,
+    ) -> Handoff {
+        match &self.refiner {
+            Some(pool) => {
+                pool.submit(self.streams[stream].slot, system, work);
+                Handoff::Pooled
+            }
+            None => Handoff::Ran(refine_job(system, work)),
+        }
+    }
+
+    /// Books a resumed frame's completion at `completion_s`. A recorded
+    /// run books all of it now, from the output its refinement gave at
+    /// once; otherwise the schedule half is booked now and the output at
+    /// the stream's next join.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the payload text of a panic a recorded run's refinement
+    /// raised, for the engine's capture point to report.
+    fn complete_resumed(
+        &mut self,
+        stream: usize,
+        frame_idx: usize,
+        arrival_s: f64,
+        completion_s: f64,
+        job: Handoff,
+    ) {
+        if self.recorder.enabled() {
+            let Handoff::Ran((system, out)) = job else {
+                unreachable!("a recorded run refines inline");
+            };
+            let out = out.unwrap_or_else(|msg| std::panic::resume_unwind(Box::new(msg)));
+            self.complete_frame(stream, frame_idx, arrival_s, completion_s, system, out);
+        } else {
+            self.book_schedule(stream, arrival_s, completion_s);
+            self.streams[stream].pipeline = Pipeline::Refining { frame_idx, job };
+        }
+    }
+
+    /// Joins a stream's handed-off refinement, if it has one: books the
+    /// frame's output and parks the pipeline. Takes the job back from the
+    /// pool when no thread has started it, and waits for it otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the payload text of a panic the refinement raised, for
+    /// the engine's capture point to report.
+    fn join(&mut self, stream: usize) {
+        let s = &mut self.streams[stream];
+        if !matches!(s.pipeline, Pipeline::Refining { .. }) {
+            return;
+        }
+        let Pipeline::Refining { frame_idx, job } =
+            std::mem::replace(&mut s.pipeline, Pipeline::InFlight)
+        else {
+            unreachable!()
+        };
+        let (system, out) = match job {
+            Handoff::Ran(done) => done,
+            Handoff::Pooled => self
+                .refiner
+                .as_ref()
+                .expect("a pooled refinement needs the pool")
+                .join(s.slot),
+        };
+        match out {
+            Ok(out) => self.book_output(stream, frame_idx, system, out),
+            Err(msg) => std::panic::resume_unwind(Box::new(msg)),
+        }
+    }
+
+    /// Joins every handed-off refinement, in stream order: the fleet's
+    /// final join, before it drops its pool and builds the reports.
+    ///
+    /// # Panics
+    ///
+    /// As [`join`](Self::join), for the first refining stream whose
+    /// refinement panicked.
+    pub(crate) fn join_refinements(&mut self) {
+        for stream in 0..self.streams.len() {
+            self.join(stream);
+        }
     }
 
     /// Releases finished workers, closes batch windows, dispatches work.
@@ -1057,7 +1259,7 @@ impl Engine {
         // `now`; mutate queue state eagerly so later workers see earlier
         // claims. Deactivated slots drain: they finish their batch above
         // but are never handed a new one.
-        let mut planned: Vec<PlannedBatch> = Vec::new();
+        let mut planned = std::mem::take(&mut self.planned_buf);
         for w in 0..self.active_workers {
             let eligible = self.eligible_stream_count(now);
             // A batch takes at most one frame per live stream, so waiting
@@ -1107,19 +1309,27 @@ impl Engine {
         }
 
         if planned.is_empty() {
+            self.planned_buf = planned;
             return;
         }
 
         let downgrade = self.cfg.admission.downgrade;
         let mut staged = std::mem::take(&mut self.staged_buf);
         let mut refined = std::mem::take(&mut self.refined_buf);
-        for batch in planned {
+        for batch in planned.drain(..) {
             // Proposal stage: run every frame's proposal pass; each stops
             // suspended at its refinement boundary with executed costs.
             staged.clear();
             for &(stream, frame_idx, _) in &batch.items {
+                // The claim is the stream's join point: its last frame's
+                // handed-off refinement is booked before the next begins.
+                self.join(stream);
                 let s = &mut self.streams[stream];
-                let mut system = s.system.take().expect("stream system in flight");
+                let Pipeline::Parked(mut system) =
+                    std::mem::replace(&mut s.pipeline, Pipeline::InFlight)
+                else {
+                    panic!("stream system in flight");
+                };
                 // A dispatch is a frame boundary: sync the pipeline's
                 // policy class with admission's downgrade rung before the
                 // frame begins (idempotent; a no-op on the default path).
@@ -1148,7 +1358,7 @@ impl Engine {
             // Resume the refinement stage per the fusion mode.
             let mut cursor = ready;
             let mut held_open = false;
-            for (&(stream, frame_idx, arrival), (mut system, outcome)) in
+            for (&(stream, frame_idx, arrival), (system, outcome)) in
                 batch.items.iter().zip(staged.drain(..))
             {
                 let t = self.cfg.timing;
@@ -1183,17 +1393,21 @@ impl Engine {
                             let launch = t.launch_time(refine.macs) + t.stage_overhead_s;
                             frame_time += launch;
                             self.gpu_dispatch_s += launch;
-                            self.record_refinement_dispatch(cursor, batch.worker, &[stream], 0);
+                            self.record_refinement_dispatch(
+                                cursor,
+                                batch.worker,
+                                std::iter::once(stream),
+                                0,
+                            );
                         }
                         cursor += frame_time;
-                        let out = run_refinement(&mut *system, refine);
+                        let job = self.resume(stream, system, refine);
                         refined.push(Refined {
                             stream,
                             frame_idx,
                             arrival_s: arrival,
                             completion_s: cursor,
-                            system,
-                            out,
+                            job,
                         });
                     }
                     StageOutcome::Done(out) => {
@@ -1204,7 +1418,12 @@ impl Engine {
                             let launch = t.launch_time(out.ops.refinement) + t.stage_overhead_s;
                             frame_time += launch;
                             self.gpu_dispatch_s += launch;
-                            self.record_refinement_dispatch(cursor, batch.worker, &[stream], 0);
+                            self.record_refinement_dispatch(
+                                cursor,
+                                batch.worker,
+                                std::iter::once(stream),
+                                0,
+                            );
                         }
                         cursor += frame_time;
                         self.complete_frame(stream, frame_idx, arrival, cursor, system, out);
@@ -1261,19 +1480,13 @@ impl Engine {
             self.slot_items[batch.worker] = batch.items;
         }
         self.staged_buf = staged;
+        self.planned_buf = planned;
 
         // Book the per-frame refinements at the completion times priced
         // above, in stream order (a stream has at most one frame in flight).
         refined.sort_unstable_by_key(|r| r.stream);
         for r in refined.drain(..) {
-            self.complete_frame(
-                r.stream,
-                r.frame_idx,
-                r.arrival_s,
-                r.completion_s,
-                r.system,
-                r.out,
-            );
+            self.complete_resumed(r.stream, r.frame_idx, r.arrival_s, r.completion_s, r.job);
         }
         self.refined_buf = refined;
     }
@@ -1288,69 +1501,66 @@ impl Engine {
                 return;
             }
             let td = due;
-            let dispatch = self.take_ready_refinements(td);
-            debug_assert!(!dispatch.is_empty(), "deadline fired with nothing ready");
+            self.take_ready_refinements(td);
+            let ready = std::mem::take(&mut self.refine_ready);
+            debug_assert!(!ready.is_empty(), "deadline fired with nothing ready");
 
             // One fused launch over the summed workload (only frames with
             // real refinement work enter the pool, so every item rides the
             // launch).
-            let fused_macs: f64 = dispatch.iter().map(|p| p.work.macs).sum();
+            let fused_macs: f64 = ready.iter().map(|p| p.work.macs).sum();
             let gpu = self.cfg.timing.launch_time(fused_macs) + self.cfg.timing.stage_overhead_s;
             self.gpu_dispatch_s += gpu;
-            let launched: Vec<usize> = dispatch.iter().map(|p| p.stream).collect();
-            let opened_by = dispatch[0].worker;
-            self.record_refinement_dispatch(td, opened_by, &launched, launched.len() - 1);
-            self.resume_refinements(td, gpu, dispatch);
+            let opened_by = ready[0].worker;
+            let launched = ready.iter().map(|p| p.stream);
+            self.record_refinement_dispatch(td, opened_by, launched, ready.len() - 1);
+            self.refine_ready = ready;
+            self.resume_refinements(td, gpu);
         }
     }
 
-    /// Resumes the frames of one fused refinement dispatch (priced at `td`
-    /// with a shared launch of `gpu` virtual seconds), books completions,
-    /// and releases the workers whose held batches fully dispatched.
+    /// Resumes the frames lifted by
+    /// [`take_ready_refinements`](Self::take_ready_refinements) as one
+    /// fused refinement dispatch (priced at `td` with a shared launch of
+    /// `gpu` virtual seconds), books completions, and releases the workers
+    /// whose held batches fully dispatched.
     ///
     /// Shared by the engine's own [`fire_refinements`](Self::fire_refinements)
-    /// and the fleet's cross-shard dispatches, whose frames were lifted by
-    /// [`take_ready_refinements`](Self::take_ready_refinements): a shard
-    /// executes and books its own frames, while the fleet accounts the
-    /// shared launch's GPU time and batch statistics once.
-    pub(crate) fn resume_refinements(&mut self, td: f64, gpu: f64, dispatch: Vec<PendingRefine>) {
+    /// and the fleet's cross-shard dispatches: a shard resumes and books
+    /// its own frames, while the fleet accounts the shared launch's GPU
+    /// time and batch statistics once.
+    pub(crate) fn resume_refinements(&mut self, td: f64, gpu: f64) {
         // The dispatch returns at `td + gpu`, after which each stream's
         // own post-processing (frame handling + tracker CPU) runs in
         // parallel across streams.
         let t = self.cfg.timing;
         let completion = td + gpu + t.frame_overhead_s + t.tracker_overhead_s;
-        let mut worker_done: Vec<(usize, f64)> = Vec::new();
-        for p in dispatch {
+        let mut ready = std::mem::take(&mut self.refine_ready);
+        for p in ready.drain(..) {
             let PendingRefine {
                 stream,
                 worker,
                 frame_idx,
                 arrival_s,
                 work,
-                mut system,
+                system,
                 ..
             } = p;
-            let out = run_refinement(&mut *system, work);
-            self.complete_frame(stream, frame_idx, arrival_s, completion, system, out);
-            worker_done.push((worker, completion));
-        }
-
-        // Release every worker whose held batch fully dispatched: it
-        // stays busy until the last of its frames completes, whether
-        // that frame rode this dispatch or was priced per-frame on
-        // the worker's own timeline (the hold floor).
-        for &(w, _) in &worker_done {
-            if self.refine_pending.iter().any(|p| p.worker == w) {
+            let job = self.resume(stream, system, work);
+            self.complete_resumed(stream, frame_idx, arrival_s, completion, job);
+            // Release the worker once its held batch fully dispatched: it
+            // stays busy until the last of its frames completes, whether
+            // that frame rode this dispatch or was priced per-frame on
+            // the worker's own timeline (the hold floor). Each of the
+            // batch's frames releases it again, with the floor cleared.
+            if self.refine_pending.iter().any(|p| p.worker == worker) {
                 continue; // still holding frames for a later dispatch
             }
-            let until = worker_done
-                .iter()
-                .filter(|&&(worker, _)| worker == w)
-                .map(|&(_, c)| c)
-                .fold(self.hold_floor[w], f64::max);
-            self.hold_floor[w] = 0.0;
-            self.workers[w] = WorkerState::Busy { until };
+            let until = self.hold_floor[worker].max(completion);
+            self.hold_floor[worker] = 0.0;
+            self.workers[worker] = WorkerState::Busy { until };
         }
+        self.refine_ready = ready;
     }
 
     /// Records one refinement dispatch; `streams` are local slots, logged
@@ -1359,22 +1569,22 @@ impl Engine {
         &mut self,
         t_s: f64,
         worker: usize,
-        streams: &[usize],
+        streams: impl ExactSizeIterator<Item = usize> + Clone,
         launches_saved: usize,
     ) {
+        let size = streams.len();
         self.batch_stats.refine_batches += 1;
-        self.batch_stats.refined_frames += streams.len();
-        self.batch_stats.max_refine_batch_seen =
-            self.batch_stats.max_refine_batch_seen.max(streams.len());
+        self.batch_stats.refined_frames += size;
+        self.batch_stats.max_refine_batch_seen = self.batch_stats.max_refine_batch_seen.max(size);
         self.batch_stats.refinement_launches_saved += launches_saved;
         self.batch_log.push(BatchRecord {
             t_s,
             worker,
             stage: BatchStage::Refinement,
-            streams: streams.iter().map(|&s| self.streams[s].global_id).collect(),
+            streams: streams.clone().map(|s| self.streams[s].global_id).collect(),
         });
         if self.recorder.enabled() {
-            for &s in streams {
+            for s in streams {
                 let global = self.streams[s].global_id;
                 self.recorder.record(
                     t_s,
@@ -1382,7 +1592,7 @@ impl Engine {
                         stream: global,
                         worker,
                         stage: STAGE_REFINEMENT,
-                        size: streams.len(),
+                        size,
                     },
                 );
             }
@@ -1393,7 +1603,7 @@ impl Engine {
     fn eligible_stream_count(&self, now: f64) -> usize {
         self.streams
             .iter()
-            .filter(|s| !s.queue.is_empty() && s.system.is_some() && s.busy_until <= now + EPS)
+            .filter(|s| !s.queue.is_empty() && !s.pipeline.in_flight() && s.busy_until <= now + EPS)
             .count()
     }
 
@@ -1403,7 +1613,8 @@ impl Engine {
     }
 
     /// Streams that could still contribute a frame to some batch: frames
-    /// queued, frames yet to arrive, or a frame in flight.
+    /// queued, frames yet to arrive, or a frame in flight (a refining
+    /// stream's frame is complete).
     fn live_stream_count(&self) -> usize {
         self.streams
             .iter()
@@ -1411,7 +1622,7 @@ impl Engine {
                 !s.departed
                     && (!s.queue.is_empty()
                         || s.next_arrival < s.frames.len()
-                        || s.system.is_none())
+                        || s.pipeline.in_flight())
             })
             .count()
     }
@@ -1421,8 +1632,9 @@ impl Engine {
     /// into `out` (cleared first; no allocation in steady state).
     fn pick_batch_into(&mut self, now: f64, out: &mut Vec<(usize, usize, f64)>) {
         out.clear();
-        let eligible =
-            |s: &StreamRt| !s.queue.is_empty() && s.system.is_some() && s.busy_until <= now + EPS;
+        let eligible = |s: &StreamRt| {
+            !s.queue.is_empty() && !s.pipeline.in_flight() && s.busy_until <= now + EPS
+        };
         let mut chosen = std::mem::take(&mut self.chosen_buf);
         chosen.clear();
         match self.cfg.schedule {
@@ -1468,7 +1680,7 @@ impl Engine {
             // A stream's pipeline can free up mid-batch (its frame finished
             // but the worker is still pricing later frames of the batch);
             // idle workers may serve it then.
-            if !s.queue.is_empty() && s.system.is_some() && s.busy_until > now + EPS {
+            if !s.queue.is_empty() && !s.pipeline.in_flight() && s.busy_until > now + EPS {
                 next = next.min(s.busy_until);
             }
         }
@@ -1490,7 +1702,9 @@ impl Engine {
         next = next.min(self.next_control_s);
         let work_left = self.streams.iter().any(|s| {
             !s.departed
-                && (s.next_arrival < s.frames.len() || !s.queue.is_empty() || s.system.is_none())
+                && (s.next_arrival < s.frames.len()
+                    || !s.queue.is_empty()
+                    || s.pipeline.in_flight())
         }) || self
             .workers
             .iter()
@@ -1537,6 +1751,11 @@ impl Engine {
                 assert!(
                     s.queue.is_empty(),
                     "stream {} exited with queued frames",
+                    s.global_id
+                );
+                assert!(
+                    !matches!(s.pipeline, Pipeline::Refining { .. }),
+                    "stream {} exited with an unjoined refinement",
                     s.global_id
                 );
                 total_ops.accumulate(&s.ops);

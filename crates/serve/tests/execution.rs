@@ -1,6 +1,7 @@
 //! One execution path: `serve` is a 1-shard fleet down to the recorded
 //! bytes; a pipeline panic surfaces with its original payload, in the
-//! same text at every thread count, instead of hanging the run; and the
+//! same text at every thread count and wherever a refinement is joined,
+//! instead of hanging the run; and the
 //! calling thread runs shard engines itself, handing one to a pool
 //! helper only while two can run.
 
@@ -13,7 +14,7 @@ use catdet_serve::{
     PartitionKind, Query, ServeConfig, ServeReport, ShardConfig, SharedRecorder, StreamSpec,
     SystemKind,
 };
-use common::null_spec_steady;
+use common::{chain_spec_with_arrivals, null_spec_steady, REFINE_BOOM};
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -227,6 +228,115 @@ fn pipeline_panics_surface_with_their_payload_and_never_hang() {
             format!("shard 0 engine panicked: {PAYLOAD} 5"),
             "--threads {threads} did not re-raise the lower shard"
         );
+    }
+}
+
+/// Four chain streams of `frames` frames at 20 fps from staggered
+/// starts. Equal lengths put streams 0 and 2 on shard 0, 1 and 3 on
+/// shard 1 under least-loaded placement; stream 1 panics in refinement
+/// on its `panic_at`-th frame.
+fn streams_with_refine_panic(frames: usize, panic_at: usize) -> Vec<StreamSpec> {
+    (0..4)
+        .map(|id| {
+            let arrivals = (0..frames)
+                .map(|i| id as f64 * 0.003 + i as f64 / 20.0)
+                .collect();
+            chain_spec_with_arrivals(id, arrivals, (id == 1).then_some(panic_at))
+        })
+        .collect()
+}
+
+/// A refinement panic of shard `shard` as the fleet re-raises it.
+fn refine_panic(shard: usize, frame: usize) -> String {
+    format!("shard {shard} engine panicked: {REFINE_BOOM} {frame}")
+}
+
+/// Runs `streams()` on a fleet under `cfg` at `--threads` 1, 2 and 4,
+/// recorded or not, and returns each run's panic text.
+fn refine_panics_at_each_thread_count(
+    cfg: ServeConfig,
+    recorded: bool,
+    streams: fn() -> Vec<StreamSpec>,
+) -> [String; 3] {
+    [1, 2, 4].map(|threads| {
+        let cfg = cfg.with_shard(cfg.shard.with_threads(threads));
+        panic_message_of(move || {
+            if recorded {
+                let recorder = SharedRecorder::new(64, usize::MAX, 0);
+                serve_fleet_with_recorder(streams(), &cfg, &recorder);
+            } else {
+                serve_fleet(streams(), &cfg);
+            }
+        })
+    })
+}
+
+#[test]
+fn refinement_panics_name_their_shard_at_every_join_point() {
+    let two_shards = ShardConfig::sharded(2).with_partition(PartitionKind::LeastLoaded);
+    let unfused = ServeConfig::new()
+        .with_workers(2)
+        .with_queue_capacity(1000)
+        .with_shard(two_shards);
+    let fused = unfused
+        .with_fuse_refinement(true)
+        .with_refine_batch_window_s(0.004);
+    // Frame 5 of 12 is joined at the stream's next batch claim, inside the
+    // engine's run; frame 12, its last, only in the final join. A recorded
+    // run refines inline instead: in the engine's run when unfused, in the
+    // fleet's cross-shard dispatch when fused.
+    let mid: fn() -> Vec<StreamSpec> = || streams_with_refine_panic(12, 5);
+    let last: fn() -> Vec<StreamSpec> = || streams_with_refine_panic(12, 12);
+    for (name, cfg) in [("unfused", unfused), ("fused", fused)] {
+        for (join, recorded, streams, frame) in [
+            ("next claim", false, mid, 5),
+            ("final join", false, last, 12),
+            ("inline", true, mid, 5),
+        ] {
+            let msgs = refine_panics_at_each_thread_count(cfg, recorded, streams);
+            for (threads, msg) in [1, 2, 4].iter().zip(&msgs) {
+                assert_eq!(
+                    *msg,
+                    refine_panic(1, frame),
+                    "{name} fleet, {join}, --threads {threads}"
+                );
+            }
+        }
+    }
+
+    // A rebalance tick extracts a stream whose refinement is out. Streams
+    // 0, 2 and 3 (shard 0) queue five frames each at t = 0, and stream 1
+    // (shard 1) starts at t = 1 s. Shard 0's one worker claims a frame of
+    // each at t = 0 and stays busy past the first tick at 2 ms, which moves
+    // stream 0 (tied backlogs break to the lowest id): its panicking first
+    // refinement is joined on extraction.
+    let burst: fn() -> Vec<StreamSpec> = || {
+        [(0, 5), (1, 100), (2, 5), (3, 5)]
+            .map(|(id, frames)| {
+                let arrival = |i| if id == 1 { 1.0 + i as f64 / 10.0 } else { 0.0 };
+                let arrivals = (0..frames).map(arrival).collect();
+                chain_spec_with_arrivals(id, arrivals, (id == 0).then_some(1))
+            })
+            .into()
+    };
+    let rebalancing = ServeConfig::new()
+        .with_workers(1)
+        .with_max_batch(4)
+        .with_queue_capacity(1000)
+        .with_shard(
+            two_shards
+                .with_rebalance_interval_s(0.002)
+                .with_migration_cost_frames(0),
+        );
+    for recorded in [false, true] {
+        let msgs = refine_panics_at_each_thread_count(rebalancing, recorded, burst);
+        for (threads, msg) in [1, 2, 4].iter().zip(&msgs) {
+            assert_eq!(
+                *msg,
+                refine_panic(0, 1),
+                "extraction, recorded {recorded}, --threads {threads}"
+            );
+        }
     }
 }
 

@@ -1,7 +1,5 @@
 //! Arithmetic-operation accounting (paper Tables 2, 3, 6).
 
-use serde::{Deserialize, Serialize};
-
 /// Operation breakdown of one frame (or the mean over many), in MACs.
 ///
 /// `refinement_from_tracker` / `refinement_from_proposal` answer the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// given only the tracker's (resp. the proposal network's) regions.
 /// Because the two sources overlap spatially, their sum exceeds the actual
 /// `refinement` cost, exactly as the paper notes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpsBreakdown {
     /// Proposal-network cost (full frame; zero for single-model systems —
     /// their whole detector is reported under `refinement`).

@@ -28,10 +28,9 @@ use crate::ops::OpsBreakdown;
 use crate::stage::{PipelineState, ProposalWork, RefinementWork, StageStep, StagedDetector};
 use crate::system::FrameOutput;
 use catdet_data::Frame;
-use serde::{Deserialize, Serialize};
 
 /// Which per-frame policy a stream runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Full detection on every frame — bit-identical to the unpoliced
     /// pipeline, the golden baseline.
@@ -74,7 +73,7 @@ impl PolicyKind {
 
 /// Frame-policy knobs (see [`PolicyKind`] for which knob which policy
 /// reads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// The policy.
     pub kind: PolicyKind,
@@ -168,7 +167,7 @@ impl Default for PolicyConfig {
 }
 
 /// What the policy decided for one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyDecision {
     /// Full detection through the staged path.
     Detect,

@@ -6,10 +6,9 @@ use catdet_detector::OpsSpec;
 use catdet_geom::{nms_indices_with, Box2, CoverageGrid, NmsScratch};
 use catdet_metrics::Detection;
 use catdet_sim::ActorClass;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters shared by the cascaded systems (paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Proposal-network output threshold ("C-thresh"); proposals scoring
     /// below it never reach the refinement network.

@@ -9,10 +9,9 @@
 
 use catdet_geom::{greedy_merge, Box2};
 use catdet_nn::FasterRcnnSpec;
-use serde::{Deserialize, Serialize};
 
 /// Per-frame timing estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameTiming {
     /// GPU kernel time (the appendix's "GPU-only" column).
     pub gpu_s: f64,
@@ -21,7 +20,7 @@ pub struct FrameTiming {
 }
 
 /// The linear GPU timing model plus system-level CPU overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuTimingModel {
     /// Seconds per MAC (α).
     pub alpha_s_per_mac: f64,

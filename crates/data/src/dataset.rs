@@ -1,10 +1,9 @@
 //! Dataset containers: frames, sequences, datasets.
 
 use catdet_sim::{ActorClass, GroundTruthObject};
-use serde::{Deserialize, Serialize};
 
 /// One video frame with its annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Which sequence this frame belongs to.
     pub sequence_id: usize,
@@ -19,7 +18,7 @@ pub struct Frame {
 }
 
 /// A contiguous video sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sequence {
     /// Sequence identity within the dataset.
     pub id: usize,
@@ -60,7 +59,7 @@ impl Sequence {
 }
 
 /// A complete video-detection dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoDataset {
     /// Dataset name (e.g. `"kitti-like"`).
     pub name: String,

@@ -10,10 +10,9 @@
 //! distinguish different methods", §6.1).
 
 use catdet_sim::{ActorClass, GroundTruthObject};
-use serde::{Deserialize, Serialize};
 
 /// KITTI difficulty level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Difficulty {
     /// ≥40 px, fully visible, truncation ≤ 15%.
     Easy,

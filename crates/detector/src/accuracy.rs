@@ -1,7 +1,6 @@
 //! Accuracy profiles: how good a simulated detector is and in what way.
 
 use catdet_sim::GroundTruthObject;
-use serde::{Deserialize, Serialize};
 
 /// Logistic function.
 #[inline]
@@ -37,7 +36,7 @@ pub fn object_quality(o: &GroundTruthObject) -> f32 {
 /// parts) and `ε_t` an AR(1) temporal noise. The object is detected with
 /// probability `σ(m)` (plus `validation_boost` in refinement mode), and a
 /// detected object's confidence is `σ(score_offset + score_gain·m + noise)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyProfile {
     /// Base detection logit at quality zero. The main strength knob.
     pub offset: f32,

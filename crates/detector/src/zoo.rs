@@ -19,10 +19,9 @@
 
 use crate::accuracy::AccuracyProfile;
 use catdet_nn::{presets, FasterRcnnSpec, RetinaNetSpec};
-use serde::{Deserialize, Serialize};
 
 /// Operation-count specification of a detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpsSpec {
     /// Two-stage Faster R-CNN (proposal or refinement network).
     FasterRcnn(FasterRcnnSpec),
@@ -41,7 +40,7 @@ impl OpsSpec {
 }
 
 /// A named detector: accuracy profile + operation model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorModel {
     /// Model name (matches the paper's).
     pub name: String,

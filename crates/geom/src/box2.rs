@@ -5,8 +5,6 @@
 //! coordinates. Degenerate boxes (`x2 <= x1` or `y2 <= y1`) are permitted
 //! and have zero area; every operation treats them consistently.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned bounding box in image coordinates.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.height(), 10.0);
 /// assert_eq!(b.center(), (50.0, 50.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Box2 {
     /// Left edge.
     pub x1: f32,

@@ -5,10 +5,8 @@
 //! KITTI devkit uses, the 40-point variant the later KITTI protocol
 //! adopted, and the exact area under the interpolated curve.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of a precision–recall curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrPoint {
     /// Score threshold that produces this point.
     pub score: f32,
@@ -23,7 +21,7 @@ pub struct PrPoint {
 /// Built from the score-ranked list of (score, is-true-positive) records
 /// plus the number of ground-truth objects. Points are ordered by
 /// descending score (i.e. increasing recall).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PrCurve {
     /// Curve points, one per distinct score threshold.
     pub points: Vec<PrPoint>,

@@ -16,11 +16,10 @@
 use crate::Detection;
 use catdet_data::{iou_threshold_for, Difficulty, GroundTruthObject};
 use catdet_sim::ActorClass;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The delay-relevant history of one ground-truth instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceDelay {
     /// Object class.
     pub class: ActorClass,

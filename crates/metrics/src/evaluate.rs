@@ -6,11 +6,11 @@ use crate::matching::{match_frame, DetectionOutcome};
 use crate::Detection;
 use catdet_data::{Difficulty, GroundTruthObject};
 use catdet_sim::ActorClass;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Delay measured at a precision operating point (Eq. 4–5 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayReport {
     /// The target mean precision β.
     pub beta: f64,
@@ -25,7 +25,7 @@ pub struct DelayReport {
 }
 
 /// One point of a recall/delay-vs-precision sweep (Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OperatingPoint {
     /// Score threshold.
     pub threshold: f32,
@@ -38,7 +38,7 @@ pub struct OperatingPoint {
 }
 
 /// Complete evaluation summary of one system on one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalSummary {
     /// Difficulty the evaluation ran at.
     pub difficulty: String,
@@ -56,7 +56,7 @@ pub struct EvalSummary {
 /// 11-point interpolation; the paper's CityPersons evaluation follows the
 /// Pascal VOC protocol, whose modern form is the exact area under the
 /// interpolated precision–recall curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ApMethod {
     /// 11-point interpolation (VOC 2007 / original KITTI devkit).
     #[default]

@@ -54,10 +54,9 @@ pub use matching::{match_frame, DetectionOutcome, FrameMatch};
 
 use catdet_geom::Box2;
 use catdet_sim::ActorClass;
-use serde::{Deserialize, Serialize};
 
 /// A detection emitted by a detection system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Bounding box in image coordinates.
     pub bbox: Box2,

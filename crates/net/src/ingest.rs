@@ -1,29 +1,25 @@
 //! The front-door ingest pass: every client connection simulated to
-//! completion on one virtual-time reactor, producing the delivered
-//! per-stream frame timelines, a connection-event log and a per-client
-//! report.
+//! completion, one after another, each as a plain loop on its own virtual
+//! clock, producing the delivered per-stream frame timelines, a
+//! connection-event log and a per-client report.
 //!
 //! Determinism contract: the entire output of [`run_ingest`] — frame
 //! arrival times, event log, report — is a pure function of
 //! `(sources, params)`. Per-client randomness is keyed by
-//! `mix_seed(params.seed, stream_id)`, and clients never share mutable
-//! state while running, so the outcome for one client is bit-identical
-//! whatever other clients exist and however tasks interleave. That is
-//! also why a pass may be split: [`run_ingest`] over contiguous runs of
-//! the clients, merged in slot order with [`IngestOutcome::append`],
-//! equals one pass over them all.
+//! `mix_seed(params.seed, stream_id)`, and clients share no state, so the
+//! outcome for one client is bit-identical whatever other clients exist.
+//! That is also why a pass may be split: [`run_ingest`] over contiguous
+//! runs of the clients, merged in slot order with
+//! [`IngestOutcome::append`], equals one pass over them all.
 //!
 //! Once a connection's buffers have grown, a frame costs the pass no
 //! allocation but the clone of the delivered frame itself.
 
 use crate::door::DoorPolicy;
-use crate::rt::{Executor, Handle};
 use crate::sim::{mix_seed, LinkParams, SimLink};
-use crate::source::{CamLinkSource, FrameSource, LinkNotice};
+use crate::source::{CamLinkSource, LinkNotice};
 use catdet_data::{StreamFrame, StreamSource};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Front-door configuration: link behaviour, the bounded per-connection
 /// receive window, its drain rate, and the per-client door rate limit.
@@ -292,31 +288,14 @@ pub fn run_ingest(sources: &[StreamSource], params: &NetParams) -> IngestOutcome
     if let Err((_, rule)) = params.validate() {
         panic!("{rule}");
     }
-    let mut ex = Executor::new();
-    let results: Rc<RefCell<Vec<Option<ClientOutcome>>>> =
-        Rc::new(RefCell::new((0..sources.len()).map(|_| None).collect()));
-    for (slot, source) in sources.iter().enumerate() {
-        // A client task needs only the capture times: frames stay in the
-        // borrowed sources until the door's verdicts are in.
-        let client = source.stream_id;
-        let captures: Vec<f64> = source.frames().iter().map(|f| f.arrival_s).collect();
-        let handle = ex.handle();
-        let results = Rc::clone(&results);
-        let params = *params;
-        ex.spawn(async move {
-            let outcome = run_client(client, captures, &params, handle).await;
-            results.borrow_mut()[slot] = Some(outcome);
-        });
-    }
-    ex.run();
-    let outcomes = Rc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("ingest tasks still hold results"))
-        .into_inner();
     let mut delivered = Vec::with_capacity(sources.len());
     let mut events = Vec::new();
     let mut clients = Vec::with_capacity(sources.len());
-    for (source, outcome) in sources.iter().zip(outcomes) {
-        let o = outcome.expect("every ingest task runs to completion");
+    for source in sources {
+        // A connection needs only the capture times: frames stay in the
+        // borrowed source until the door's verdicts are in.
+        let captures = source.frames().iter().map(|f| f.arrival_s).collect();
+        let o = run_client(source.stream_id, captures, params);
         // The one copy ingest makes: each admitted frame, stamped with its
         // drain time.
         let frames = o
@@ -373,15 +352,14 @@ fn pass_door(
     }
 }
 
-async fn run_client(
-    client: usize,
-    captures: Vec<f64>,
-    params: &NetParams,
-    handle: Handle,
-) -> ClientOutcome {
+/// Simulates one connection to completion on its own clock, which starts
+/// at zero and moves forward only to the instants the connection waits
+/// for.
+fn run_client(client: usize, captures: Vec<f64>, params: &NetParams) -> ClientOutcome {
     let offered = captures.len();
     let link = SimLink::new(params.link, mix_seed(params.seed, client));
-    let mut src = CamLinkSource::new(client, captures, link, handle.clone());
+    let mut src = CamLinkSource::new(client, captures, link);
+    let mut now_s = 0.0;
     let mut door = DoorPolicy::new(params.door_rate_fps, params.door_burst);
     let mut events: Vec<ConnEvent> = Vec::new();
     let mut admitted: Vec<(usize, f64)> = Vec::new();
@@ -397,7 +375,7 @@ async fn run_client(
     loop {
         // Drain every buffered frame whose turn has come.
         while let Some(&(idx, drain_s)) = window.front() {
-            if drain_s > handle.now_s() {
+            if drain_s > now_s {
                 break;
             }
             window.pop_front();
@@ -405,7 +383,7 @@ async fn run_client(
             pass_door(idx, drain_s, client, &mut door, &mut admitted, &mut events);
         }
         // Window full: stop reading the socket until the head drains.
-        // Not polling the source is the backpressure — the camera's next
+        // Not reading the source is the backpressure — the camera's next
         // record is scheduled from a later `now`, pushing the wire back.
         if window.len() >= params.recv_window {
             let &(idx, drain_s) = window.front().expect("window is non-empty");
@@ -413,17 +391,17 @@ async fn run_client(
                 throttling = true;
                 throttles += 1;
                 events.push(ConnEvent {
-                    t_s: handle.now_s(),
+                    t_s: now_s,
                     client,
                     kind: ConnEventKind::Throttle,
                     frame: idx,
                     detail: window.len() as u64,
                 });
             }
-            handle.sleep_until(drain_s).await;
+            now_s = now_s.max(drain_s);
             continue;
         }
-        match src.next_frame().await {
+        match src.next_frame(&mut now_s) {
             Some(f) => {
                 yielded += 1;
                 let drain_s = (last_drain_s + drain_period_s).max(f.delivered_s);
@@ -436,7 +414,6 @@ async fn run_client(
     }
     // Stream over: drain what is still buffered.
     while let Some((idx, drain_s)) = window.pop_front() {
-        handle.sleep_until(drain_s).await;
         pass_door(idx, drain_s, client, &mut door, &mut admitted, &mut events);
     }
     for &(t_s, notice, cursor) in &src.notices {

@@ -1,14 +1,10 @@
-//! Async network front door for the CaTDet serving stack.
+//! Network front door for the CaTDet serving stack.
 //!
 //! Upstream of the partition layer, cameras are not in-memory frame
 //! vectors — they are connections. This crate models that boundary
 //! without any real sockets, and without giving up the repo's
 //! determinism contract:
 //!
-//! * [`rt`] — a hand-rolled single-threaded async executor on a
-//!   **virtual clock**. No I/O driver, no wall time: the only event
-//!   source is the timer wheel, so every run is a discrete-event
-//!   simulation whose interleaving is a pure function of the program.
 //! * [`codec`] — the CamLink wire format: magic-prefixed,
 //!   length-delimited, checksummed frame records, plus an incremental
 //!   [`Decoder`] that survives partial writes, garbage
@@ -17,14 +13,13 @@
 //!   schedules with latency, jitter, partial writes, in-flight
 //!   reordering and mid-record disconnects, all drawn from a
 //!   per-connection seeded RNG.
-//! * [`source`] — the async [`FrameSource`] trait
-//!   and the CamLink connection state machine: connect, stream,
-//!   disconnect, resume-from-cursor.
 //! * [`door`] — per-client token-bucket admission at the door, so one
 //!   abusive camera cannot crowd out the rest.
-//! * [`ingest`] — the whole pass: every connection simulated to
-//!   completion, yielding delivered per-stream timelines, a connection
-//!   event log and per-client accounting for the serving layer.
+//! * [`ingest`] — the whole pass: each connection (connect, stream,
+//!   disconnect, resume from cursor) simulated to completion as a plain
+//!   loop on its own virtual clock, yielding delivered per-stream
+//!   timelines, a connection event log and per-client accounting for the
+//!   serving layer.
 //!
 //! The ingest pass runs *before* the serving engines as a deterministic
 //! pre-pass, so its output — and therefore everything downstream — is
@@ -39,15 +34,12 @@
 pub mod codec;
 pub mod door;
 pub mod ingest;
-pub mod rt;
 pub mod sim;
-pub mod source;
+mod source;
 
 pub use codec::{encode_record, synth_payload, Decoder, FrameRecord, MAGIC};
 pub use door::DoorPolicy;
 pub use ingest::{
     run_ingest, ClientReport, ConnEvent, ConnEventKind, IngestOutcome, IngestReport, NetParams,
 };
-pub use rt::{Executor, Handle, Sleep};
 pub use sim::{mix_seed, ChunkDelivery, LinkParams, SendOutcome, SimLink};
-pub use source::{CamLinkSource, FrameSource, LinkNotice, SourcedFrame};

@@ -5,10 +5,10 @@
 //!
 //! The link is a *schedule generator*, not an I/O object: given a send
 //! time and the record's length, it schedules the chunks the receiver
-//! will see, as spans of the sender's buffer, and when — the reactor then
-//! sleeps to those times, which is what makes the whole network timeline
-//! a pure function of the seed. The schedule lives in one buffer per link,
-//! so sending allocates nothing once it has grown.
+//! will see, as spans of the sender's buffer, and when — the connection
+//! then moves its clock to those times, which is what makes the whole
+//! network timeline a pure function of the seed. The schedule lives in
+//! one buffer per link, so sending allocates nothing once it has grown.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -123,7 +123,7 @@ pub enum SendOutcome {
 
 /// Deterministic per-connection link state. Each connection owns one,
 /// seeded from `(workload seed, client id)` so client schedules are
-/// independent of each other and of task interleaving.
+/// independent of each other and of the order clients run in.
 #[derive(Debug, Clone)]
 pub struct SimLink {
     params: LinkParams,

@@ -1,16 +1,21 @@
-//! The async [`FrameSource`] abstraction and its CamLink implementation:
-//! the server-side view of one camera connection, yielding decoded frames
-//! as they finish arriving on the simulated wire.
+//! The CamLink connection state machine: the server-side view of one
+//! camera connection, yielding decoded frames as they finish arriving on
+//! the simulated wire.
+//!
+//! A connection runs on its caller's clock, passed to every call: waiting
+//! for a delivery moves the clock forward to it, and a caller that does
+//! not ask for the next frame is backpressure (a throttled door stops
+//! reading the socket, and the connection's remaining traffic is
+//! scheduled later). Clients share no state, so each one's clock is all
+//! its timeline depends on.
 
 use crate::codec::{encode_synth_record, Decoder, RecordHeader};
-use crate::rt::Handle;
 use crate::sim::{SendOutcome, SimLink};
-use std::future::Future;
 
-/// One frame as delivered by a source: which capture it was and when its
-/// last byte arrived.
+/// One frame as delivered by a connection: which capture it was and when
+/// its last byte arrived.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SourcedFrame {
+pub(crate) struct SourcedFrame {
     /// Index into the camera's capture sequence.
     pub frame_index: usize,
     /// When the camera captured it (wire timestamp).
@@ -19,24 +24,10 @@ pub struct SourcedFrame {
     pub delivered_s: f64,
 }
 
-/// An asynchronous frame feed. `next_frame` resolves to the next
-/// delivered frame — at the virtual time its last byte arrives — or
-/// `None` once the stream ends.
-///
-/// The returned future borrows the source, so a caller drives one frame
-/// at a time; *not* polling is backpressure (a throttled door simply
-/// stops reading the socket, and the connection's remaining traffic is
-/// scheduled later). The future is the implementation's own type, so a
-/// caller's task holds it inline, with no allocation per frame.
-pub trait FrameSource {
-    /// Resolves to the next delivered frame, or `None` at end of stream.
-    fn next_frame(&mut self) -> impl Future<Output = Option<SourcedFrame>> + '_;
-}
-
 /// Connection-lifecycle notifications a [`CamLinkSource`] emits while it
 /// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkNotice {
+pub(crate) enum LinkNotice {
     /// The camera connected (stream start or reconnect is separate).
     Connect,
     /// The connection dropped mid-record; in-flight bytes were lost.
@@ -48,9 +39,9 @@ pub enum LinkNotice {
 
 /// The server-side state of one CamLink camera connection.
 ///
-/// Drives the whole client lifecycle when polled: waits for the capture
-/// time, encodes the record, schedules its chunks on the [`SimLink`],
-/// sleeps to each delivery, feeds the decoder, and handles
+/// Drives the whole client lifecycle as the caller asks for frames: waits
+/// for the capture time, encodes the record, schedules its chunks on the
+/// [`SimLink`], waits for each delivery, feeds the decoder, and handles
 /// disconnect/reconnect with a resume cursor (frames are acknowledged
 /// only when fully decoded-or-corrupted, so a drop mid-record
 /// retransmits that frame after the reconnect delay).
@@ -58,7 +49,7 @@ pub enum LinkNotice {
 /// Every record is encoded into one buffer the connection keeps, the link
 /// schedules chunks as spans of it, and the decoder reads headers in
 /// place, so once the buffers have grown a frame costs no allocation.
-pub struct CamLinkSource {
+pub(crate) struct CamLinkSource {
     client: usize,
     /// Capture schedule: `(capture_s)` per frame index.
     captures: Vec<f64>,
@@ -66,7 +57,6 @@ pub struct CamLinkSource {
     decoder: Decoder,
     /// The record on the wire, re-encoded for every send.
     wire: Vec<u8>,
-    handle: Handle,
     /// Next frame index the camera will send (the resume cursor).
     cursor: usize,
     /// Lifecycle notices with timestamps and the cursor at the time, in
@@ -77,14 +67,13 @@ pub struct CamLinkSource {
 impl CamLinkSource {
     /// A connection for `client` whose camera captures frames at the
     /// given times. Emits the initial `Connect` notice at time zero.
-    pub fn new(client: usize, captures: Vec<f64>, link: SimLink, handle: Handle) -> Self {
+    pub fn new(client: usize, captures: Vec<f64>, link: SimLink) -> Self {
         let mut source = Self {
             client,
             captures,
             link,
             decoder: Decoder::new(),
             wire: Vec::new(),
-            handle,
             cursor: 0,
             notices: Vec::new(),
         };
@@ -94,19 +83,14 @@ impl CamLinkSource {
         source
     }
 
-    /// Total frames the camera will offer.
-    pub fn frames_offered(&self) -> usize {
-        self.captures.len()
-    }
-
     /// Connection drops observed so far.
     pub fn disconnects(&self) -> usize {
         self.link.disconnects
     }
 
     /// Runs the connection until the next record decodes, or the stream
-    /// ends.
-    async fn next_record(&mut self) -> Option<RecordHeader> {
+    /// ends, moving `now_s` to each delivery it waits for.
+    fn next_record(&mut self, now_s: &mut f64) -> Option<RecordHeader> {
         loop {
             // A record may already be decodable from previously received
             // bytes (it never is, in practice, because sends are
@@ -121,14 +105,12 @@ impl CamLinkSource {
             let idx = self.cursor;
             let capture_s = self.captures[idx];
             // The camera writes at capture time; the door reads no
-            // earlier than *its* now — if the caller withheld polling
+            // earlier than *its* now — if the caller held off asking
             // (backpressure), `now` has advanced and the record's
             // delivery schedule starts late: push-back reaches the
             // socket instead of buffering without bound.
-            if self.handle.now_s() < capture_s {
-                self.handle.sleep_until(capture_s).await;
-            }
-            let send_s = self.handle.now_s();
+            *now_s = now_s.max(capture_s);
+            let send_s = *now_s;
             self.wire.clear();
             encode_synth_record(
                 self.client as u32,
@@ -144,7 +126,7 @@ impl CamLinkSource {
             match outcome {
                 SendOutcome::Sent => {
                     let last = self.link.deliveries().last().map_or(send_s, |c| c.at_s);
-                    self.handle.sleep_until(last).await;
+                    *now_s = now_s.max(last);
                     // The frame is acknowledged whether or not it decoded:
                     // corruption is not detectable by the camera, so there
                     // is no retransmit. A record that does not decode now
@@ -161,30 +143,29 @@ impl CamLinkSource {
                     reconnect_at_s,
                 } => {
                     // Partial bytes of this record die with the socket.
-                    self.handle.sleep_until(dropped_at_s).await;
                     self.decoder.reset();
                     self.notices
                         .push((dropped_at_s, LinkNotice::Disconnect, idx));
-                    self.handle.sleep_until(reconnect_at_s).await;
-                    // Resume cursor: the first unacknowledged frame — this
-                    // one — is retransmitted in full.
+                    // The link is down until the reconnect, which comes
+                    // after the drop. Resume cursor: the first
+                    // unacknowledged frame — this one — is retransmitted
+                    // in full.
+                    *now_s = now_s.max(reconnect_at_s);
                     self.notices.push((reconnect_at_s, LinkNotice::Resume, idx));
-                    continue;
                 }
             }
         }
     }
-}
 
-impl FrameSource for CamLinkSource {
-    async fn next_frame(&mut self) -> Option<SourcedFrame> {
-        let record = self.next_record().await?;
+    /// The next delivered frame, or `None` at end of stream. Moves `now_s`
+    /// to each delivery the connection waits for, so on return it is the
+    /// frame's delivery time.
+    pub fn next_frame(&mut self, now_s: &mut f64) -> Option<SourcedFrame> {
+        let record = self.next_record(now_s)?;
         Some(SourcedFrame {
             frame_index: record.frame_index as usize,
             capture_s: record.capture_s(),
-            // A record decodes only after its last chunk's sleep, so the
-            // clock *is* its delivery time.
-            delivered_s: self.handle.now_s(),
+            delivered_s: *now_s,
         })
     }
 }
@@ -192,25 +173,13 @@ impl FrameSource for CamLinkSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rt::Executor;
     use crate::sim::{mix_seed, LinkParams};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn drive(params: LinkParams, captures: Vec<f64>, seed: u64) -> Vec<SourcedFrame> {
-        let mut ex = Executor::new();
-        let h = ex.handle();
-        let out = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&out);
-        ex.spawn(async move {
-            let link = SimLink::new(params, mix_seed(seed, 0));
-            let mut src = CamLinkSource::new(0, captures, link, h);
-            while let Some(f) = src.next_frame().await {
-                sink.borrow_mut().push(f);
-            }
-        });
-        ex.run();
-        Rc::try_unwrap(out).unwrap().into_inner()
+        let link = SimLink::new(params, mix_seed(seed, 0));
+        let mut src = CamLinkSource::new(0, captures, link);
+        let mut now_s = 0.0;
+        std::iter::from_fn(|| src.next_frame(&mut now_s)).collect()
     }
 
     #[test]

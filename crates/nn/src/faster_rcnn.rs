@@ -10,10 +10,9 @@
 use crate::layers::conv2d_macs;
 use crate::resnet::ResNetConfig;
 use crate::vgg::{vgg16_head_macs_per_roi, vgg16_trunk_macs, VGG16_TRUNK_CHANNELS};
-use serde::{Deserialize, Serialize};
 
 /// A detection backbone: either a parameterised ResNet or VGG-16.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Backbone {
     /// Residual backbone (see [`ResNetConfig`]).
     ResNet(ResNetConfig),
@@ -58,7 +57,7 @@ impl Backbone {
 }
 
 /// Operation breakdown of one Faster R-CNN forward pass, in MACs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FasterRcnnOps {
     /// Feature-extractor (trunk) MACs.
     pub trunk: f64,
@@ -76,7 +75,7 @@ impl FasterRcnnOps {
 }
 
 /// A fully-specified Faster R-CNN detector for op counting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FasterRcnnSpec {
     /// Display name, e.g. `"ResNet-10a Faster R-CNN"`.
     pub name: String,

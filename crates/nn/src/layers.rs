@@ -6,10 +6,8 @@
 //! odd kernels, the torchvision convention, so a stride-`s` convolution maps
 //! a spatial extent `d` to `ceil(d / s)`.
 
-use serde::{Deserialize, Serialize};
-
 /// The spatial/channel shape of an activation tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shape {
     /// Channels.
     pub c: usize,
@@ -61,7 +59,7 @@ pub fn linear_macs(inputs: usize, outputs: usize) -> f64 {
 ///
 /// Residual networks have parallel branches and are modelled structurally in
 /// [`crate::resnet`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layer {
     /// Same-padded 2-D convolution.
     Conv2d {

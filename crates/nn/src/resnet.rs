@@ -12,10 +12,9 @@
 //!   paper builds on).
 
 use crate::layers::{conv2d_macs, conv_out_dim, linear_macs};
-use serde::{Deserialize, Serialize};
 
 /// The two residual block designs used by the paper's backbones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
     /// Two 3×3 convolutions (ResNet-18 and the compact ResNet-10 models).
     Basic,
@@ -28,7 +27,7 @@ pub enum BlockKind {
 /// `stage_channels` are the *output* channels of each stage (for
 /// bottlenecks, the expanded width; the bottleneck mid-width is a quarter of
 /// it, as in torchvision).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResNetConfig {
     /// Human-readable name, e.g. `"ResNet-10a"`.
     pub name: String,

@@ -12,7 +12,6 @@
 use crate::layers::conv2d_macs;
 use crate::resnet::ResNetConfig;
 use catdet_geom::{Box2, CoverageGrid};
-use serde::{Deserialize, Serialize};
 
 /// Number of pyramid levels (P3..P7).
 pub const NUM_LEVELS: usize = 5;
@@ -21,7 +20,7 @@ pub const NUM_LEVELS: usize = 5;
 pub const LEVEL_STRIDES: [u32; NUM_LEVELS] = [8, 16, 32, 64, 128];
 
 /// A RetinaNet detector for op counting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetinaNetSpec {
     /// Display name.
     pub name: String,

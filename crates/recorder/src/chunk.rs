@@ -45,6 +45,20 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Reads one varint off the front of `bytes`, returning it and the rest;
+/// `None` if the bytes end mid-varint or it runs past the ten bytes a
+/// `u64` can take.
+fn read_varint(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let mut z = 0u64;
+    for (i, &byte) in bytes.iter().enumerate().take(10) {
+        z |= ((byte & 0x7f) as u64) << (7 * i);
+        if byte & 0x80 == 0 {
+            return Some((z, &bytes[i + 1..]));
+        }
+    }
+    None
+}
+
 impl VarintCol {
     /// An empty column.
     pub fn new() -> Self {
@@ -87,21 +101,12 @@ impl VarintCol {
     pub fn decode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.len);
         let mut prev = 0u64;
-        let mut i = 0;
+        let mut rest = &self.bytes[..];
         while out.len() < self.len {
-            let mut z = 0u64;
-            let mut shift = 0;
-            loop {
-                let byte = self.bytes[i];
-                i += 1;
-                z |= ((byte & 0x7f) as u64) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
+            let (z, tail) = read_varint(rest).expect("a column holds `len` varints");
             prev = prev.wrapping_add(unzigzag(z) as u64);
             out.push(prev);
+            rest = tail;
         }
         out
     }
@@ -112,16 +117,18 @@ impl VarintCol {
     }
 
     /// Reconstructs a column from its encoded bytes and length (the file
-    /// codec's decode half). `last` is recomputed by decoding, so further
-    /// appends stay consistent.
-    pub(crate) fn from_raw(bytes: Vec<u8>, len: usize) -> Self {
-        let mut col = VarintCol {
-            bytes,
-            last: 0,
-            len,
-        };
-        col.last = col.decode().last().copied().unwrap_or(0);
-        col
+    /// codec's decode half), or `None` unless the bytes are exactly `len`
+    /// varints. `last` is recomputed by decoding, so further appends stay
+    /// consistent.
+    pub(crate) fn from_raw(bytes: Vec<u8>, len: usize) -> Option<Self> {
+        let mut last = 0u64;
+        let mut rest = &bytes[..];
+        for _ in 0..len {
+            let (z, tail) = read_varint(rest)?;
+            last = last.wrapping_add(unzigzag(z) as u64);
+            rest = tail;
+        }
+        rest.is_empty().then_some(VarintCol { bytes, last, len })
     }
 }
 
@@ -282,7 +289,12 @@ mod tests {
         }
         assert_eq!(col.decode(), vals);
         let rebuilt = VarintCol::from_raw(col.raw().to_vec(), col.len());
-        assert_eq!(rebuilt, col);
+        assert_eq!(rebuilt, Some(col.clone()));
+        // A column must hold exactly its length: not more, not fewer.
+        assert_eq!(VarintCol::from_raw(col.raw().to_vec(), col.len() - 1), None);
+        assert_eq!(VarintCol::from_raw(col.raw().to_vec(), col.len() + 1), None);
+        // Eleven continuation bytes are no `u64`.
+        assert_eq!(VarintCol::from_raw(vec![0x80; 11], 1), None);
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub enum DecodeError {
     Truncated,
     /// An event-kind code is unknown.
     BadKind(u8),
+    /// A chunk's parts disagree: named is the rule they broke.
+    Corrupt(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -47,6 +49,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadVersion(v) => write!(f, "unsupported recorder format version {v}"),
             DecodeError::Truncated => write!(f, "recorder file truncated"),
             DecodeError::BadKind(c) => write!(f, "unknown event kind code {c}"),
+            DecodeError::Corrupt(rule) => write!(f, "recorder file corrupt: {rule}"),
         }
     }
 }
@@ -104,7 +107,7 @@ impl<'a> Reader<'a> {
 
     fn blob(&mut self) -> Result<Vec<u8>, DecodeError> {
         let len = self.varint()? as usize;
-        let end = self.pos + len;
+        let end = self.pos.checked_add(len).ok_or(DecodeError::Truncated)?;
         let bytes = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
         self.pos = end;
         Ok(bytes.to_vec())
@@ -175,20 +178,31 @@ pub fn decode(bytes: &[u8]) -> Result<ChunkStore, DecodeError> {
             0 => None,
             s => Some(s as usize - 1),
         };
+        if stream.is_some() != kind.per_stream() {
+            return Err(DecodeError::Corrupt("chunk's stream does not fit its kind"));
+        }
         let capacity = r.varint()? as usize;
         let rows = r.varint()? as usize;
         let t_min = r.f64()?;
         let t_max = r.f64()?;
-        let time = VarintCol::from_raw(r.blob()?, rows);
+        // Nothing is sized from `rows`: a column is checked to hold
+        // exactly that many varints, each of at least one byte.
+        let mut column = || {
+            VarintCol::from_raw(r.blob()?, rows).ok_or(DecodeError::Corrupt(
+                "column does not hold its chunk's row count",
+            ))
+        };
+        let time = column()?;
+        let cols = kind
+            .columns()
+            .iter()
+            .map(|_| column())
+            .collect::<Result<Vec<_>, _>>()?;
         let key = ChunkKey {
             kind,
             shard,
             stream,
         };
-        let mut cols = Vec::with_capacity(kind.columns().len());
-        for _ in kind.columns() {
-            cols.push(VarintCol::from_raw(r.blob()?, rows));
-        }
         chunks.push(Chunk::from_parts(key, capacity, time, cols, t_min, t_max));
     }
     Ok(ChunkStore::from_sealed(
@@ -214,6 +228,8 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::query::Query;
+    use proptest::prelude::*;
+    use std::ops::Range;
 
     fn busy_store() -> ChunkStore {
         let mut store = ChunkStore::new(3, usize::MAX);
@@ -271,6 +287,167 @@ mod tests {
         let mut truncated = encode(&busy_store());
         truncated.truncate(truncated.len() - 3);
         assert_eq!(decode(&truncated).unwrap_err(), DecodeError::Truncated);
+    }
+
+    /// A store whose first encoded chunk is a sealed `Forecast` chunk of
+    /// 37 rows, followed by per-stream and fleet-level chunks of other
+    /// kinds, sealed and open.
+    fn forecast_store() -> ChunkStore {
+        let mut store = ChunkStore::new(37, usize::MAX);
+        for i in 0..40usize {
+            store.record(
+                i as f64 * 0.25,
+                0,
+                Event::Forecast {
+                    stream: 4,
+                    rate_fps: 10.0 + i as f64,
+                    confidence: 0.5,
+                    phase: (i % 3) as u64,
+                },
+            );
+        }
+        let mut more = busy_store();
+        for r in more.scan(&Query::all()) {
+            store.record(r.t_s, r.shard, r.event);
+        }
+        store
+    }
+
+    /// The spans of every varint field of an encoded file, in file order:
+    /// the header's two, then per chunk its shard, stream+1, capacity, row
+    /// count and each column's byte length. The second item marks, per
+    /// chunk, the spans of its shard, stream+1, capacity and row count.
+    fn varint_fields(bytes: &[u8]) -> (Vec<Range<usize>>, Vec<[Range<usize>; 4]>) {
+        let mut r = Reader {
+            buf: bytes,
+            pos: MAGIC.len() + 1,
+        };
+        let mut fields = Vec::new();
+        fn varint(r: &mut Reader, fields: &mut Vec<Range<usize>>) -> u64 {
+            let at = r.pos;
+            let v = r.varint().expect("a valid encoding");
+            fields.push(at..r.pos);
+            v
+        }
+        varint(&mut r, &mut fields);
+        let count = varint(&mut r, &mut fields);
+        let mut headers = Vec::new();
+        for _ in 0..count {
+            let kind = EventKind::from_code(r.byte().expect("kind")).expect("known kind");
+            let header = std::array::from_fn(|_| {
+                varint(&mut r, &mut fields);
+                fields.last().expect("just pushed").clone()
+            });
+            headers.push(header);
+            r.pos += 16; // t_min, t_max
+            for _ in 0..=kind.columns().len() {
+                r.pos += varint(&mut r, &mut fields) as usize;
+            }
+        }
+        (fields, headers)
+    }
+
+    /// `bytes` with the varint at `span` replaced by `v`.
+    fn rewrite(bytes: &[u8], span: Range<usize>, v: u64) -> Vec<u8> {
+        let mut out = bytes[..span.start].to_vec();
+        put_varint(&mut out, v);
+        out.extend_from_slice(&bytes[span.end..]);
+        out
+    }
+
+    /// Field index of the row count within a chunk's header spans.
+    const ROWS: usize = 3;
+    /// Field index of stream+1 within a chunk's header spans.
+    const STREAM: usize = 1;
+
+    #[test]
+    fn a_row_count_beyond_the_columns_is_corrupt() {
+        let bytes = encode(&forecast_store());
+        let (_, headers) = varint_fields(&bytes);
+        let rows = headers[0][ROWS].clone();
+        assert_eq!(
+            Reader {
+                buf: &bytes,
+                pos: rows.start
+            }
+            .varint(),
+            Ok(37)
+        );
+        for wrong in [127, 36, 38, 0] {
+            assert!(
+                matches!(
+                    decode(&rewrite(&bytes, rows.clone(), wrong)),
+                    Err(DecodeError::Corrupt(_))
+                ),
+                "{wrong} rows"
+            );
+        }
+    }
+
+    #[test]
+    fn a_huge_row_count_allocates_nothing() {
+        let bytes = encode(&forecast_store());
+        let (_, headers) = varint_fields(&bytes);
+        let patched = rewrite(&bytes, headers[0][ROWS].clone(), 1 << 62);
+        assert!(matches!(decode(&patched), Err(DecodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_per_stream_chunk_without_a_stream_is_corrupt() {
+        let bytes = encode(&forecast_store());
+        let (_, headers) = varint_fields(&bytes);
+        let patched = rewrite(&bytes, headers[0][STREAM].clone(), 0);
+        assert!(matches!(decode(&patched), Err(DecodeError::Corrupt(_))));
+        // And the fleet-level kind must not carry one. A chunk's kind is
+        // the byte before its first header field.
+        let scale = headers
+            .iter()
+            .find(|h| bytes[h[0].start - 1] == EventKind::Scale.code())
+            .expect("a scale chunk");
+        let patched = rewrite(&bytes, scale[STREAM].clone(), 5);
+        assert!(matches!(decode(&patched), Err(DecodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_blob_length_past_the_end_is_truncation() {
+        let bytes = encode(&forecast_store());
+        let (fields, _) = varint_fields(&bytes);
+        let last = fields.last().expect("fields").clone();
+        let patched = rewrite(&bytes, last, u64::MAX);
+        assert_eq!(decode(&patched).unwrap_err(), DecodeError::Truncated);
+    }
+
+    proptest! {
+        #[test]
+        fn mangled_files_fail_to_decode_or_scan_cleanly(
+            field in 0usize..1 << 16,
+            raw in 0u64..=u64::MAX,
+            width in 0u32..64,
+            flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 0..4),
+            cut in 0usize..1 << 16,
+            mangle in 0u8..8,
+        ) {
+            let mut bytes = encode(&forecast_store());
+            if mangle & 1 != 0 {
+                let (fields, _) = varint_fields(&bytes);
+                let span = fields[field % fields.len()].clone();
+                bytes = rewrite(&bytes, span, raw >> width);
+            }
+            if mangle & 2 != 0 {
+                for &(at, mask) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+            }
+            if mangle & 4 != 0 {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            if let Ok(mut store) = decode(&bytes) {
+                store.scan(&Query::all());
+                store.latency_stats(&Query::all());
+                store.stats();
+            }
+        }
     }
 
     #[test]

@@ -103,6 +103,12 @@ impl EventKind {
         EventKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
+    /// Whether the kind's events belong to a stream, which their chunk key
+    /// carries: every kind but the fleet-level [`EventKind::Scale`].
+    pub(crate) fn per_stream(&self) -> bool {
+        !matches!(self, EventKind::Scale)
+    }
+
     /// Column names of the kind's struct-of-arrays layout, in storage
     /// order (the time column is implicit and comes first in every chunk).
     pub fn columns(&self) -> &'static [&'static str] {

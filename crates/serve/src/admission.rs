@@ -11,7 +11,6 @@
 //! dropped, keeping `arrived == processed + dropped` exact).
 
 use crate::config::{AdmissionConfig, AdmissionKind};
-use serde::{Deserialize, Serialize};
 
 /// Everything an admission policy may look at for one arriving frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +26,7 @@ pub struct AdmissionContext {
 }
 
 /// Why a frame was refused admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionReason {
     /// The stream exhausted its token bucket.
     RateLimited,
@@ -63,7 +62,7 @@ impl AdmissionReason {
 }
 
 /// One admission rejection, stamped in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionEvent {
     /// Arrival time of the refused frame.
     pub t_s: f64,
@@ -80,7 +79,7 @@ pub struct AdmissionEvent {
 /// enabled, the first shed verdict against a stream downgrades its frame
 /// policy one rung instead of dropping the frame (`on = true`); the next
 /// clean admit restores it (`on = false`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DowngradeEvent {
     /// Arrival time of the frame that tripped (or cleared) the downgrade.
     pub t_s: f64,

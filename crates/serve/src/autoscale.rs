@@ -12,7 +12,6 @@
 
 use crate::config::AutoscaleConfig;
 use crate::forecast::ForecastConfig;
-use serde::{Deserialize, Serialize};
 
 /// What the scheduler measured over one control window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +51,7 @@ impl ControlSample {
 }
 
 /// Why a scale decision was taken (recorded on every [`ScaleEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleReason {
     /// The window shed rate exceeded the scale-up threshold.
     DropRate,
@@ -104,7 +103,7 @@ impl ScaleReason {
 }
 
 /// One worker-count change, stamped in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// Virtual time of the control tick that decided the change.
     pub t_s: f64,

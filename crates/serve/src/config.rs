@@ -5,7 +5,6 @@ use crate::shard::RebalanceSignal;
 use catdet_core::{GpuTimingModel, PolicyConfig};
 use catdet_net::{LinkParams, NetParams};
 use catdet_recorder::SharedRecorder;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Upper bound on every setting that sizes per-unit state before a run
@@ -58,7 +57,7 @@ macro_rules! ensure {
 pub(crate) use ensure;
 
 /// Which stream a free worker serves next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
     /// Streams are served in ring order from a rotating cursor: every
     /// camera gets an equal share of worker time regardless of backlog.
@@ -88,7 +87,7 @@ impl SchedulePolicy {
 }
 
 /// What happens when a frame arrives at a full per-stream queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropPolicy {
     /// The arriving frame is skipped (the queue keeps its older frames).
     Newest,
@@ -117,7 +116,7 @@ impl DropPolicy {
 
 /// Which [`ScalePolicy`](crate::autoscale::ScalePolicy) the control loop
 /// runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalePolicyKind {
     /// No autoscaling: the worker count never changes and no control
     /// ticks are scheduled (bit-identical to pre-autoscale behaviour).
@@ -161,7 +160,7 @@ impl ScalePolicyKind {
 ///
 /// With [`ScalePolicyKind::Fixed`] the remaining knobs are inert. All
 /// times are virtual seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// The controller to run.
     pub policy: ScalePolicyKind,
@@ -320,7 +319,7 @@ impl Default for AutoscaleConfig {
 
 /// Which [`AdmissionPolicy`](crate::admission::AdmissionPolicy) gates
 /// arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionKind {
     /// Every frame is admitted (the default).
     AdmitAll,
@@ -355,7 +354,7 @@ impl AdmissionKind {
 
 /// Admission-control configuration; knobs not used by the selected kind
 /// are inert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// The policy gating arrivals.
     pub kind: AdmissionKind,
@@ -443,7 +442,7 @@ impl Default for AdmissionConfig {
 
 /// Which [`PartitionPolicy`](crate::shard::PartitionPolicy) assigns
 /// streams to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionKind {
     /// Stateless hash of the stream id modulo the shard count — uniform
     /// in expectation, zero coordination, the default.
@@ -486,7 +485,7 @@ impl PartitionKind {
 ///
 /// With `shards == 1` the remaining knobs are inert; that fleet is what
 /// [`serve`](crate::serve) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
     /// Number of independent scheduler shards, each with its own worker
     /// slots, queues, admission gate and autoscaler ([`ServeConfig`]'s
@@ -631,7 +630,7 @@ impl Default for ShardConfig {
 
 /// Flight-recorder configuration: whether a run books its telemetry into
 /// a [`catdet_recorder`] chunk store, and the store's shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Record events at all. Off (the default), the engines run with the
     /// no-op recorder and pay only a cold `enabled()` check per hook.
@@ -728,7 +727,7 @@ impl Default for RecorderConfig {
 }
 
 /// How frames enter the serving layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestKind {
     /// Streams are handed to the scheduler as in-memory frame timelines
     /// — the pre-network behaviour, and the default.
@@ -760,7 +759,7 @@ impl IngestKind {
 
 /// Network front-door configuration; inert unless
 /// [`kind`](IngestConfig::kind) is [`IngestKind::Net`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestConfig {
     /// How frames enter the serving layer.
     pub kind: IngestKind,
@@ -921,7 +920,7 @@ impl Default for IngestConfig {
 }
 
 /// Configuration of one serving run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Worker count: the modelled executor count in virtual time (per
     /// shard). Workers are scheduling state, not OS threads; see

@@ -32,14 +32,13 @@
 //! inside the current bucket.
 
 use crate::config::{ensure, ConfigError, SIZING_LIMIT};
-use serde::{Deserialize, Serialize};
 
 /// Forecaster configuration: history shape, smoothing factors, horizon.
 ///
 /// All times are virtual seconds. The defaults pair one bucket with the
 /// default autoscale control interval (0.25 s) and keep an 8-second
 /// history window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastConfig {
     /// Width of one arrival-count bucket on the virtual clock.
     pub bucket_s: f64,
@@ -320,7 +319,7 @@ impl ExactSizeIterator for CompleteRates<'_> {}
 
 /// Which arrival regime the forecaster believes the stream is in (and
 /// will be in over the horizon).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BurstPhase {
     /// No bimodal structure detected: rates look unimodal (steady, ramp,
     /// or not enough history to tell).

@@ -4,9 +4,9 @@
 //!
 //! The pre-pass runs entirely before any shard engine starts, on the
 //! fleet's own threads: the clients split into contiguous runs, one per
-//! thread, each simulated on its own virtual-time reactor, and the runs
-//! merge in slot order. Clients share no state, so the merge is exactly
-//! one pass over them all. That is the determinism argument: the
+//! thread, each run simulating its clients one after another, and the
+//! runs merge in slot order. Clients share no state, so the merge is
+//! exactly one pass over them all. That is the determinism argument: the
 //! delivered timelines, the connection events and their position in the
 //! recorder store cannot depend on `--threads`, because the merged
 //! outcome does not, and it is booked on the calling thread before any

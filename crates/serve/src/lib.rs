@@ -62,11 +62,12 @@
 //!   the report's percentiles, and periodic [`StreamSnapshot`]s let
 //!   [`replay_stream`] re-drive any stream bit-exactly from mid-run.
 //! * **Network front door** — [`serve_net_fleet`] ingests every camera
-//!   over a simulated CamLink connection (`catdet-net`): a virtual-time
-//!   reactor drives length-prefixed, checksummed frame records through
-//!   per-connection jitter, partial writes, reordering and
-//!   disconnect/resume, onto a bounded receive window (backpressure
-//!   pushes back to the socket) and a per-client token-bucket door.
+//!   over a simulated CamLink connection (`catdet-net`): each connection,
+//!   a plain loop on its own virtual clock, drives length-prefixed,
+//!   checksummed frame records through per-connection jitter, partial
+//!   writes, reordering and disconnect/resume, onto a bounded receive
+//!   window (backpressure pushes back to the socket) and a per-client
+//!   token-bucket door.
 //!   Connection events land in the flight recorder as
 //!   [`Event::Conn`], and the whole ingest
 //!   timeline is a pure function of the workload seed.

@@ -5,11 +5,10 @@ use crate::admission::{AdmissionEvent, DowngradeEvent};
 use crate::autoscale::ScaleEvent;
 use catdet_core::OpsBreakdown;
 use catdet_metrics::Detection;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Latency distribution of one stream, in modelled (virtual) seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Mean latency.
     pub mean_s: f64,
@@ -73,7 +72,7 @@ impl LatencyStats {
 /// proposal batches are formed by workers from queued frames, refinement
 /// dispatches are the per-region (or full-frame) launches that resume
 /// frames suspended at the refinement boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Dispatched proposal batches.
     pub batches: usize,
@@ -117,7 +116,7 @@ impl BatchStats {
 }
 
 /// Which pipeline stage a dispatched batch belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStage {
     /// A worker-formed micro-batch whose proposal launches were fused.
     Proposal,
@@ -130,7 +129,7 @@ pub enum BatchStage {
 /// stage, on which worker. The full log makes batching invariants (one
 /// frame per stream per batch, proposal sizes within `max_batch`)
 /// directly assertable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
     /// Virtual dispatch time.
     pub t_s: f64,

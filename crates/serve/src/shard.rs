@@ -10,7 +10,6 @@
 //! with live migrations, each stamped as a [`MigrationEvent`].
 
 use crate::config::PartitionKind;
-use serde::{Deserialize, Serialize};
 
 /// Assigns streams to shards at fleet construction.
 ///
@@ -131,7 +130,7 @@ pub fn build_partition(kind: PartitionKind) -> Box<dyn PartitionPolicy> {
 }
 
 /// Which load signal the live rebalancer compares across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceSignal {
     /// Queued backlog right now — the reactive signal (the default): a
     /// shard must already be behind before any stream moves.
@@ -163,7 +162,7 @@ impl RebalanceSignal {
 }
 
 /// One live stream migration, stamped in fleet virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationEvent {
     /// Rebalance tick at which the stream moved.
     pub t_s: f64,

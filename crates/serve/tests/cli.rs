@@ -1,7 +1,8 @@
 //! The `catdet-serve` binary's exit codes: `--help` exits 0 with the
-//! usage text, and an invalid invocation exits 2 with an error naming
+//! usage text, an invalid invocation exits 2 with an error naming
 //! the flag at fault, instead of aborting on a huge allocation or
-//! spinning on a tiny tick interval.
+//! spinning on a tiny tick interval, and `query` on a corrupted
+//! recording exits 2 naming the file, instead of panicking.
 
 use std::process::{Command, Output, Stdio};
 use std::thread::sleep;
@@ -133,4 +134,77 @@ fn tiny_tick_intervals_exit_2_instead_of_hanging() {
         &run_with(&["--shards", "2", "--rebalance-interval-ms", "1e-300"]),
         "--rebalance-interval-ms",
     );
+}
+
+/// The end of the varint that starts at `at`.
+fn varint_end(bytes: &[u8], mut at: usize) -> usize {
+    while bytes[at] & 0x80 != 0 {
+        at += 1;
+    }
+    at + 1
+}
+
+/// `bytes` with the varint at `span` replaced by `v`.
+fn rewrite_varint(bytes: &[u8], span: std::ops::Range<usize>, mut v: u64) -> Vec<u8> {
+    let mut out = bytes[..span.start].to_vec();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out.extend_from_slice(&bytes[span.end..]);
+    out
+}
+
+#[test]
+fn query_on_a_corrupted_recording_exits_2_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("catdet-cli-corrupt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a temporary directory");
+    let saved = dir.join("run.cdr");
+    let out = run(&[
+        "--streams",
+        "2",
+        "--frames",
+        "12",
+        "--record",
+        saved.to_str().expect("a UTF-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let bytes = std::fs::read(&saved).expect("the recording");
+    // The first chunk's header: magic and version, two file-level
+    // varints, the kind byte, then shard, stream+1, capacity and rows.
+    let mut at = varint_end(&bytes, varint_end(&bytes, 5));
+    let kind = bytes[at];
+    at += 1;
+    let shard_end = varint_end(&bytes, at);
+    let stream = shard_end..varint_end(&bytes, shard_end);
+    let rows_start = varint_end(&bytes, stream.end);
+    let rows = rows_start..varint_end(&bytes, rows_start);
+    assert_ne!(kind, 3, "the first chunk is a per-stream one, not `scale`");
+    let row_count = bytes[rows.clone()]
+        .iter()
+        .rev()
+        .fold(0u64, |v, b| v << 7 | (b & 0x7f) as u64);
+    let saved = saved.to_str().expect("a UTF-8 path");
+    assert_eq!(run(&["query", saved]).status.code(), Some(0));
+    for (name, patched) in [
+        (
+            "more-rows",
+            rewrite_varint(&bytes, rows.clone(), row_count + 90),
+        ),
+        ("huge-rows", rewrite_varint(&bytes, rows.clone(), 1 << 62)),
+        ("no-stream", rewrite_varint(&bytes, stream.clone(), 0)),
+    ] {
+        let corrupt = dir.join(format!("{name}.cdr"));
+        std::fs::write(&corrupt, patched).expect("the corrupted copy");
+        let corrupt = corrupt.to_str().expect("a UTF-8 path");
+        let out = run(&["query", corrupt]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("could not read {corrupt}")),
+            "{name} does not name the file: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,12 @@
 //! Actors: cars and pedestrians with simple kinematics.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Object classes the simulator produces (the two classes KITTI's tracking
 /// benchmark evaluates; CityPersons' "Person" maps onto [`Pedestrian`]).
 ///
 /// [`Pedestrian`]: ActorClass::Pedestrian
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ActorClass {
     /// Passenger car.
     Car,
@@ -35,7 +34,7 @@ impl std::fmt::Display for ActorClass {
 }
 
 /// How an actor moves; controls both kinematics and the noise applied.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Motion {
     /// Driving along the road at roughly constant speed (cars).
     Cruise,
@@ -50,7 +49,7 @@ pub enum Motion {
 /// Positions are in world coordinates: `x` lateral (right of the road
 /// centreline), `z` longitudinal (direction of travel), metres. The ego
 /// camera moves along `z`; the projection step subtracts the ego pose.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Actor {
     /// Stable track identity.
     pub id: u64,

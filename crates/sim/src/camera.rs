@@ -9,10 +9,9 @@
 //! inflation for close oncoming cars, and so on).
 
 use catdet_geom::Box2;
-use serde::{Deserialize, Serialize};
 
 /// A pinhole camera with KITTI-style intrinsics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraModel {
     /// Horizontal focal length in pixels.
     pub fx: f32,

@@ -6,14 +6,13 @@ use crate::occlusion::occlusion_fractions;
 use catdet_geom::Box2;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a simulated scene.
 ///
 /// Two presets reproduce the paper's datasets:
 /// [`SceneConfig::kitti_street`] (driving, 1242×375 @ 10 fps) and
 /// [`SceneConfig::city_street`] (pedestrian street, 2048×1024 @ 30 fps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
     /// Camera intrinsics and mounting.
     pub camera: CameraModel,
@@ -98,7 +97,7 @@ impl SceneConfig {
 
 /// One annotated object in one frame — the simulator's equivalent of a
 /// KITTI label line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundTruthObject {
     /// Stable identity across frames.
     pub track_id: u64,
@@ -124,7 +123,7 @@ impl GroundTruthObject {
 }
 
 /// All annotations of one simulated frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimFrame {
     /// Frame index within the sequence.
     pub index: usize,

@@ -1,9 +1,7 @@
 //! Tracker configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Which motion model drives next-frame prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MotionModelKind {
     /// The paper's exponential decay model (Eq. 1–3) with coefficient η.
     Decay {
@@ -22,7 +20,7 @@ pub enum MotionModelKind {
 }
 
 /// How per-class association builds its cost matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AssocBackend {
     /// Grid-gated: candidate (track, detection) pairs come from a spatial
     /// bin index, and dense scenes solve the assignment per connected
@@ -46,7 +44,7 @@ pub enum AssocBackend {
 /// Full tracker configuration.
 ///
 /// [`TrackerConfig::paper`] reproduces the settings of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerConfig {
     /// IoU gate β: association pairs with IoU ≤ β are severed. Paper: 0.
     pub iou_gate: f32,
@@ -68,11 +66,6 @@ pub struct TrackerConfig {
     /// Association cost-matrix backend. Outputs are identical whenever
     /// the optimal gated matching is unique; see
     /// [`AssocBackend::GridGated`] for the exact-tie caveat.
-    ///
-    /// `AssocBackend` implements `Default` (GridGated); when the vendored
-    /// serde stand-in is replaced by real serde, tag this field
-    /// `#[serde(default)]` so pre-PR4 configs keep deserializing (the
-    /// stand-in's derive does not accept serde attributes).
     pub assoc: AssocBackend,
 }
 

@@ -5,13 +5,11 @@
 //! (position + velocity); the motion state runs three of them (centre x,
 //! centre y, width).
 
-use serde::{Deserialize, Serialize};
-
 /// Constant-velocity Kalman filter over a single coordinate.
 ///
 /// State is `[position, velocity]` with transition `p' = p + v`,
 /// `v' = v`; only position is measured.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kalman1d {
     /// Estimated position.
     pub pos: f32,

@@ -9,16 +9,15 @@
 use crate::config::MotionModelKind;
 use crate::kalman::Kalman1d;
 use catdet_geom::Box2;
-use serde::{Deserialize, Serialize};
 
 /// Motion state of one track.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MotionState {
     inner: Inner,
     aspect: f32,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Inner {
     Decay {
         eta: f32,

@@ -336,11 +336,8 @@ fn associate_class<C: Copy>(
 /// export/import form exists for the cross-process/cross-host sharding
 /// step, where tracker state must leave the address space — the
 /// bit-exact-continuation tests pin exactly the property that wire
-/// transfer will rely on. All fields are plain data (the motion state
-/// already derives the serde traits); the struct itself stays generic
-/// over the class label, which the vendored serde stand-in's derive
-/// cannot express — wire formats serialize the concrete instantiation
-/// instead.
+/// transfer will rely on. All fields are plain data, generic over the
+/// class label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackerState<C> {
     /// Live tracks, in the tracker's iteration order (order matters:

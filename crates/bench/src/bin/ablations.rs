@@ -15,15 +15,16 @@ use catdet_detector::zoo;
 use catdet_geom::Box2;
 use catdet_nn::presets;
 use catdet_track::{MotionModelKind, TrackerConfig};
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct AblationRow {
     variant: String,
     gops: f64,
     map_hard: f64,
     md08_hard: Option<f64>,
 }
+
+catdet_bench::json_object! { AblationRow { variant, gops, map_hard, md08_hard } }
 
 fn measure(system: &mut dyn DetectionSystem, ds: &catdet_data::VideoDataset) -> AblationRow {
     let run = run_collect(system, ds);

@@ -5,6 +5,7 @@
 //! paper's reported value, so binaries (and integration tests) can print
 //! or assert on them.
 
+use crate::json_object;
 use crate::scale::Scale;
 use catdet_core::{
     evaluate_collected, evaluate_collected_with, run_collect, CaTDetSystem, CascadedSystem,
@@ -16,7 +17,6 @@ use catdet_metrics::ApMethod;
 use catdet_metrics::OperatingPoint;
 use catdet_nn::{gops, presets};
 use catdet_sim::ActorClass;
-use serde::Serialize;
 
 /// KITTI frame dimensions.
 const KITTI_W: f32 = 1242.0;
@@ -30,7 +30,7 @@ const CP_H: f32 = 1024.0;
 // ---------------------------------------------------------------------
 
 /// One proposal-network spec row (Table 1).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Model name.
     pub model: String,
@@ -39,6 +39,8 @@ pub struct Table1Row {
     /// The paper's value.
     pub paper_gops: f64,
 }
+
+json_object! { Table1Row { model, gops, paper_gops } }
 
 /// Regenerates Table 1: operation counts of the proposal backbones
 /// (plus the ResNet-50/VGG-16 reference rows from Tables 2/5).
@@ -112,7 +114,7 @@ fn run(system: &mut dyn DetectionSystem, ds: &VideoDataset) -> CollectedRun {
 // ---------------------------------------------------------------------
 
 /// One KITTI main-results row (Table 2).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// System description.
     pub system: String,
@@ -129,6 +131,8 @@ pub struct Table2Row {
     /// Paper values `(ops, mAP mod, mAP hard, mD mod, mD hard)`.
     pub paper: (f64, f64, f64, f64, f64),
 }
+
+json_object! { Table2Row { system, gops, map_moderate, map_hard, md08_moderate, md08_hard, paper } }
 
 fn table2_row(
     system: &mut dyn DetectionSystem,
@@ -186,7 +190,7 @@ pub fn table2(scale: Scale) -> Vec<Table2Row> {
 // ---------------------------------------------------------------------
 
 /// Operation break-down row (Table 3), in Gops.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// System description.
     pub system: String,
@@ -203,6 +207,8 @@ pub struct Table3Row {
     /// Paper values `(total, proposal, refinement, from_tracker, from_proposal)`.
     pub paper: (f64, f64, f64, Option<f64>, Option<f64>),
 }
+
+json_object! { Table3Row { system, total, proposal, refinement, from_tracker, from_proposal, paper } }
 
 /// Paper reference values of one Table 3 row:
 /// `(total, proposal, refinement, from_tracker, from_proposal)`.
@@ -251,7 +257,7 @@ pub fn table3(scale: Scale) -> Vec<Table3Row> {
 // ---------------------------------------------------------------------
 
 /// A single-model-vs-CaTDet comparison row (Tables 4 and 5).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RoleRow {
     /// Varied model.
     pub model: String,
@@ -266,6 +272,8 @@ pub struct RoleRow {
     /// Paper values `(mAP, mD, ops)`.
     pub paper: (f64, f64, f64),
 }
+
+json_object! { RoleRow { model, setting, map_hard, md08_hard, gops, paper } }
 
 fn role_row(
     model_name: &str,
@@ -350,7 +358,7 @@ pub fn table5(scale: Scale) -> Vec<RoleRow> {
 // ---------------------------------------------------------------------
 
 /// CityPersons row (Table 6).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table6Row {
     /// System description.
     pub system: String,
@@ -361,6 +369,8 @@ pub struct Table6Row {
     /// Paper values `(mAP, ops)`.
     pub paper: (f64, f64),
 }
+
+json_object! { Table6Row { system, map, gops, paper } }
 
 /// Regenerates Table 6: CityPersons, same hyper-parameters as KITTI.
 pub fn table6(scale: Scale) -> Vec<Table6Row> {
@@ -432,7 +442,7 @@ pub fn table6(scale: Scale) -> Vec<Table6Row> {
 // ---------------------------------------------------------------------
 
 /// GPU timing row (Appendix I, Table 7).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table7Row {
     /// System description.
     pub system: String,
@@ -443,6 +453,8 @@ pub struct Table7Row {
     /// Paper values `(total, gpu)`.
     pub paper: (f64, f64),
 }
+
+json_object! { Table7Row { system, total_s, gpu_s, paper } }
 
 /// Regenerates Table 7: estimated execution time on the Titan X model,
 /// with greedy region merging for the CaTDet refinement pass.
@@ -523,7 +535,7 @@ fn region_proxy(out: &catdet_core::FrameOutput) -> Vec<catdet_geom::Box2> {
 // ---------------------------------------------------------------------
 
 /// RetinaNet comparison row (Appendix II, Table 8).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table8Row {
     /// System description.
     pub system: String,
@@ -536,6 +548,8 @@ pub struct Table8Row {
     /// Paper values `(ops, mAP, mD)`.
     pub paper: (f64, f64, f64),
 }
+
+json_object! { Table8Row { system, gops, map_moderate, md08_moderate, paper } }
 
 /// One Table 8 case: a system plus the paper's `(ops, mAP, mD)`.
 type Table8Case = (Box<dyn DetectionSystem>, (f64, f64, f64));
@@ -573,7 +587,7 @@ pub fn table8(scale: Scale) -> Vec<Table8Row> {
 // ---------------------------------------------------------------------
 
 /// One point of the Figure 6 sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Point {
     /// Proposal model name.
     pub model: String,
@@ -588,6 +602,8 @@ pub struct Fig6Point {
     /// Mean Gops per frame.
     pub gops: f64,
 }
+
+json_object! { Fig6Point { model, tracker, c_thresh, map_hard, md08_hard, gops } }
 
 /// The paper's C-thresh sweep values.
 pub const C_THRESH_SWEEP: [f32; 7] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6];
@@ -639,13 +655,15 @@ pub fn fig6(scale: Scale) -> Vec<Fig6Point> {
 }
 
 /// Figure 7 output: per-class recall/delay-vs-precision curves.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Curves {
     /// Curve for the Car class.
     pub car: Vec<OperatingPoint>,
     /// Curve for the Pedestrian class.
     pub pedestrian: Vec<OperatingPoint>,
 }
+
+json_object! { Fig7Curves { car, pedestrian } }
 
 /// Regenerates Figure 7: how recall and delay correlate with precision,
 /// for CaTDet-A on KITTI (Hard difficulty).

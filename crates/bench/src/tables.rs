@@ -1,6 +1,6 @@
 //! Console table formatting and result persistence.
 
-use serde::Serialize;
+use crate::json::{self, Json};
 use std::path::PathBuf;
 
 /// Prints a header line for an experiment.
@@ -19,14 +19,14 @@ pub fn cell(measured: f64, paper: f64, digits: usize) -> String {
 ///
 /// Best-effort: failures to create the directory or file are reported to
 /// stderr but do not abort the experiment.
-pub fn save_json<T: Serialize>(id: &str, value: &T) {
+pub fn save_json<T: Json>(id: &str, value: &T) {
     let dir = PathBuf::from("results");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: could not create results dir: {e}");
         return;
     }
     let path = dir.join(format!("{id}.json"));
-    match serde_json::to_string_pretty(value) {
+    match json::pretty(value) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&path, json) {
                 eprintln!("warning: could not write {}: {e}", path.display());
@@ -34,7 +34,7 @@ pub fn save_json<T: Serialize>(id: &str, value: &T) {
                 println!("[saved {}]", path.display());
             }
         }
-        Err(e) => eprintln!("warning: could not serialise {id}: {e}"),
+        Err(json::NonFinite(x)) => eprintln!("warning: {id} not saved: non-finite float {x}"),
     }
 }
 

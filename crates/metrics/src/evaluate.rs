@@ -6,7 +6,6 @@ use crate::matching::{match_frame, DetectionOutcome};
 use crate::Detection;
 use catdet_data::{Difficulty, GroundTruthObject};
 use catdet_sim::ActorClass;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Delay measured at a precision operating point (Eq. 4–5 of the paper).
@@ -25,7 +24,7 @@ pub struct DelayReport {
 }
 
 /// One point of a recall/delay-vs-precision sweep (Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Score threshold.
     pub threshold: f32,

@@ -209,6 +209,11 @@ impl Chunk {
         for (col, &v) in self.cols.iter_mut().zip(scratch.iter()) {
             col.push(v);
         }
+        self.cover(t_s);
+    }
+
+    /// Widens the covered time range to take in `t_s`.
+    fn cover(&mut self, t_s: f64) {
         self.t_min = self.t_min.min(t_s);
         self.t_max = self.t_max.max(t_s);
     }
@@ -244,23 +249,23 @@ impl Chunk {
         (&self.time, &self.cols, self.capacity)
     }
 
-    /// Rebuilds a chunk from codec parts.
+    /// Rebuilds a chunk from codec parts. Its time range is computed from
+    /// the time column, the way [`push`](Chunk::push) grew it.
     pub(crate) fn from_parts(
         key: ChunkKey,
         capacity: usize,
         time: VarintCol,
         cols: Vec<VarintCol>,
-        t_min: f64,
-        t_max: f64,
     ) -> Self {
-        Chunk {
-            key,
-            capacity,
+        let mut chunk = Chunk {
             time,
             cols,
-            t_min,
-            t_max,
+            ..Chunk::new(key, capacity)
+        };
+        for bits in chunk.time.decode() {
+            chunk.cover(f64::from_bits(bits));
         }
+        chunk
     }
 }
 

@@ -203,7 +203,14 @@ pub fn decode(bytes: &[u8]) -> Result<ChunkStore, DecodeError> {
             shard,
             stream,
         };
-        chunks.push(Chunk::from_parts(key, capacity, time, cols, t_min, t_max));
+        let chunk = Chunk::from_parts(key, capacity, time, cols);
+        // Scans prune chunks on their time range, so a wrong one hides rows.
+        if [chunk.t_min(), chunk.t_max()].map(f64::to_bits) != [t_min, t_max].map(f64::to_bits) {
+            return Err(DecodeError::Corrupt(
+                "chunk's time range does not match its rows",
+            ));
+        }
+        chunks.push(chunk);
     }
     Ok(ChunkStore::from_sealed(
         chunk_events.max(1),
@@ -418,6 +425,11 @@ mod tests {
     }
 
     proptest! {
+        /// A mangled file either fails to decode, or decodes into a store
+        /// whose time-windowed scans find every row a full scan does. Each
+        /// case mangles two copies of the file: one by rewritten varints,
+        /// flipped bytes and a cut, one by a chunk's stored t_min or t_max
+        /// (the 16 bytes after its row count) set to some other time.
         #[test]
         fn mangled_files_fail_to_decode_or_scan_cleanly(
             field in 0usize..1 << 16,
@@ -426,10 +438,16 @@ mod tests {
             flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 0..4),
             cut in 0usize..1 << 16,
             mangle in 0u8..8,
+            bound in (0usize..1 << 16, 0usize..2, -1.0f64..11.0),
+            windows in proptest::collection::vec((-1.0f64..11.0, -1.0f64..11.0), 1..4),
         ) {
             let mut bytes = encode(&forecast_store());
+            let (fields, headers) = varint_fields(&bytes);
+            let mut moved = bytes.clone();
+            let (chunk, end, t) = bound;
+            let at = headers[chunk % headers.len()][ROWS].end + 8 * end;
+            moved[at..at + 8].copy_from_slice(&t.to_bits().to_le_bytes());
             if mangle & 1 != 0 {
-                let (fields, _) = varint_fields(&bytes);
                 let span = fields[field % fields.len()].clone();
                 bytes = rewrite(&bytes, span, raw >> width);
             }
@@ -442,10 +460,17 @@ mod tests {
             if mangle & 4 != 0 {
                 bytes.truncate(cut % (bytes.len() + 1));
             }
-            if let Ok(mut store) = decode(&bytes) {
-                store.scan(&Query::all());
+            for bytes in [bytes, moved] {
+                let Ok(mut store) = decode(&bytes) else { continue };
+                let all = store.scan(&Query::all());
                 store.latency_stats(&Query::all());
                 store.stats();
+                for &(t0, t1) in &windows {
+                    let window = store.scan(&Query::all().between(t0, t1));
+                    let want: Vec<_> = all.iter().filter(|r| r.t_s >= t0 && r.t_s <= t1).collect();
+                    // As text, so a NaN that mangling made equals itself.
+                    prop_assert_eq!(format!("{window:?}"), format!("{want:?}"), "[{t0}, {t1}]");
+                }
             }
         }
     }

@@ -25,6 +25,7 @@ use catdet_serve::{
     IngestKind, PartitionKind, PolicyDecision, PolicyKind, RebalanceSignal, ScalePolicyKind,
     ScaleReason, SchedulePolicy, ServeConfig, StreamSpec, SystemKind,
 };
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::str::FromStr;
 
@@ -573,9 +574,41 @@ fn size(v: &str, min: usize) -> Result<usize, String> {
     }
 }
 
+/// Stdout, locked once. `write!`/`writeln!` on it return nothing: a
+/// reader that goes away early (`catdet-serve ... | head`) ends the
+/// printing, not the run, so a recording is still saved and the exit code
+/// stays 0. Any other write error exits 1 once the run is done.
+struct Out {
+    stdout: io::StdoutLock<'static>,
+    /// The first write error; nothing is written after it.
+    failed: Option<io::Error>,
+}
+
+impl Out {
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.failed.is_none() {
+            self.failed = self.stdout.write_fmt(args).err();
+        }
+    }
+}
+
 fn main() {
+    let stdout = io::stdout().lock();
+    let mut out = Out {
+        stdout,
+        failed: None,
+    };
+    run(&mut out);
+    let failed = out.failed.or_else(|| out.stdout.flush().err());
+    if let Some(e) = failed.filter(|e| e.kind() != io::ErrorKind::BrokenPipe) {
+        eprintln!("error: could not write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run(out: &mut Out) {
     if std::env::args().nth(1).as_deref() == Some("query") {
-        if let Err(e) = run_query(std::env::args().skip(2)) {
+        if let Err(e) = run_query(out, std::env::args().skip(2)) {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
@@ -584,7 +617,7 @@ fn main() {
     let cli = match parse_args_from(std::env::args().skip(1)) {
         Ok(Some(cli)) => cli,
         Ok(None) => {
-            print!("{USAGE}");
+            write!(out, "{USAGE}");
             return;
         }
         Err(e) => {
@@ -595,7 +628,8 @@ fn main() {
     let cfg = cli.cfg;
 
     let net = net(&cli);
-    println!(
+    writeln!(
+        out,
         "spinning up {} {} ({} frames each, {} workload), {} shards x {} workers \
          ({} partition), {} scheduling, {} frame policy, autoscale {}, admission {}, \
          refinement fusion {}, system {}",
@@ -614,7 +648,8 @@ fn main() {
         cli.system.name(),
     );
     if net {
-        println!(
+        writeln!(
+            out,
             "front door: jitter {} ms, disconnect rate {}, reorder rate {}, \
              door {} fps (burst {})",
             cli.jitter_ms,
@@ -645,16 +680,17 @@ fn main() {
             (Some(r), false) => serve_fleet_with_recorder(streams, &cfg, r),
             (None, false) => serve_fleet(streams, &cfg),
         };
-        print!("{}", report.summary());
+        write!(out, "{}", report.summary());
         if !report.migrations.is_empty() {
-            println!("migration timeline:");
-            print!("{}", report.migration_timeline());
+            writeln!(out, "migration timeline:");
+            write!(out, "{}", report.migration_timeline());
         }
         let scale = report.scale_timeline();
         if !scale.is_empty() {
-            println!("scale-event timeline (shard, t, change):");
+            writeln!(out, "scale-event timeline (shard, t, change):");
             for (shard, e) in scale {
-                println!(
+                writeln!(
+                    out,
                     "  shard {shard}  t={:>8.3}s  {:>2} -> {:<2} ({})",
                     e.t_s,
                     e.from_workers,
@@ -668,15 +704,16 @@ fn main() {
             Some(r) => serve_with_recorder(streams, &cfg, r),
             None => serve(streams, &cfg),
         };
-        print!("{}", report.summary());
+        write!(out, "{}", report.summary());
         if !report.scale_events.is_empty() {
-            println!("scale-event timeline:");
-            print!("{}", report.scale_timeline());
+            writeln!(out, "scale-event timeline:");
+            write!(out, "{}", report.scale_timeline());
         }
     }
     if let (Some(recorder), Some(path)) = (&recorder, &cli.record) {
         let stats = recorder.stats();
-        println!(
+        writeln!(
+            out,
             "recorder: {} events in {} chunks ({} evicted, {} events lost to eviction), \
              {} snapshots, {} encoded bytes",
             stats.events,
@@ -687,9 +724,10 @@ fn main() {
             stats.encoded_bytes,
         );
         match recorder.save(Path::new(path)) {
-            Ok(()) => {
-                println!("telemetry saved to {path} (inspect with: catdet-serve query {path})")
-            }
+            Ok(()) => writeln!(
+                out,
+                "telemetry saved to {path} (inspect with: catdet-serve query {path})"
+            ),
             Err(e) => {
                 eprintln!("error: could not save recording to {path}: {e}");
                 std::process::exit(1);
@@ -700,7 +738,7 @@ fn main() {
 
 /// The `query` subcommand: scan a saved recording and print matching
 /// events, plus recorded latency percentiles for detection scans.
-fn run_query(mut it: impl Iterator<Item = String>) -> Result<(), String> {
+fn run_query(out: &mut Out, mut it: impl Iterator<Item = String>) -> Result<(), String> {
     let file = it
         .next()
         .ok_or("query needs a recording file (catdet-serve query <FILE> ...)")?;
@@ -726,31 +764,33 @@ fn run_query(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             }
             "--stream" => query = query.stream(parse_num(&flag, &value)?),
             "--shard" => query = query.shard(parse_num(&flag, &value)?),
-            "--from" => {
-                let t: f64 = parse_num(&flag, &value)?;
-                query.t0 = t;
-            }
-            "--to" => {
-                let t: f64 = parse_num(&flag, &value)?;
-                query.t1 = t;
-            }
+            "--from" => query.t0 = parse_num(&flag, &value)?,
+            "--to" => query.t1 = parse_num(&flag, &value)?,
             "--limit" => limit = parse_num(&flag, &value)?,
             other => return Err(format!("unknown query flag {other} (try --help)")),
+        }
+    }
+    // NaN would compare false against every event and silently match none.
+    for (flag, t) in [("--from", query.t0), ("--to", query.t1)] {
+        if t.is_nan() {
+            return Err(format!("{flag}: not a number: {t}"));
         }
     }
     let mut store =
         read_file(Path::new(&file)).map_err(|e| format!("could not read {file}: {e}"))?;
     let stats = store.stats();
-    println!(
+    writeln!(
+        out,
         "{file}: {} events in {} chunks, {} encoded bytes",
         stats.events,
         stats.open_chunks + stats.sealed_chunks,
         stats.encoded_bytes,
     );
     let events = store.scan(&query);
-    println!("{} events match", events.len());
+    writeln!(out, "{} events match", events.len());
     for r in events.iter().take(limit) {
-        println!(
+        writeln!(
+            out,
             "  t={:>9.4}s  shard {}  {}",
             r.t_s,
             r.shard,
@@ -758,7 +798,8 @@ fn run_query(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         );
     }
     if events.len() > limit {
-        println!(
+        writeln!(
+            out,
             "  ... {} more (raise --limit to see them)",
             events.len() - limit
         );
@@ -766,7 +807,8 @@ fn run_query(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     if query.kind.is_none_or(|k| k == EventKind::Detection) {
         let l = store.latency_stats(&query);
         if l.samples > 0 {
-            println!(
+            writeln!(
+                out,
                 "recorded latency over {} samples: mean {:.1} ms | p50 {:.1} ms | \
                  p95 {:.1} ms | p99 {:.1} ms | max {:.1} ms",
                 l.samples,

@@ -1,22 +1,34 @@
 //! The `catdet-serve` binary's exit codes: `--help` exits 0 with the
 //! usage text, an invalid invocation exits 2 with an error naming
 //! the flag at fault, instead of aborting on a huge allocation or
-//! spinning on a tiny tick interval, and `query` on a corrupted
-//! recording exits 2 naming the file, instead of panicking.
+//! spinning on a tiny tick interval, `query` on a corrupted
+//! recording exits 2 naming the file, instead of panicking, and a
+//! reader that closes stdout early ends the printing, not the run.
 
-use std::process::{Command, Output, Stdio};
+use std::io::Read;
+use std::process::{Child, Command, Output, Stdio};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
 
-/// Runs the binary with `args` to completion, failing the test if it is
-/// still running after 10 s.
-fn run(args: &[&str]) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_catdet-serve"))
+/// Starts the binary with `args`, its stdout and stderr piped.
+fn spawn(args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_catdet-serve"))
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("catdet-serve starts");
+        .expect("catdet-serve starts")
+}
+
+/// Runs the binary with `args` to completion, failing the test if it is
+/// still running after 10 s.
+fn run(args: &[&str]) -> Output {
+    wait(spawn(args), args)
+}
+
+/// Waits for `child`, started with `args`, failing the test if it is
+/// still running after 10 s.
+fn wait(mut child: Child, args: &[&str]) -> Output {
     let start = Instant::now();
     while child
         .try_wait()
@@ -90,6 +102,8 @@ fn one_bad_value_per_group_exits_2_naming_its_flag() {
             "--record-chunk-events",
         ),
         (&["--door-rate", "30"], "--door-rate"),
+        (&["query", "run.cdr", "--from", "nan"], "--from"),
+        (&["query", "run.cdr", "--to", "NaN"], "--to"),
     ] {
         assert_rejected(args, flag);
     }
@@ -206,5 +220,47 @@ fn query_on_a_corrupted_recording_exits_2_naming_the_file() {
             "{name} does not name the file: {stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the binary with `args`, reads the first line it prints and then
+/// closes its stdout, as `| head -1` does.
+fn run_reading_one_line(args: &[&str]) -> Output {
+    let mut child = spawn(args);
+    let mut stdout = child.stdout.take().expect("a piped stdout");
+    // A byte at a time, so the binary's later lines stay in the pipe.
+    let mut byte = [0u8];
+    while byte != *b"\n" {
+        stdout.read_exact(&mut byte).expect("a first line");
+    }
+    // Closed: the binary's next write to it fails.
+    drop(stdout);
+    wait(child, args)
+}
+
+#[test]
+fn a_closed_stdout_ends_the_printing_not_the_run() {
+    let dir = std::env::temp_dir().join(format!("catdet-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a temporary directory");
+    let saved = dir.join("bp.cdr");
+    let saved = saved.to_str().expect("a UTF-8 path");
+    // After its first line each prints more than a pipe holds (64 KiB),
+    // so a write fails once the pipe is closed: the run about 95 KB, a
+    // line per stream, and the query about 350 KB, a line per event.
+    for args in [
+        &["--streams", "1000", "--frames", "1", "--record", saved][..],
+        &["query", saved, "--limit", "100000"],
+    ] {
+        let out = run_reading_one_line(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // The run saved its recording, a detection per frame, although
+    // nobody read its report.
+    let out = run(&["query", saved, "--kind", "detection"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\n1000 events match\n"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

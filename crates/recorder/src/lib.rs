@@ -89,6 +89,16 @@ pub trait FlightRecorder: Send {
         0
     }
 
+    /// Whether the next row of kind `kind` for `stream` would fill its
+    /// open chunk. Only such a row has a place in the store's order
+    /// across partitions (seal sequence, LRU eviction); any other lands in
+    /// its partition's open chunk, behind that partition's earlier rows,
+    /// whenever it is booked. A producer may therefore hold back a row
+    /// that fills nothing until the partition's next row is due.
+    fn next_row_fills(&self, _kind: EventKind, _stream: usize) -> bool {
+        false
+    }
+
     /// Publishes what the implementation has completed to the backing
     /// store, and may keep the rest for [`flush`](FlightRecorder::flush).
     /// Barrier-synchronised producers call this at each barrier. Defaults
@@ -272,8 +282,11 @@ impl SharedRecorder {
 /// LRU stamps, eviction, and with it which snapshots survive) only when
 /// it fills a chunk, so this is the very sequence that booking every row
 /// into the store at the barrier makes; only the encoding has left the
-/// barrier. Open chunks reach the store at [`flush`](FlightRecorder::flush),
-/// once the run is over and before the store seals them. A sole handle
+/// barrier. [`next_row_fills`](FlightRecorder::next_row_fills) tells a
+/// producer which of its next rows would fill a chunk, so it can hold back
+/// any other. Open chunks reach the store at
+/// [`flush`](FlightRecorder::flush), once the run is over and before the
+/// store seals them. A sole handle
 /// also publishes each time a row fills a chunk, so its snapshots reach
 /// the store — and die there with their evicted window — as the run goes.
 ///
@@ -369,6 +382,15 @@ impl FlightRecorder for BarrierRecorder {
 
     fn snapshot_interval(&self) -> usize {
         self.snapshot_every
+    }
+
+    fn next_row_fills(&self, kind: EventKind, stream: usize) -> bool {
+        let key = ChunkKey {
+            kind,
+            shard: self.shard,
+            stream: Some(stream),
+        };
+        self.open.get(&key).map_or(0, Chunk::len) + 1 >= self.chunk_events
     }
 
     fn publish(&mut self) {
@@ -498,6 +520,36 @@ mod tests {
         assert_eq!(shared.stats().events, 4);
         h.flush();
         assert_eq!(shared.stats().events, 5);
+    }
+
+    #[test]
+    fn next_row_fills_answers_per_partition() {
+        let shared = SharedRecorder::new(3, usize::MAX, 0);
+        let mut h = shared.barrier_handle(1);
+        let det = |stream, seq| Event::Detection {
+            stream,
+            seq,
+            frame_index: seq,
+            detections: 0,
+            latency_s: 0.0,
+            output_hash: 0,
+        };
+        for seq in 1..=2 {
+            assert!(!h.next_row_fills(EventKind::Detection, 4));
+            h.record(seq as f64, det(4, seq));
+        }
+        // The third row of stream 4's chunk fills it; other partitions are
+        // still empty.
+        assert!(h.next_row_fills(EventKind::Detection, 4));
+        assert!(!h.next_row_fills(EventKind::Track, 4));
+        assert!(!h.next_row_fills(EventKind::Detection, 5));
+        h.record(3.0, det(4, 3));
+        assert!(!h.next_row_fills(EventKind::Detection, 4));
+        // One-row chunks fill with every row.
+        let one = SharedRecorder::new(1, usize::MAX, 0).barrier_handle(0);
+        assert!(one.next_row_fills(EventKind::Track, 0));
+        // The store-less recorder never holds a row back.
+        assert!(!NullRecorder.next_row_fills(EventKind::Detection, 0));
     }
 
     #[test]

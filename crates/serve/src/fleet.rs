@@ -49,24 +49,26 @@
 //! most one runnable engine queues nothing and wakes no engine to a
 //! helper. Whichever thread holds an engine runs its proposals inline,
 //! and its recorder handle encodes the engine's rows there too; a barrier
-//! only publishes the chunks they filled. An unrecorded run hands each
-//! frame's refinement to the pool as a job (see the scheduler's
-//! refinement handoff), served after engine jobs and ingest runs: a
-//! helper takes it once it has no engine to run, and the caller only
-//! while it waits for its helpers' engines. The job is joined at the
-//! stream's next batch claim, when the stream migrates, or in one final
-//! join before the pool is dropped; a join takes back a job no thread has
-//! started and runs it itself. So in a lock-step fleet with one runnable
-//! engine per pass, the caller runs the proposals while a helper runs
-//! most refinements. A recorded run refines inline. The same threads run
-//! the network front door's pre-pass before any engine exists: its
-//! clients split into one contiguous run per thread, merged in slot
-//! order. An idle pool thread, the caller waiting for its helpers
-//! and a join waiting for a running job included, spins for up to 200 µs
-//! before it parks, unless there are more threads than the host's
-//! available parallelism. With one thread (or one shard) there is no
-//! pool, and a handed-off refinement runs at once, its result waiting for
-//! the same join.
+//! only publishes the chunks they filled. Each frame's refinement goes to
+//! the pool as a job (see the scheduler's refinement handoff), served
+//! after engine jobs and ingest runs: a helper takes it once it has no
+//! engine to run, and the caller only while it waits for its helpers'
+//! engines. The job is joined at the stream's next batch claim, when the
+//! stream migrates, or in one final join before the pool is dropped, and
+//! a recorded run books the frame's rows there; only a recorded
+//! completion that fills a chunk or owes a snapshot is joined at once. A
+//! join takes back a job no thread has started and runs it itself, and
+//! while a helper runs the job it joins, it runs other queued refinement
+//! jobs. So in a lock-step fleet with one runnable engine per pass, the
+//! caller runs the proposals while a helper runs most refinements,
+//! recorded or not. The same threads run the network front door's
+//! pre-pass before any engine exists: its clients split into one
+//! contiguous run per thread, merged in slot order. An idle pool thread,
+//! the caller waiting for its helpers and a join waiting for a running
+//! job included, spins for up to 200 µs before it parks, unless there are
+//! more threads than the host's available parallelism. With one thread
+//! (or one shard) there is no pool, and a handed-off refinement runs at
+//! once, its result waiting for the same join.
 //!
 //! Every pipeline panic surfaces as `shard {k} engine panicked:
 //! {payload}`, for the lowest panicking shard `k` of the pass (or of the
@@ -434,8 +436,10 @@ impl FleetReport {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration (see [`ServeConfig::validate`]), or
-/// with the original message if a detection system panics.
+/// Panics on an invalid configuration (see [`ServeConfig::validate`]) or
+/// when two streams share a [`stream_id`](StreamSource::stream_id), naming
+/// the broken rule or the id, and with the original message if a
+/// detection system panics.
 pub fn serve(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> ServeReport {
     serve_fleet(streams, &one_shard(cfg)).shards.remove(0)
 }
@@ -447,6 +451,10 @@ pub fn serve(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> ServeReport {
 /// The recorder rides outside the scheduling loop: a recorded run books
 /// the **same** virtual-time decisions and produces a bit-identical
 /// [`ServeReport`] to an unrecorded one.
+///
+/// # Panics
+///
+/// As [`serve`].
 pub fn serve_with_recorder(
     streams: Vec<StreamSpec>,
     cfg: &ServeConfig,
@@ -475,10 +483,11 @@ fn one_shard(cfg: &ServeConfig) -> ServeConfig {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration, or with the original message if a
-/// detection system panics.
+/// Panics on an invalid configuration or when two streams share a
+/// [`stream_id`](StreamSource::stream_id), naming the broken rule or the
+/// id, and with the original message if a detection system panics.
 pub fn serve_fleet(streams: Vec<StreamSpec>, cfg: &ServeConfig) -> FleetReport {
-    expect_valid(cfg);
+    expect_valid(&streams, cfg);
     // Config-enabled recording without a caller-held handle (see
     // [`serve`](crate::serve)); pass a recorder via
     // [`serve_fleet_with_recorder`] to keep the store.
@@ -499,15 +508,22 @@ pub fn serve_fleet_with_recorder(
     cfg: &ServeConfig,
     recorder: &SharedRecorder,
 ) -> FleetReport {
-    expect_valid(cfg);
+    expect_valid(&streams, cfg);
     serve_fleet_impl(streams, cfg, Some(recorder), None)
 }
 
 /// The entry points' check, made before any work: panics with the broken
-/// rule (see [`ServeConfig::validate`]) unless `cfg` is valid.
-pub(crate) fn expect_valid(cfg: &ServeConfig) {
+/// rule (see [`ServeConfig::validate`]) unless `cfg` is valid, and with
+/// the id unless every stream's id is its own. A stream's id keys its
+/// recorder partitions, its replay and its report.
+pub(crate) fn expect_valid(streams: &[StreamSpec], cfg: &ServeConfig) {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
+    }
+    let mut ids: Vec<usize> = streams.iter().map(|s| s.source.stream_id).collect();
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        panic!("stream id {} is used by more than one stream", pair[0]);
     }
 }
 
@@ -657,7 +673,7 @@ impl PoolQueue {
 
 impl ShardPool {
     /// A pool of `helpers` threads for `shards` engines and
-    /// `refine_slots` streams that hand refinements off.
+    /// `refine_slots` streams, each of which hands its refinements off.
     fn new(helpers: usize, shards: usize, refine_slots: usize) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue::new(shards, refine_slots)),
@@ -754,7 +770,8 @@ impl Refiner {
     }
 
     /// Takes back slot `slot`'s job: runs it on this thread if no thread
-    /// has started it, and waits for it otherwise.
+    /// has started it. Otherwise, while it waits for the job, it runs
+    /// other queued refinement jobs, and idles only when there is none.
     pub(crate) fn join(&self, slot: usize) -> Refinement {
         let shared = &*self.0;
         let mut q = shared.lock();
@@ -768,7 +785,13 @@ impl Refiner {
                 RefineJob::Done(done) => return done,
                 RefineJob::Running => {
                     q.slots[slot].job = RefineJob::Running;
-                    q = shared.idle(q, true, &mut spin_until);
+                    match shared.refine_next(q) {
+                        Ok(relocked) => {
+                            q = relocked;
+                            spin_until = None;
+                        }
+                        Err(idle) => q = shared.idle(idle, true, &mut spin_until),
+                    }
                 }
                 RefineJob::Empty => unreachable!("slot {slot} has no job to join"),
             }
@@ -820,18 +843,37 @@ impl PoolShared {
                 q.ingested.push((idx, out));
             } else if stop(&q) {
                 return q;
-            } else if let Some((slot, system, work)) = q.next_refine() {
-                drop(q);
-                let done = refine_job(system, work);
-                q = self.lock();
-                q.slots[slot].job = RefineJob::Done(done);
             } else {
-                q = self.idle(q, waits, &mut spin_until);
+                match self.refine_next(q) {
+                    Ok(relocked) => {
+                        q = relocked;
+                        spin_until = None;
+                    }
+                    Err(idle) => q = self.idle(idle, waits, &mut spin_until),
+                }
                 continue;
             }
             self.changed(&q, false);
             spin_until = None;
         }
+    }
+
+    /// Runs the next queued refinement job on this thread and stores its
+    /// result in the job's own slot, returning the queue relocked; hands
+    /// the queue back as `Err` when no job is queued.
+    fn refine_next<'a>(
+        &'a self,
+        mut q: MutexGuard<'a, PoolQueue>,
+    ) -> Result<MutexGuard<'a, PoolQueue>, MutexGuard<'a, PoolQueue>> {
+        let Some((slot, system, work)) = q.next_refine() else {
+            return Err(q);
+        };
+        drop(q);
+        let done = refine_job(system, work);
+        let mut q = self.lock();
+        q.slots[slot].job = RefineJob::Done(done);
+        self.changed(&q, false);
+        Ok(q)
     }
 
     /// One idle step of [`work`](PoolShared::work) or of a
@@ -1022,10 +1064,7 @@ pub(crate) fn serve_fleet_impl(
     // then advance the engines; one thread (the default) has no pool at
     // all.
     let threads = resolve_threads(sc.threads, shards);
-    // A recorded run refines inline, so only an unrecorded one needs the
-    // pool's refinement slots.
-    let refine_slots = if recorder.is_some() { 0 } else { streams.len() };
-    let pool = (threads > 1).then(|| ShardPool::new(threads - 1, shards, refine_slots));
+    let pool = (threads > 1).then(|| ShardPool::new(threads - 1, shards, streams.len()));
     let (streams, ingest) = match net_seed {
         Some(seed) => {
             let (streams, report) = front_door(streams, cfg, seed, pool.as_ref(), recorder);
@@ -1064,14 +1103,13 @@ pub(crate) fn serve_fleet_impl(
                 Some(r) => Box::new(r.barrier_handle(k)),
                 None => Box::new(NullRecorder),
             };
-            let refiner = pool.as_ref().filter(|_| refine_slots > 0);
             Engine::new(
                 g,
                 cfg,
                 0.0,
                 fleet_fuse,
                 sink,
-                refiner.map(ShardPool::refiner),
+                pool.as_ref().map(ShardPool::refiner),
             )
         })
         .collect();
@@ -1175,7 +1213,8 @@ pub(crate) fn serve_fleet_impl(
 ///
 /// # Panics
 ///
-/// Re-raises a pipeline panic of an inline refinement as
+/// Re-raises the panic of a refinement joined at once (a recorded
+/// completion that fills a chunk or owes a snapshot) as
 /// `shard {k} engine panicked: {payload}`, like [`run_all`].
 fn fire_fleet_refinements(
     cfg: &ServeConfig,

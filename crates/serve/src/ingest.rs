@@ -125,10 +125,11 @@ fn record_conn_events(events: &[ConnEvent], recorder: &SharedRecorder) {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration, or if `cfg.ingest.kind` is not
-/// [`IngestKind::Net`].
+/// Panics on an invalid configuration or when two streams share a
+/// [`stream_id`](StreamSource::stream_id), naming the broken rule or the
+/// id, or if `cfg.ingest.kind` is not [`IngestKind::Net`].
 pub fn serve_net_fleet(specs: Vec<StreamSpec>, cfg: &ServeConfig, seed: u64) -> FleetReport {
-    expect_valid(cfg);
+    expect_valid(&specs, cfg);
     let recorder = cfg.recorder.enabled.then(|| cfg.recorder.build());
     serve_fleet_impl(specs, cfg, recorder.as_ref(), Some(seed))
 }
@@ -147,6 +148,6 @@ pub fn serve_net_fleet_with_recorder(
     seed: u64,
     recorder: &SharedRecorder,
 ) -> FleetReport {
-    expect_valid(cfg);
+    expect_valid(&specs, cfg);
     serve_fleet_impl(specs, cfg, Some(recorder), Some(seed))
 }

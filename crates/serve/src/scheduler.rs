@@ -39,19 +39,29 @@
 //!
 //! A frame's completion time is priced from its [`RefinementWork`], which
 //! is fixed at the proposal boundary, so the schedule never waits for the
-//! refinement stage to *run*. Unless the run records, resuming a frame
-//! books everything the schedule reads at once (latency, the stream's
-//! `busy_until`, worker release, counters) and hands the suspended
-//! pipeline off as a refinement job: to the fleet's shard pool when it
-//! has one, or run on the spot otherwise, its output (or its caught
-//! panic) waiting in the stream's slot either way. The job is *joined* —
-//! its ops and detections booked, its pipeline parked — only at the
-//! stream's next batch claim, when the stream migrates, or in the fleet's
-//! final join; every scheduling predicate treats a refining stream as
-//! parked. The join points are virtual-time events, so a panicking
-//! refinement surfaces at the same point, with the same text, at every
-//! thread count. A recorded run refines inline, because its `Detection`
-//! and `Track` rows and its snapshots need the output at completion.
+//! refinement stage to *run*. Resuming a frame books everything the
+//! schedule reads at once (latency, the stream's `busy_until`, worker
+//! release, counters) and hands the suspended pipeline off as a
+//! refinement job: to the fleet's shard pool when it has one, or run on
+//! the spot otherwise, its output (or its caught panic) waiting in the
+//! stream's slot either way. The job is *joined* — its ops and detections
+//! booked, its pipeline parked — only at the stream's next batch claim,
+//! when the stream migrates, or in the fleet's final join; every
+//! scheduling predicate treats a refining stream as parked. The join
+//! points are virtual-time events, so a panicking refinement surfaces at
+//! the same point, with the same text, at every thread count.
+//!
+//! A recorded run books the frame's `Detection` and `Track` rows at the
+//! join too, stamped with its completion time. Chunks are keyed per
+//! (kind, shard, stream), and a stream's next row of either kind can only
+//! come from its next completion, which follows the join, so a deferred
+//! row lands at the same place in the same chunk. Only a row that fills
+//! its chunk, or a snapshot, has a place in the store's order across
+//! partitions (seal sequence, LRU eviction, snapshot survival); a
+//! completion that books either is joined at once, through the same pool
+//! slot. A handed-off frame is a detect frame, so it owes no `Policy`
+//! row: that partition also takes the downgrade rows booked at arrivals,
+//! which could land between a completion and its join.
 //!
 //! A **control plane** rides on the same virtual clock: arriving frames
 //! pass an [`AdmissionPolicy`] before
@@ -89,7 +99,7 @@ use catdet_core::{
     PolicyKind, RefinementWork, StageStep, StagedDetector, SystemFactory,
 };
 use catdet_data::{Frame, StreamSource};
-use catdet_recorder::{Event, FlightRecorder, STAGE_PROPOSAL, STAGE_REFINEMENT};
+use catdet_recorder::{Event, EventKind, FlightRecorder, STAGE_PROPOSAL, STAGE_REFINEMENT};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -206,10 +216,15 @@ enum Pipeline {
     /// A frame in flight: claimed by a batch being priced, or suspended in
     /// a refinement fuse pool.
     InFlight,
-    /// Frame `frame_idx` is complete on the schedule and its refinement
-    /// handed off; the stream's next join books its output and parks the
-    /// pipeline. Scheduling treats the stream as parked.
-    Refining { frame_idx: usize, job: Handoff },
+    /// Frame `frame_idx` is complete on the schedule at `completion_s` and
+    /// its refinement handed off; the stream's next join books its output
+    /// (and a recorded run's rows) and parks the pipeline. Scheduling
+    /// treats the stream as parked.
+    Refining {
+        frame_idx: usize,
+        completion_s: f64,
+        job: Handoff,
+    },
 }
 
 impl Pipeline {
@@ -220,8 +235,8 @@ impl Pipeline {
 
 /// A resumed frame's refinement job.
 enum Handoff {
-    /// Run at once, because the engine has no pool to take it (a recorded
-    /// run never has one); the result waits here.
+    /// Run at once, because the engine has no pool to take it; the result
+    /// waits here.
     Ran(Refinement),
     /// Queued on the fleet's shard pool under the stream's slot.
     Pooled,
@@ -314,6 +329,16 @@ impl MigratedStream {
     }
 }
 
+/// What planning a step's batches reads of the streams: those that could
+/// join a batch now ([`eligible`](Engine::eligible_stream_count)), those
+/// that still could some time ([`live`](Engine::live_stream_count)), and
+/// whether any stream has frames yet to arrive.
+struct StreamCounts {
+    eligible: usize,
+    live: usize,
+    more_frames_coming: bool,
+}
+
 struct PlannedBatch {
     worker: usize,
     start: f64,
@@ -399,7 +424,7 @@ pub(crate) struct Engine {
     /// `refine_pending` in pool order; empty between dispatches.
     refine_ready: Vec<PendingRefine>,
     /// The fleet's shard pool, which takes handed-off refinement jobs;
-    /// `None` when the run has no pool or records (jobs then run at once).
+    /// `None` when the run has no pool (jobs then run at once).
     refiner: Option<Refiner>,
     /// Per worker slot: the end of any per-frame work a held-open batch
     /// priced on its timeline before suspending the rest in the fuse
@@ -452,10 +477,6 @@ impl Engine {
         recorder: Box<dyn FlightRecorder>,
         refiner: Option<Refiner>,
     ) -> Self {
-        debug_assert!(
-            refiner.is_none() || !recorder.enabled(),
-            "a recorded run refines inline"
-        );
         let priorities: Vec<u8> = specs.iter().map(|(_, spec)| spec.priority).collect();
         let streams: Vec<StreamRt> = specs
             .into_iter()
@@ -1028,7 +1049,7 @@ impl Engine {
     }
 
     /// Books a finished frame back into its stream at `completion_s`: its
-    /// schedule, its recorder rows when recording, then its output.
+    /// schedule, then its output.
     fn complete_frame(
         &mut self,
         stream: usize,
@@ -1039,10 +1060,7 @@ impl Engine {
         out: FrameOutput,
     ) {
         self.book_schedule(stream, arrival_s, completion_s);
-        if self.recorder.enabled() {
-            self.record_completion(stream, frame_idx, arrival_s, completion_s, &*system, &out);
-        }
-        self.book_output(stream, frame_idx, system, out);
+        self.book_output(stream, frame_idx, completion_s, system, out);
     }
 
     /// Books the half of a frame's completion that scheduling reads: its
@@ -1059,15 +1077,20 @@ impl Engine {
         self.last_completion = self.last_completion.max(completion_s);
     }
 
-    /// Books a frame's output (ops, policy counts, detections) into its
-    /// stream and parks its pipeline.
+    /// Books the output of a frame completed at `completion_s` into its
+    /// stream: its recorder rows when recording, then its ops, policy
+    /// counts and detections. Parks its pipeline.
     fn book_output(
         &mut self,
         stream: usize,
         frame_idx: usize,
+        completion_s: f64,
         system: Box<dyn StagedDetector>,
         out: FrameOutput,
     ) {
+        if self.recorder.enabled() {
+            self.record_completion(stream, frame_idx, completion_s, &*system, &out);
+        }
         let s = &mut self.streams[stream];
         s.ops.accumulate(&out.ops);
         // Per-policy frame accounting; detect frames (and unpoliced
@@ -1088,7 +1111,6 @@ impl Engine {
         &mut self,
         stream: usize,
         frame_idx: usize,
-        arrival_s: f64,
         completion_s: f64,
         system: &dyn StagedDetector,
         out: &FrameOutput,
@@ -1096,6 +1118,7 @@ impl Engine {
         let snapshot_every = self.recorder.snapshot_interval();
         let s = &self.streams[stream];
         let decision = system.policy_decision();
+        let arrival_s = s.frames[frame_idx].0;
         let frame_index = s.frames[frame_idx].1.index;
         let global = s.global_id;
         let seq = s.processed;
@@ -1171,15 +1194,14 @@ impl Engine {
         }
     }
 
-    /// Books a resumed frame's completion at `completion_s`. A recorded
-    /// run books all of it now, from the output its refinement gave at
-    /// once; otherwise the schedule half is booked now and the output at
-    /// the stream's next join.
+    /// Books a resumed frame's completion at `completion_s`: the schedule
+    /// half now, the output at the stream's next join. A recorded
+    /// completion whose rows have a place in the store's order across
+    /// partitions is joined at once (see the module docs).
     ///
     /// # Panics
     ///
-    /// Re-raises the payload text of a panic a recorded run's refinement
-    /// raised, for the engine's capture point to report.
+    /// As [`join`](Self::join), when the completion is joined at once.
     fn complete_resumed(
         &mut self,
         stream: usize,
@@ -1188,21 +1210,32 @@ impl Engine {
         completion_s: f64,
         job: Handoff,
     ) {
-        if self.recorder.enabled() {
-            let Handoff::Ran((system, out)) = job else {
-                unreachable!("a recorded run refines inline");
-            };
-            let out = out.unwrap_or_else(|msg| std::panic::resume_unwind(Box::new(msg)));
-            self.complete_frame(stream, frame_idx, arrival_s, completion_s, system, out);
-        } else {
-            self.book_schedule(stream, arrival_s, completion_s);
-            self.streams[stream].pipeline = Pipeline::Refining { frame_idx, job };
+        self.book_schedule(stream, arrival_s, completion_s);
+        self.streams[stream].pipeline = Pipeline::Refining {
+            frame_idx,
+            completion_s,
+            job,
+        };
+        if self.recorder.enabled() && self.books_in_store_order(stream) {
+            self.join(stream);
         }
     }
 
+    /// Whether `stream`'s completion just booked on the schedule would, once
+    /// recorded, fill a `Detection` or `Track` chunk or capture a snapshot.
+    fn books_in_store_order(&self, stream: usize) -> bool {
+        let s = &self.streams[stream];
+        let every = self.recorder.snapshot_interval();
+        (every > 0 && s.processed.is_multiple_of(every))
+            || [EventKind::Detection, EventKind::Track]
+                .into_iter()
+                .any(|kind| self.recorder.next_row_fills(kind, s.global_id))
+    }
+
     /// Joins a stream's handed-off refinement, if it has one: books the
-    /// frame's output and parks the pipeline. Takes the job back from the
-    /// pool when no thread has started it, and waits for it otherwise.
+    /// frame's output (and a recorded run's rows, at the frame's
+    /// completion time) and parks the pipeline. Takes the job back from
+    /// the pool when no thread has started it, and waits for it otherwise.
     ///
     /// # Panics
     ///
@@ -1213,8 +1246,11 @@ impl Engine {
         if !matches!(s.pipeline, Pipeline::Refining { .. }) {
             return;
         }
-        let Pipeline::Refining { frame_idx, job } =
-            std::mem::replace(&mut s.pipeline, Pipeline::InFlight)
+        let Pipeline::Refining {
+            frame_idx,
+            completion_s,
+            job,
+        } = std::mem::replace(&mut s.pipeline, Pipeline::InFlight)
         else {
             unreachable!()
         };
@@ -1226,10 +1262,15 @@ impl Engine {
                 .expect("a pooled refinement needs the pool")
                 .join(s.slot),
         };
-        match out {
-            Ok(out) => self.book_output(stream, frame_idx, system, out),
-            Err(msg) => std::panic::resume_unwind(Box::new(msg)),
-        }
+        let out = out.unwrap_or_else(|msg| std::panic::resume_unwind(Box::new(msg)));
+        debug_assert!(
+            !matches!(
+                system.policy_decision(),
+                Some(PolicyDecision::Coast | PolicyDecision::Skip)
+            ),
+            "a handed-off frame owes a policy row"
+        );
+        self.book_output(stream, frame_idx, completion_s, system, out);
     }
 
     /// Joins every handed-off refinement, in stream order: the fleet's
@@ -1258,23 +1299,35 @@ impl Engine {
         // Plan batches for every *active* worker able to dispatch at
         // `now`; mutate queue state eagerly so later workers see earlier
         // claims. Deactivated slots drain: they finish their batch above
-        // but are never handed a new one.
+        // but are never handed a new one. The stream counts are walked
+        // once per call, at the first worker that is not busy, and kept up
+        // to date from each claim after that.
         let mut planned = std::mem::take(&mut self.planned_buf);
+        let mut counts = None;
         for w in 0..self.active_workers {
-            let eligible = self.eligible_stream_count(now);
+            let waiting = match self.workers[w] {
+                WorkerState::Busy { .. } => continue,
+                WorkerState::Idle => None,
+                WorkerState::Waiting { deadline } => Some(deadline),
+            };
+            let c = counts.get_or_insert_with(|| self.stream_counts(now));
+            debug_assert_eq!(
+                (c.eligible, c.live),
+                (self.eligible_stream_count(now), self.live_stream_count()),
+                "running stream counts drifted from the walks"
+            );
             // A batch takes at most one frame per live stream, so waiting
             // for more than that is futile (e.g. 4 streams, max_batch 8).
-            let batch_target = self.cfg.max_batch.min(self.live_stream_count());
-            match self.workers[w] {
-                WorkerState::Busy { .. } => continue,
-                WorkerState::Idle => {
-                    if eligible == 0 {
+            let batch_target = self.cfg.max_batch.min(c.live);
+            match waiting {
+                None => {
+                    if c.eligible == 0 {
                         continue;
                     }
                     // Open a window if it could grow an under-full batch.
                     if self.cfg.batch_window_s > 0.0
-                        && eligible < batch_target
-                        && self.more_frames_coming(now)
+                        && c.eligible < batch_target
+                        && c.more_frames_coming
                     {
                         self.workers[w] = WorkerState::Waiting {
                             deadline: now + self.cfg.batch_window_s,
@@ -1282,12 +1335,12 @@ impl Engine {
                         continue;
                     }
                 }
-                WorkerState::Waiting { deadline } => {
-                    if eligible == 0 {
+                Some(deadline) => {
+                    if c.eligible == 0 {
                         self.workers[w] = WorkerState::Idle;
                         continue;
                     }
-                    if deadline > now + EPS && eligible < batch_target {
+                    if deadline > now + EPS && c.eligible < batch_target {
                         continue; // keep waiting
                     }
                 }
@@ -1301,6 +1354,17 @@ impl Engine {
                 self.workers[w] = WorkerState::Idle;
                 continue;
             }
+            // A claimed stream was eligible and no longer is; it stays live
+            // while it has frames queued or still to arrive (its pipeline
+            // goes in flight only once the planned batches run).
+            c.eligible -= items.len();
+            c.live -= items
+                .iter()
+                .filter(|&&(stream, _, _)| {
+                    let s = &self.streams[stream];
+                    s.queue.is_empty() && s.next_arrival == s.frames.len()
+                })
+                .count();
             planned.push(PlannedBatch {
                 worker: w,
                 start: now,
@@ -1599,17 +1663,21 @@ impl Engine {
         }
     }
 
+    /// The stream counts that plan a step's batches, walked afresh.
+    fn stream_counts(&self, now: f64) -> StreamCounts {
+        StreamCounts {
+            eligible: self.eligible_stream_count(now),
+            live: self.live_stream_count(),
+            more_frames_coming: self.streams.iter().any(|s| s.next_arrival < s.frames.len()),
+        }
+    }
+
     /// Streams that could contribute a frame to a batch right now.
     fn eligible_stream_count(&self, now: f64) -> usize {
         self.streams
             .iter()
             .filter(|s| !s.queue.is_empty() && !s.pipeline.in_flight() && s.busy_until <= now + EPS)
             .count()
-    }
-
-    /// Whether any stream still has frames that have not yet arrived.
-    fn more_frames_coming(&self, _now: f64) -> bool {
-        self.streams.iter().any(|s| s.next_arrival < s.frames.len())
     }
 
     /// Streams that could still contribute a frame to some batch: frames

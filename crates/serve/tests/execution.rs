@@ -252,19 +252,21 @@ fn refine_panic(shard: usize, frame: usize) -> String {
 }
 
 /// Runs `streams()` on a fleet under `cfg` at `--threads` 1, 2 and 4,
-/// recorded or not, and returns each run's panic text.
+/// unrecorded (`None`) or recorded into 64-row chunks with a snapshot
+/// every `Some(n)` frames, and returns each run's panic text.
 fn refine_panics_at_each_thread_count(
     cfg: ServeConfig,
-    recorded: bool,
+    recorded: Option<usize>,
     streams: fn() -> Vec<StreamSpec>,
 ) -> [String; 3] {
     [1, 2, 4].map(|threads| {
         let cfg = cfg.with_shard(cfg.shard.with_threads(threads));
-        panic_message_of(move || {
-            if recorded {
-                let recorder = SharedRecorder::new(64, usize::MAX, 0);
+        panic_message_of(move || match recorded {
+            Some(snapshot_every) => {
+                let recorder = SharedRecorder::new(64, usize::MAX, snapshot_every);
                 serve_fleet_with_recorder(streams(), &cfg, &recorder);
-            } else {
+            }
+            None => {
                 serve_fleet(streams(), &cfg);
             }
         })
@@ -283,15 +285,18 @@ fn refinement_panics_name_their_shard_at_every_join_point() {
         .with_refine_batch_window_s(0.004);
     // Frame 5 of 12 is joined at the stream's next batch claim, inside the
     // engine's run; frame 12, its last, only in the final join. A recorded
-    // run refines inline instead: in the engine's run when unfused, in the
-    // fleet's cross-shard dispatch when fused.
+    // run joins them there too, unless the completion owes a snapshot:
+    // with one every 5 frames, frame 5 is joined at once, in the engine's
+    // run when unfused, in the fleet's cross-shard dispatch when fused.
     let mid: fn() -> Vec<StreamSpec> = || streams_with_refine_panic(12, 5);
     let last: fn() -> Vec<StreamSpec> = || streams_with_refine_panic(12, 12);
     for (name, cfg) in [("unfused", unfused), ("fused", fused)] {
         for (join, recorded, streams, frame) in [
-            ("next claim", false, mid, 5),
-            ("final join", false, last, 12),
-            ("inline", true, mid, 5),
+            ("next claim", None, mid, 5),
+            ("final join", None, last, 12),
+            ("next claim, recorded", Some(0), mid, 5),
+            ("final join, recorded", Some(0), last, 12),
+            ("owed snapshot, recorded", Some(5), mid, 5),
         ] {
             let msgs = refine_panics_at_each_thread_count(cfg, recorded, streams);
             for (threads, msg) in [1, 2, 4].iter().zip(&msgs) {
@@ -328,13 +333,13 @@ fn refinement_panics_name_their_shard_at_every_join_point() {
                 .with_rebalance_interval_s(0.002)
                 .with_migration_cost_frames(0),
         );
-    for recorded in [false, true] {
+    for recorded in [None, Some(0)] {
         let msgs = refine_panics_at_each_thread_count(rebalancing, recorded, burst);
         for (threads, msg) in [1, 2, 4].iter().zip(&msgs) {
             assert_eq!(
                 *msg,
                 refine_panic(0, 1),
-                "extraction, recorded {recorded}, --threads {threads}"
+                "extraction, recorded {recorded:?}, --threads {threads}"
             );
         }
     }

@@ -1,14 +1,15 @@
 //! Sharded-fleet tests: the 1-shard golden equivalence (a fleet of one is
 //! bit-identical to the monolithic scheduler), exact frame conservation
-//! under live migrations, cross-shard refinement fusion, and merged
-//! reporting.
+//! under live migrations, cross-shard refinement fusion, merged
+//! reporting, and the refusal of duplicate stream ids.
 
 mod common;
 
 use catdet_serve::{
-    bursty_workload, mixed_workload, serve, serve_fleet, step_workload, AdmissionConfig,
-    AutoscaleConfig, BurstProfile, FleetReport, LatencyStats, PartitionKind, ServeConfig,
-    ShardConfig, StreamSpec, SystemKind,
+    bursty_workload, mixed_workload, serve, serve_fleet, serve_fleet_with_recorder,
+    serve_net_fleet, serve_net_fleet_with_recorder, step_workload, AdmissionConfig,
+    AutoscaleConfig, BurstProfile, FleetReport, IngestConfig, LatencyStats, PartitionKind,
+    ServeConfig, ShardConfig, SharedRecorder, StreamSpec, SystemKind,
 };
 use common::null_spec_steady;
 use proptest::prelude::*;
@@ -591,5 +592,57 @@ fn eight_shards_serve_at_least_twice_one_shards_throughput() {
             speedup >= 2.0,
             "{name}: 8 shards serve only {speedup:.2}x the 1-shard throughput"
         );
+    }
+}
+
+/// The text of the panic `call` raises, if it raises one.
+fn panic_text(call: impl FnOnce()) -> Option<String> {
+    let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).err()?;
+    e.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+}
+
+#[test]
+fn duplicate_stream_ids_are_refused_before_any_work() {
+    // Streams 7, 3 and 7: the second 7 would share the first one's
+    // recorder partitions, replay and report rows. Every entry point
+    // refuses the set, naming the id, at one and two shards, recorded or
+    // not, and with the config otherwise valid.
+    let streams = || {
+        [7, 3, 7]
+            .into_iter()
+            .map(|id| null_spec_steady(id, 10.0, 4, 0.0))
+            .collect::<Vec<StreamSpec>>()
+    };
+    let want = "stream id 7 is used by more than one stream";
+    for shards in [1, 2] {
+        let cfg = ServeConfig::new().with_shard(ShardConfig::sharded(shards).with_threads(2));
+        let net = cfg.with_ingest(IngestConfig::net());
+        for entry in [
+            "serve_fleet",
+            "serve_fleet_with_recorder",
+            "serve_net_fleet",
+            "serve_net_fleet_with_recorder",
+        ] {
+            let recorder = SharedRecorder::new(4, usize::MAX, 2);
+            let text = panic_text(|| {
+                drop(match entry {
+                    "serve_fleet" => serve_fleet(streams(), &cfg),
+                    "serve_fleet_with_recorder" => {
+                        serve_fleet_with_recorder(streams(), &cfg, &recorder)
+                    }
+                    "serve_net_fleet" => serve_net_fleet(streams(), &net, 1),
+                    _ => serve_net_fleet_with_recorder(streams(), &net, 1, &recorder),
+                })
+            });
+            assert_eq!(text.as_deref(), Some(want), "{entry} at {shards} shard(s)");
+        }
+        // Distinct ids pass the same check.
+        let distinct: Vec<StreamSpec> = [7, 3, 8]
+            .into_iter()
+            .map(|id| null_spec_steady(id, 10.0, 4, 0.0))
+            .collect();
+        assert_eq!(serve_fleet(distinct, &cfg).streams().len(), 3);
     }
 }

@@ -1,10 +1,13 @@
-//! The refinement handoff: an unrecorded run hands each frame's
-//! refinement to the shard pool and joins it at the stream's next batch
-//! claim, on migration, or in the fleet's final join. In `crowd`'s shape
-//! that puts refinements on the pool's helper while proposals stay on the
-//! calling thread; and whichever thread runs a refinement, and whenever,
-//! the report is bit-identical to the sequential and the recorded
-//! (inline) runs, migrations of refining streams included.
+//! The refinement handoff: a run hands each frame's refinement to the
+//! shard pool and joins it at the stream's next batch claim, on migration,
+//! or in the fleet's final join; a recorded run books the frame's rows
+//! there too, unless they fill a chunk or a snapshot is due, which joins
+//! it at once. In `crowd`'s shape that puts refinements on the pool's
+//! helper while proposals stay on the calling thread, recorded or not; and
+//! whichever thread runs a refinement, and whenever, the report is
+//! bit-identical to the sequential and the recorded runs, and the
+//! recording to the sequential recording, migrations of refining streams
+//! included.
 
 mod common;
 
@@ -13,6 +16,7 @@ use catdet_core::{
     SystemFactory, SystemKind,
 };
 use catdet_data::{kitti_like, Frame, StreamFrame, StreamSource};
+use catdet_recorder::encode;
 use catdet_serve::{
     serve_fleet, serve_fleet_with_recorder, FleetReport, PartitionKind, ServeConfig, ShardConfig,
     SharedRecorder, StreamSpec,
@@ -122,7 +126,19 @@ fn refinements_leave_the_calling_thread_while_proposals_stay() {
     // 2-shard fleet at `--threads 2`, one stream per shard, their frames
     // 100 ms apart so no fused dispatch spans both shards. Every pass then
     // has one runnable engine, which the calling thread runs, while the
-    // refinements its dispatches hand off can go to the pool's helper.
+    // refinements its dispatches hand off can go to the pool's helper. A
+    // recorded run (8-row chunks, a snapshot every 4 frames) joins some
+    // completions at once, and hands the others off the same way.
+    for recorded in [false, true] {
+        assert_refinements_leave_the_caller(recorded);
+    }
+}
+
+/// Runs the lock-step fleet of
+/// [`refinements_leave_the_calling_thread_while_proposals_stay`],
+/// recorded or not, and checks that every proposal ran on the caller and
+/// some refinement did not.
+fn assert_refinements_leave_the_caller(recorded: bool) {
     let log = Arc::new(StageLog {
         caller: std::thread::current().id(),
         proposals: Mutex::default(),
@@ -167,7 +183,14 @@ fn refinements_leave_the_calling_thread_while_proposals_stay() {
                 .with_partition(PartitionKind::LeastLoaded)
                 .with_threads(2),
         );
-    let report = serve_fleet(streams, &cfg);
+    let report = if recorded {
+        let recorder = SharedRecorder::new(8, usize::MAX, 4);
+        let report = serve_fleet_with_recorder(streams, &cfg, &recorder);
+        assert!(recorder.stats().snapshots > 0, "no snapshot was due");
+        report
+    } else {
+        serve_fleet(streams, &cfg)
+    };
     assert!(
         report.shards.iter().all(|s| s.frames_processed > 0),
         "a shard served nothing: the fleet proves nothing"
@@ -184,12 +207,13 @@ fn refinements_leave_the_calling_thread_while_proposals_stay() {
     assert_eq!(refinements.len(), report.frames_processed());
     assert!(
         proposals.iter().all(|&t| t == caller),
-        "a proposal ran off the calling thread although no two engines could run"
+        "recorded {recorded}: a proposal ran off the calling thread although no two engines \
+         could run"
     );
     let off_caller = refinements.iter().filter(|&&t| t != caller).count();
     assert!(
         off_caller > 0,
-        "all {} refinements ran on the calling thread",
+        "recorded {recorded}: all {} refinements ran on the calling thread",
         refinements.len()
     );
 }
@@ -207,7 +231,7 @@ fn assert_handoff_invariant(
         let threaded = serve_fleet(streams(), &at(threads));
         assert_eq!(sequential, threaded, "--threads {threads} diverged");
     }
-    // A recorded run refines inline: the handoff must move nothing.
+    // A recorded run hands refinements off too: it must move nothing.
     let recorder = SharedRecorder::new(64, usize::MAX, 0);
     let recorded = serve_fleet_with_recorder(streams(), &at(2), &recorder);
     assert_eq!(sequential, recorded, "the recorded run diverged");
@@ -273,7 +297,9 @@ fn a_stream_migrates_while_its_refinement_is_out() {
 proptest! {
     /// Random fleets of stateful staged pipelines — fused or not,
     /// rebalancing or not, with drops, several workers and uneven streams
-    /// — give the same report at every thread count and recorded.
+    /// — give the same report at every thread count and recorded, and
+    /// recordings of 1–8-row chunks, with or without retention and
+    /// snapshots, save the same bytes and statistics at every thread count.
     #[test]
     fn prop_handoff_is_bit_identical_across_threads(
         shards in 2usize..5,
@@ -282,6 +308,10 @@ proptest! {
         rebalance_ms in (proptest::bool::ANY, 1.0f64..80.0)
             .prop_map(|(on, ms)| if on { ms } else { 0.0 }),
         specs in proptest::collection::vec((2.0f64..40.0, 3usize..24, 0.0f64..0.2), 2..9),
+        chunk_rows in 1usize..9,
+        retention in (proptest::bool::ANY, 2usize..12)
+            .prop_map(|(bounded, chunks)| if bounded { chunks } else { usize::MAX }),
+        snapshot_every in 0usize..6,
     ) {
         let build = || -> Vec<StreamSpec> {
             specs
@@ -310,8 +340,22 @@ proptest! {
             let threaded = serve_fleet(build(), &at(threads));
             prop_assert_eq!(&sequential, &threaded);
         }
-        let recorder = SharedRecorder::new(64, usize::MAX, 0);
-        let recorded = serve_fleet_with_recorder(build(), &at(2), &recorder);
+        let record = |threads| {
+            let recorder = SharedRecorder::new(chunk_rows, retention, snapshot_every);
+            let report = serve_fleet_with_recorder(build(), &at(threads), &recorder);
+            (report, recorder.with_store(|s| encode(s)), recorder.stats())
+        };
+        let (recorded, bytes, stats) = record(1);
         prop_assert_eq!(&sequential, &recorded);
+        for threads in [2, 3] {
+            let (report, threaded_bytes, threaded_stats) = record(threads);
+            prop_assert_eq!(&sequential, &report);
+            prop_assert!(
+                threaded_bytes == bytes,
+                "--threads {} saved other bytes than --threads 1",
+                threads
+            );
+            prop_assert_eq!(threaded_stats, stats);
+        }
     }
 }

@@ -3,12 +3,9 @@
 use crate::ops::OpsBreakdown;
 use crate::scratch::FrameScratch;
 use crate::stage::{PipelineState, ProposalWork, RefinementWork, StageStep, StagedDetector};
-use crate::system::{
-    nms_per_class_with, refinement_macs_from_coverage, refinement_macs_with, FrameOutput,
-    SystemConfig,
-};
+use crate::system::{nms_per_class_with, refinement_macs_from_coverage, FrameOutput, SystemConfig};
 use catdet_data::Frame;
-use catdet_detector::{zoo, DetectorModel, OpsSpec, SimulatedDetector};
+use catdet_detector::{zoo, DetectorModel, SimulatedDetector};
 
 /// The cascade's frame state machine (see [`StagedDetector`]); the frame
 /// and region set live in the system's [`FrameScratch`].
@@ -199,18 +196,7 @@ impl StagedDetector for CascadedSystem {
             coverage,
             regions,
             self.cfg.margin,
-        )
-        .unwrap_or_else(|| {
-            debug_assert!(matches!(spec, OpsSpec::RetinaNet(_)));
-            refinement_macs_with(
-                &mut self.scratch.coverage,
-                spec,
-                self.width,
-                self.height,
-                regions,
-                self.cfg.margin,
-            )
-        });
+        );
         let work = RefinementWork {
             macs: refine_macs,
             num_regions: regions.len(),
@@ -237,12 +223,13 @@ impl StagedDetector for CascadedSystem {
         };
 
         // 2. Refinement network calibrates the proposed regions.
-        let refined = self.refinement.detect_regions(
+        let refined = self.refinement.detect_regions_with_coverage(
             self.scratch.frame.sequence_id,
             self.scratch.frame.index,
             &self.scratch.frame.ground_truth,
             &self.scratch.regions,
             self.cfg.margin,
+            work.coverage,
         );
         let mut detections = Vec::with_capacity(refined.len());
         nms_per_class_with(

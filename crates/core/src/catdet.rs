@@ -3,12 +3,9 @@
 use crate::ops::OpsBreakdown;
 use crate::scratch::FrameScratch;
 use crate::stage::{PipelineState, ProposalWork, RefinementWork, StageStep, StagedDetector};
-use crate::system::{
-    nms_per_class_with, refinement_macs_from_coverage, refinement_macs_with, FrameOutput,
-    SystemConfig,
-};
+use crate::system::{nms_per_class_with, refinement_macs_from_coverage, FrameOutput, SystemConfig};
 use catdet_data::Frame;
-use catdet_detector::{zoo, DetectorModel, OpsSpec, SimulatedDetector};
+use catdet_detector::{zoo, DetectorModel, SimulatedDetector};
 use catdet_metrics::Detection;
 use catdet_sim::ActorClass;
 use catdet_track::{TrackDetection, Tracker, TrackerConfig};
@@ -226,59 +223,35 @@ impl StagedDetector for CaTDetSystem {
 
         // The union of both sources is the refinement network's input; its
         // pending dispatch is priced here, with the Table 3 source
-        // attribution, so a scheduler can fuse it before it runs.
+        // attribution, so a scheduler can fuse it before it runs. Each
+        // source is rasterised once at stride 16, and the union's coverage
+        // is the OR of the two rasters: it prices the dispatch, is
+        // reported, and scales the refinement network's clutter term.
         let proposal_macs = self
             .proposal
             .model()
             .ops
             .full_frame_macs(self.width as usize, self.height as usize);
+        let (width, height, margin) = (self.width, self.height, self.cfg.margin);
         let spec = &self.refinement.model().ops;
-        let regions = &self.scratch.regions;
-        // One stride-16 raster of the union serves both the reported
-        // coverage and (for Faster R-CNN masking) the dispatch price.
-        let coverage = catdet_geom::coverage::masked_fraction_with(
-            &mut self.scratch.coverage,
-            regions,
-            self.width,
-            self.height,
-            16,
-            self.cfg.margin,
-        );
-        let refine_macs = refinement_macs_from_coverage(
-            spec,
-            self.width,
-            self.height,
-            coverage,
-            regions,
-            self.cfg.margin,
-        )
-        .unwrap_or_else(|| {
-            debug_assert!(matches!(spec, OpsSpec::RetinaNet(_)));
-            refinement_macs_with(
-                &mut self.scratch.coverage,
-                spec,
-                self.width,
-                self.height,
-                regions,
-                self.cfg.margin,
-            )
-        });
-        let from_tracker = refinement_macs_with(
-            &mut self.scratch.coverage,
-            spec,
-            self.width,
-            self.height,
-            &regions[..tracker_regions],
-            self.cfg.margin,
-        );
-        let from_proposal = refinement_macs_with(
-            &mut self.scratch.coverage,
-            spec,
-            self.width,
-            self.height,
-            &regions[tracker_regions..],
-            self.cfg.margin,
-        );
+        let scratch = &mut self.scratch;
+        let regions = &scratch.regions;
+        let (tracked, proposed) = regions.split_at(tracker_regions);
+        let raster = |grid, regions| {
+            catdet_geom::coverage::masked_fraction_with(grid, regions, width, height, 16, margin)
+        };
+        let tracked_coverage = raster(&mut scratch.tracker_coverage, tracked);
+        let proposed_coverage = raster(&mut scratch.coverage, proposed);
+        let coverage = scratch
+            .coverage
+            .union_covered_cells(&scratch.tracker_coverage) as f64
+            / scratch.coverage.total_cells() as f64;
+        let price = |coverage, regions| {
+            refinement_macs_from_coverage(spec, width, height, coverage, regions, margin)
+        };
+        let refine_macs = price(coverage, regions);
+        let from_tracker = price(tracked_coverage, tracked);
+        let from_proposal = price(proposed_coverage, proposed);
         let work = RefinementWork {
             macs: refine_macs,
             num_regions: regions.len(),
@@ -307,12 +280,13 @@ impl StagedDetector for CaTDetSystem {
 
         // (d) Refinement network calibrates the union of both sources;
         // NMS removes duplicates.
-        let refined = self.refinement.detect_regions(
+        let refined = self.refinement.detect_regions_with_coverage(
             self.scratch.frame.sequence_id,
             self.scratch.frame.index,
             &self.scratch.frame.ground_truth,
             &self.scratch.regions,
             self.cfg.margin,
+            work.coverage,
         );
         let mut detections = Vec::with_capacity(refined.len());
         nms_per_class_with(
@@ -393,11 +367,13 @@ impl StagedDetector for CaTDetSystem {
             "coast_frame while a frame is in flight"
         );
         let _ = frame; // pixels are never touched on a coasted frame
-        let predictions = self.tracker.predictions(self.width, self.height);
+        self.scratch.predictions.clear();
+        self.tracker
+            .predictions_into(self.width, self.height, &mut self.scratch.predictions);
         self.scratch.regions.clear();
         self.scratch
             .regions
-            .extend(predictions.iter().map(|p| p.bbox));
+            .extend(self.scratch.predictions.iter().map(|p| p.bbox));
         let coverage = catdet_geom::coverage::masked_fraction_with(
             &mut self.scratch.coverage,
             &self.scratch.regions,
@@ -414,20 +390,12 @@ impl StagedDetector for CaTDetSystem {
             coverage,
             &self.scratch.regions,
             self.cfg.margin,
-        )
-        .unwrap_or_else(|| {
-            refinement_macs_with(
-                &mut self.scratch.coverage,
-                spec,
-                self.width,
-                self.height,
-                &self.scratch.regions,
-                self.cfg.margin,
-            )
-        });
+        );
         // Scores map the tracker's adaptive confidence counter onto [0,1].
         let max_conf = self.tracker.config().max_confidence.max(1) as f32;
-        let mut detections: Vec<Detection> = predictions
+        let mut detections: Vec<Detection> = self
+            .scratch
+            .predictions
             .iter()
             .map(|p| Detection {
                 bbox: p.bbox,

@@ -20,7 +20,7 @@ use catdet_data::Frame;
 use catdet_geom::{Box2, CoverageGrid};
 use catdet_metrics::Detection;
 use catdet_sim::ActorClass;
-use catdet_track::TrackDetection;
+use catdet_track::{TrackDetection, TrackPrediction};
 
 /// Reusable per-stream buffers for one in-flight frame.
 #[derive(Debug, Clone)]
@@ -39,8 +39,14 @@ pub struct FrameScratch {
     pub(crate) track_inputs: Vec<TrackDetection<ActorClass>>,
     /// Per-class NMS buffers.
     pub(crate) nms: PerClassNms,
-    /// Stride-16 coverage raster reused by dispatch pricing.
+    /// Stride-16 coverage raster reused by dispatch pricing: of all
+    /// regions, or of the proposal regions when the tracker's are
+    /// rasterised apart.
     pub(crate) coverage: CoverageGrid,
+    /// Stride-16 coverage raster of the tracker regions (CaTDet).
+    pub(crate) tracker_coverage: CoverageGrid,
+    /// Tracker predictions of a coasted frame.
+    pub(crate) predictions: Vec<TrackPrediction<ActorClass>>,
 }
 
 impl FrameScratch {
@@ -59,6 +65,8 @@ impl FrameScratch {
             track_inputs: Vec::new(),
             nms: PerClassNms::default(),
             coverage: CoverageGrid::new(width.max(1.0), height.max(1.0), 16),
+            tracker_coverage: CoverageGrid::new(width.max(1.0), height.max(1.0), 16),
+            predictions: Vec::new(),
         }
     }
 

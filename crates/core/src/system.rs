@@ -3,7 +3,7 @@
 use crate::ops::OpsBreakdown;
 use catdet_data::Frame;
 use catdet_detector::OpsSpec;
-use catdet_geom::{nms_indices_with, Box2, CoverageGrid, NmsScratch};
+use catdet_geom::{nms_indices_with, Box2, NmsScratch};
 use catdet_metrics::Detection;
 use catdet_sim::ActorClass;
 
@@ -155,17 +155,20 @@ pub fn refinement_macs(
     regions: &[Box2],
     margin: f32,
 ) -> f64 {
-    let mut grid = CoverageGrid::new(width, height, 16);
-    refinement_macs_with(&mut grid, spec, width, height, regions, margin)
+    let coverage = catdet_geom::coverage::masked_fraction(regions, width, height, 16, margin);
+    refinement_macs_from_coverage(spec, width, height, coverage, regions, margin)
 }
 
-/// Allocation-free [`refinement_macs`]: the stride-16 coverage raster
-/// reuses `grid`'s cell buffer across frames.
-pub fn refinement_macs_with(
-    grid: &mut CoverageGrid,
+/// [`refinement_macs`] when the stride-16 coverage of `regions` (dilated
+/// by `margin`) has already been rasterised this frame: a staged pipeline
+/// prices its dispatch and reports the coverage from one raster. Faster
+/// R-CNN masks its trunk by `coverage`; RetinaNet prices each pyramid
+/// level from the regions themselves.
+pub fn refinement_macs_from_coverage(
     spec: &OpsSpec,
     width: f32,
     height: f32,
+    coverage: f64,
     regions: &[Box2],
     margin: f32,
 ) -> f64 {
@@ -173,41 +176,10 @@ pub fn refinement_macs_with(
         return 0.0;
     }
     match spec {
-        OpsSpec::FasterRcnn(s) => {
-            let coverage = catdet_geom::coverage::masked_fraction_with(
-                grid, regions, width, height, 16, margin,
-            );
-            s.masked_macs(width as usize, height as usize, coverage, regions.len())
-                .total()
-        }
+        OpsSpec::FasterRcnn(s) => s
+            .masked_macs(width as usize, height as usize, coverage, regions.len())
+            .total(),
         OpsSpec::RetinaNet(r) => r.masked_macs(width as usize, height as usize, regions, margin),
-    }
-}
-
-/// Refinement cost when the stride-16 coverage of `regions` has already
-/// been rasterised this frame (CaTDet prices the dispatch *and* reports
-/// the coverage, over the same region set — no need to raster twice).
-///
-/// Returns `None` for specs whose masking does not consume a stride-16
-/// coverage figure (RetinaNet prices per level internally); callers fall
-/// back to [`refinement_macs_with`].
-pub fn refinement_macs_from_coverage(
-    spec: &OpsSpec,
-    width: f32,
-    height: f32,
-    coverage: f64,
-    regions: &[Box2],
-    _margin: f32,
-) -> Option<f64> {
-    if regions.is_empty() {
-        return Some(0.0);
-    }
-    match spec {
-        OpsSpec::FasterRcnn(s) => Some(
-            s.masked_macs(width as usize, height as usize, coverage, regions.len())
-                .total(),
-        ),
-        OpsSpec::RetinaNet(_) => None,
     }
 }
 

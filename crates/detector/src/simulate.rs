@@ -9,23 +9,36 @@
 //! `BENCH_PR4.json`). The per-object streams are therefore derived **once
 //! per `(sequence, track)`** and consumed incrementally as frames advance:
 //! the temporal-noise innovations and the detect / region-validate draws
-//! for a track all come from three persistent streams cached in the
-//! detector, in one record per track next to the track's persistent
-//! difficulty and noise state. The cache is pure memoization of a
-//! well-defined reference:
-//! [`with_stream_cache(false)`](SimulatedDetector::with_stream_cache)
-//! re-derives each stream from its base key on every draw and seeks it
-//! past the consumed words, producing bit-identical output (a determinism
-//! test pins the two modes together). Like the temporal-noise state before
-//! it, the stream position is sequential state: a sequence's frames must
-//! be processed once each, in order — exactly what every runner, evaluator
-//! and the serving scheduler already guarantee.
+//! for a track all come from three persistent streams, held in one record
+//! per track next to the track's persistent difficulty and noise state.
+//! Each draw site reads that record through one table lookup, and the
+//! temporal-noise step and the site's draw run on the same record.
 //!
-//! The same reference makes state capture cheap: a stream is its key and
-//! its word count, so a [`DetectorState`] keeps three counts per track,
-//! not three generators, and import re-derives each stream with an O(1)
-//! seek ([`ChaCha8Rng::set_word_pos`]) — through the one helper the
-//! uncached mode draws from.
+//! Only **live** tracks keep a full record (three generators, 456 bytes):
+//! those the detector's latest call drew from. At the end of every call a
+//! record the call did not draw from is **parked** as its 48-byte
+//! position — difficulty, noise state and the word count of each stream —
+//! and the track's next draw re-derives the record from it. So a
+//! detector's memory follows the objects in view, plus 48 bytes (56 with
+//! the table key) for every track its sequence has shown and lost.
+//!
+//! Caching and parking are pure memoization of a well-defined reference:
+//! a stream is its key plus the number of words drawn from it, and one
+//! helper rebuilds it from those with an O(1) seek
+//! ([`ChaCha8Rng::set_word_pos`]). The uncached mode
+//! ([`with_stream_cache(false)`](SimulatedDetector::with_stream_cache))
+//! draws through that helper on every draw, and un-parking and
+//! [`import_state`](SimulatedDetector::import_state) rebuild through it
+//! too, so all three produce bit-identical output (determinism tests pin
+//! the uncached mode and a mid-sequence import to the cached run). Like
+//! the temporal-noise state before it, the stream position is sequential
+//! state: a sequence's frames must be processed once each, in order —
+//! exactly what every runner, evaluator and the serving scheduler already
+//! guarantee.
+//!
+//! The same reference makes state capture cheap: a [`DetectorState`] is
+//! the sorted list of every track's position, live or parked, and import
+//! parks each one.
 
 use crate::accuracy::{object_quality, sigmoid, AccuracyProfile};
 use crate::latent::{derive_rng, name_key, sample_normal, TemporalNoise};
@@ -36,6 +49,7 @@ use catdet_sim::{ActorClass, GroundTruthObject};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Salt constants separating the random streams.
 const SALT_LATENT_SHARED: u64 = 0x01;
@@ -134,13 +148,16 @@ fn draw_from<T>(
     }
 }
 
-/// The cached per-`(sequence, track)` record: the object's persistent
+/// The live per-`(sequence, track)` record: the object's persistent
 /// difficulty, the AR(1) temporal noise process, and the three persistent
 /// draw streams it and the detection sites consume.
 #[derive(Debug, Clone)]
 struct TrackStreams {
     latent: f32,
     noise: TemporalNoise,
+    /// Whether the detector's current call has drawn from the record; one
+    /// that ends a call undrawn is parked.
+    drawn: bool,
     temporal: StreamState,
     detect: StreamState,
     region: StreamState,
@@ -159,21 +176,31 @@ impl TrackStreams {
         TrackStreams {
             latent,
             noise,
+            drawn: false,
             temporal: StreamState::at(&key(SALT_TEMPORAL_STEP), temporal),
             detect: StreamState::at(&key(SALT_DETECT), detect),
             region: StreamState::at(&key(SALT_DETECT_REGION), region),
         }
     }
+
+    /// Everything of the record but its generators.
+    fn position(&self, track: u64) -> TrackPosition {
+        TrackPosition {
+            track,
+            consumed: [
+                self.temporal.consumed,
+                self.detect.consumed,
+                self.region.consumed,
+            ],
+            latent: self.latent,
+            noise: self.noise,
+        }
+    }
 }
 
-/// The base key of `(seq, track)`'s stream `salt` under a detector's seed
-/// and model.
-fn stream_key(seed: u64, model_key: u64, salt: u64, seq: usize, track: u64) -> [u64; 5] {
-    [seed, salt, model_key, seq as u64, track]
-}
-
-/// What a [`DetectorState`] keeps of one cached track: everything but the
-/// generators, which the stream keys and word counts re-derive.
+/// A track without its generators, which the stream keys and word counts
+/// re-derive: how a detector parks a track it is not drawing from, and
+/// what a [`DetectorState`] holds per track.
 #[derive(Debug, Clone, Copy)]
 struct TrackPosition {
     track: u64,
@@ -181,6 +208,133 @@ struct TrackPosition {
     consumed: [u64; 3],
     latent: f32,
     noise: TemporalNoise,
+}
+
+/// Multiply-shift hashing of a `u64` track id (Fibonacci hashing). The
+/// product is rotated rather than shifted, so the table's bucket index
+/// (its low bits) comes from the product's well-mixed high half. Track ids
+/// come from the simulator's ground truth, never from outside the
+/// program, so the table needs no protection against crafted collisions.
+#[derive(Debug, Clone, Copy, Default)]
+struct TrackIdHasher(u64);
+
+impl Hasher for TrackIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32)
+    }
+}
+
+type TrackMap<V> = HashMap<u64, V, BuildHasherDefault<TrackIdHasher>>;
+
+/// A detector's tracks in its current sequence: a full record for every
+/// track its latest call drew from, and a position for every other track
+/// it has drawn from (see the module docs). Each track is in exactly one
+/// of the two tables.
+#[derive(Debug, Clone, Default)]
+struct TrackTable {
+    live: TrackMap<TrackStreams>,
+    parked: TrackMap<TrackPosition>,
+}
+
+impl TrackTable {
+    fn clear(&mut self) {
+        self.live.clear();
+        self.parked.clear();
+    }
+
+    /// `track`'s live record, marked drawn: found in one lookup, or
+    /// re-derived from its parked position, or derived on first touch.
+    fn record(
+        &mut self,
+        keys: &StreamKeys,
+        profile: &AccuracyProfile,
+        track: u64,
+    ) -> &mut TrackStreams {
+        let parked = &mut self.parked;
+        let ts = self.live.entry(track).or_insert_with(|| {
+            let key = |salt| keys.key(salt, track);
+            match parked.remove(&track) {
+                Some(p) => TrackStreams::at(key, p.latent, p.noise, p.consumed),
+                None => {
+                    // Persistent per-object difficulty: a component
+                    // shared by all models plus a model-specific one.
+                    let shared = profile.shared_heterogeneity
+                        * sample_normal(&mut derive_rng(&[
+                            keys.seed,
+                            SALT_LATENT_SHARED,
+                            keys.seq as u64,
+                            track,
+                        ]));
+                    let own = profile.own_heterogeneity
+                        * sample_normal(&mut derive_rng(&key(SALT_LATENT_OWN)));
+                    let noise = TemporalNoise::new(
+                        profile.temporal_corr,
+                        profile.temporal_sigma,
+                        &mut derive_rng(&key(SALT_TEMPORAL_INIT)),
+                    );
+                    TrackStreams::at(key, shared + own, noise, [0; 3])
+                }
+            }
+        });
+        ts.drawn = true;
+        ts
+    }
+
+    /// Ends a call: parks every live record the call did not draw from.
+    fn park_undrawn(&mut self) {
+        let parked = &mut self.parked;
+        self.live.retain(|&track, ts| {
+            if std::mem::take(&mut ts.drawn) {
+                return true;
+            }
+            parked.insert(track, ts.position(track));
+            false
+        });
+    }
+
+    /// Every track's position, sorted by track id.
+    fn positions(&self) -> Vec<TrackPosition> {
+        let mut tracks = Vec::with_capacity(self.live.len() + self.parked.len());
+        tracks.extend(self.live.iter().map(|(&track, ts)| ts.position(track)));
+        tracks.extend(self.parked.values().copied());
+        tracks.sort_unstable_by_key(|t| t.track);
+        tracks
+    }
+}
+
+/// What keys a track's streams within one call: the detector's seed and
+/// model, and the sequence.
+struct StreamKeys {
+    seed: u64,
+    model_key: u64,
+    seq: usize,
+}
+
+impl StreamKeys {
+    /// The base key of `track`'s stream `salt`.
+    fn key(&self, salt: u64, track: u64) -> [u64; 5] {
+        [self.seed, salt, self.model_key, self.seq as u64, track]
+    }
+}
+
+/// The draw site an object's detection comes from: each consumes its own
+/// stream of the track's record and its own probability of the margin.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    /// Full-frame detection.
+    Detect,
+    /// Region-conditioned validation.
+    Region,
 }
 
 /// Reusable per-detector buffers for the region-conditioned hot path.
@@ -192,8 +346,9 @@ struct RegionScratch {
     proposal_grid: GridIndex,
     /// Bin index over the ground truth (gates the empty-region FP sweep).
     gt_grid: GridIndex,
-    /// Coverage raster reused by the ambient-clutter term.
-    coverage: CoverageGrid,
+    /// Coverage raster for the ambient-clutter term when the caller
+    /// passes none, built on first use.
+    coverage: Option<CoverageGrid>,
 }
 
 /// The complete portable cross-frame state of a [`SimulatedDetector`], as
@@ -201,11 +356,13 @@ struct RegionScratch {
 /// [`SimulatedDetector::import_state`].
 ///
 /// It holds the current sequence and, for every track the detector has
-/// seen in it, sorted by track id: the track's persistent difficulty, its
-/// AR(1) noise state, and how many words each of its three random streams
-/// has drawn — 48 bytes per track. The generators themselves are not
-/// kept: a stream is defined by its key and its word count, so import
-/// re-derives it. Opaque by design; holders just carry it between a
+/// drawn from in it — live or parked alike, sorted by track id — the
+/// track's persistent difficulty, its AR(1) noise state, and how many
+/// words each of its three random streams has drawn: 48 bytes per track,
+/// the same position a detector parks a track it is not drawing from as.
+/// The generators themselves are not kept: a stream is defined by its key
+/// and its word count, so the importer re-derives each one when the track
+/// is next drawn. Opaque by design; holders just carry it between a
 /// matching export/import pair.
 #[derive(Debug, Clone)]
 pub struct DetectorState {
@@ -225,9 +382,9 @@ pub struct SimulatedDetector {
     frame_w: f32,
     frame_h: f32,
     current_seq: Option<usize>,
-    /// Per-track cached record (difficulty, temporal noise, draw streams);
-    /// see the module docs on random-stream caching.
-    tracks: HashMap<u64, TrackStreams>,
+    /// Per-track records (difficulty, temporal noise, draw streams), live
+    /// or parked; see the module docs on random-stream caching.
+    tracks: TrackTable,
     /// Whether per-track streams are served from the cache (`true`, the
     /// default) or re-derived at their position on every draw (the
     /// bit-identical reference mode).
@@ -252,13 +409,13 @@ impl SimulatedDetector {
             frame_w,
             frame_h,
             current_seq: None,
-            tracks: HashMap::new(),
+            tracks: TrackTable::default(),
             stream_cache: true,
             scratch: RegionScratch {
                 dilated: Vec::new(),
                 proposal_grid: GridIndex::new(),
                 gt_grid: GridIndex::new(),
-                coverage: CoverageGrid::new(frame_w.max(1.0), frame_h.max(1.0), 16),
+                coverage: None,
             },
         }
     }
@@ -288,8 +445,10 @@ impl SimulatedDetector {
     }
 
     /// Exports the detector's complete cross-frame state: the current
-    /// sequence and, per track seen in it, its difficulty, its noise state
-    /// and its three stream positions (see [`DetectorState`]).
+    /// sequence and, per track drawn in it, its difficulty, its noise
+    /// state and its three stream positions (see [`DetectorState`]). Live
+    /// and parked tracks export alike, so the state does not depend on
+    /// which tracks the last call drew.
     ///
     /// The random-stream caching scheme (see module docs) makes detector
     /// output *sequential*: each draw advances a persistent per-track
@@ -299,44 +458,31 @@ impl SimulatedDetector {
     /// mid-sequence bit-identically. It costs 48 heap bytes per track and
     /// holds no generator.
     pub fn export_state(&self) -> DetectorState {
-        let mut tracks: Vec<TrackPosition> = self
-            .tracks
-            .iter()
-            .map(|(&track, ts)| TrackPosition {
-                track,
-                consumed: [ts.temporal.consumed, ts.detect.consumed, ts.region.consumed],
-                latent: ts.latent,
-                noise: ts.noise,
-            })
-            .collect();
-        tracks.sort_unstable_by_key(|t| t.track);
         DetectorState {
             current_seq: self.current_seq,
-            tracks,
+            tracks: self.tracks.positions(),
         }
     }
 
     /// Restores state captured by [`export_state`](Self::export_state).
     ///
     /// The importing detector must have the exporter's model, seed and
-    /// frame size: the streams are re-derived from keys built of those,
-    /// and seeked to the exported positions, so the next draw on every
-    /// stream is exactly the exporter's. The cache-mode flag is *not* part
-    /// of the state — both modes draw from the same positions. O(tracks):
-    /// one key expansion and at most one ChaCha block per stream.
+    /// frame size: streams are keyed by those. Import parks every track at
+    /// its exported position and derives no generator; a track's next
+    /// draw re-derives its streams and seeks them there, so the next draw
+    /// on every stream is exactly the exporter's. The cache-mode flag is
+    /// *not* part of the state — both modes draw from the same positions.
+    /// O(tracks), one table insert per track.
     pub fn import_state(&mut self, state: DetectorState) {
         self.current_seq = state.current_seq;
         self.tracks.clear();
         // Tracks exist only inside a sequence.
-        let Some(seq) = state.current_seq else {
+        if state.current_seq.is_none() {
             return;
-        };
-        self.tracks.reserve(state.tracks.len());
-        for t in state.tracks {
-            let key = |salt| self.key(salt, seq, t.track);
-            let streams = TrackStreams::at(key, t.latent, t.noise, t.consumed);
-            self.tracks.insert(t.track, streams);
         }
+        self.tracks
+            .parked
+            .extend(state.tracks.into_iter().map(|t| (t.track, t)));
     }
 
     fn enter_frame(&mut self, seq: usize) {
@@ -346,53 +492,47 @@ impl SimulatedDetector {
         }
     }
 
-    /// The base key of one of `(seq, track)`'s persistent streams.
-    fn key(&self, salt: u64, seq: usize, track: u64) -> [u64; 5] {
-        stream_key(self.seed, self.model_key, salt, seq, track)
-    }
-
-    /// The cached record of one `(sequence, track)`, derived on first
-    /// touch.
-    fn track_streams(&mut self, seq: usize, track: u64) -> &mut TrackStreams {
-        let (seed, model_key, p) = (self.seed, self.model_key, &self.model.profile);
-        let key = |salt| stream_key(seed, model_key, salt, seq, track);
-        self.tracks.entry(track).or_insert_with(|| {
-            // Persistent per-object difficulty: a component shared by all
-            // models plus a model-specific one.
-            let shared = p.shared_heterogeneity
-                * sample_normal(&mut derive_rng(&[
-                    seed,
-                    SALT_LATENT_SHARED,
-                    seq as u64,
-                    track,
-                ]));
-            let own = p.own_heterogeneity * sample_normal(&mut derive_rng(&key(SALT_LATENT_OWN)));
-            let noise = TemporalNoise::new(
-                p.temporal_corr,
-                p.temporal_sigma,
-                &mut derive_rng(&key(SALT_TEMPORAL_INIT)),
-            );
-            TrackStreams::at(key, shared + own, noise, [0; 3])
-        })
-    }
-
-    /// The detection margin of an object (logits). The temporal-noise
-    /// innovation comes from the track's persistent stream, so this
-    /// advances per-track sequential state — call it once per frame per
-    /// track, in frame order.
-    fn margin(&mut self, seq: usize, gt: &GroundTruthObject) -> f32 {
-        let p = self.model.profile.clone();
-        let q = object_quality(gt);
+    /// Draws `gt`'s detection at `site` for this frame, or `None` if the
+    /// site misses it. One lookup finds the track's record; on it the
+    /// track's temporal noise advances one step (its persistent stream
+    /// makes this sequential state — once per frame per site, in frame
+    /// order), which sets the object's margin, and the site's own stream
+    /// decides and emits the detection.
+    fn draw_object(&mut self, seq: usize, gt: &GroundTruthObject, site: Site) -> Option<Detection> {
         let cached = self.stream_cache;
-        let key = self.key(SALT_TEMPORAL_STEP, seq, gt.track_id);
+        let (frame_w, frame_h) = (self.frame_w, self.frame_h);
+        let p = &self.model.profile;
+        let keys = StreamKeys {
+            seed: self.seed,
+            model_key: self.model_key,
+            seq,
+        };
+        let track = gt.track_id;
         let TrackStreams {
             latent,
             noise,
             temporal,
+            detect,
+            region,
             ..
-        } = self.track_streams(seq, gt.track_id);
-        let eps = draw_from(cached, temporal, &key, |rng| noise.step(rng));
-        p.offset + p.discrimination * q - p.occlusion_sensitivity * gt.occlusion + *latent + eps
+        } = self.tracks.record(&keys, p, track);
+        let q = object_quality(gt);
+        let eps = draw_from(
+            cached,
+            temporal,
+            &keys.key(SALT_TEMPORAL_STEP, track),
+            |rng| noise.step(rng),
+        );
+        let m = p.offset + p.discrimination * q - p.occlusion_sensitivity * gt.occlusion
+            + *latent
+            + eps;
+        let (hit_p, stream, salt) = match site {
+            Site::Detect => (p.detection_probability(m), detect, SALT_DETECT),
+            Site::Region => (p.validation_probability(m), region, SALT_DETECT_REGION),
+        };
+        draw_from(cached, stream, &keys.key(salt, track), |rng| {
+            (rng.gen::<f32>() < hit_p).then(|| emit_detection(p, frame_w, frame_h, gt, m, rng))
+        })
     }
 
     fn poisson<R: Rng>(rng: &mut R, lambda: f32) -> usize {
@@ -449,19 +589,9 @@ impl SimulatedDetector {
         self.enter_frame(seq);
         let mut out = Vec::with_capacity(gts.len());
         for gt in gts {
-            let m = self.margin(seq, gt);
-            let detect_p = self.model.profile.detection_probability(m);
-            let profile = self.model.profile.clone();
-            let cached = self.stream_cache;
-            let (frame_w, frame_h) = (self.frame_w, self.frame_h);
-            let key = self.key(SALT_DETECT, seq, gt.track_id);
-            let ts = self.track_streams(seq, gt.track_id);
-            let det = draw_from(cached, &mut ts.detect, &key, |rng| {
-                (rng.gen::<f32>() < detect_p)
-                    .then(|| emit_detection(&profile, frame_w, frame_h, gt, m, rng))
-            });
-            out.extend(det);
+            out.extend(self.draw_object(seq, gt, Site::Detect));
         }
+        self.tracks.park_undrawn();
         let mut fp_rng = derive_rng(&[
             self.seed,
             SALT_FALSE_POS,
@@ -498,8 +628,34 @@ impl SimulatedDetector {
         proposals: &[Box2],
         margin_px: f32,
     ) -> Vec<Detection> {
+        let coverage = self.raster_coverage(proposals, margin_px);
+        self.detect_regions_with_coverage(seq, frame, gts, proposals, margin_px, coverage)
+    }
+
+    /// [`detect_regions`](Self::detect_regions) for a caller that has
+    /// already rasterised the proposals. `coverage` must be the fraction
+    /// of the frame's stride-16 grid covered by `proposals` dilated by
+    /// `margin_px`, as [`catdet_geom::coverage::masked_fraction`] computes
+    /// it: the ambient-clutter term scales with it. A staged pipeline
+    /// prices its refinement dispatch from that raster, so passing it on
+    /// spares the detector a second one. Debug builds check it against a
+    /// fresh raster, bit for bit.
+    pub fn detect_regions_with_coverage(
+        &mut self,
+        seq: usize,
+        frame: usize,
+        gts: &[GroundTruthObject],
+        proposals: &[Box2],
+        margin_px: f32,
+        coverage: f64,
+    ) -> Vec<Detection> {
+        debug_assert_eq!(
+            coverage.to_bits(),
+            self.raster_coverage(proposals, margin_px).to_bits(),
+            "the passed coverage is not the proposals' raster"
+        );
         let gated = gts.len() * proposals.len() >= REGION_GATE_MIN_PAIRS;
-        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, gated)
+        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, coverage, gated)
     }
 
     /// The historical quadratic sweep; identical results to
@@ -513,9 +669,24 @@ impl SimulatedDetector {
         proposals: &[Box2],
         margin_px: f32,
     ) -> Vec<Detection> {
-        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, false)
+        let coverage = self.raster_coverage(proposals, margin_px);
+        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, coverage, false)
     }
 
+    /// The stride-16 coverage of `proposals` dilated by `margin_px`.
+    fn raster_coverage(&mut self, proposals: &[Box2], margin_px: f32) -> f64 {
+        if proposals.is_empty() {
+            return 0.0;
+        }
+        let (width, height) = (self.frame_w, self.frame_h);
+        let grid = self
+            .scratch
+            .coverage
+            .get_or_insert_with(|| CoverageGrid::new(width.max(1.0), height.max(1.0), 16));
+        catdet_geom::coverage::masked_fraction_with(grid, proposals, width, height, 16, margin_px)
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn detect_regions_impl(
         &mut self,
         seq: usize,
@@ -523,10 +694,12 @@ impl SimulatedDetector {
         gts: &[GroundTruthObject],
         proposals: &[Box2],
         margin_px: f32,
+        coverage: f64,
         gated: bool,
     ) -> Vec<Detection> {
         self.enter_frame(seq);
         if proposals.is_empty() {
+            self.tracks.park_undrawn();
             return Vec::new();
         }
         self.scratch.dilated.clear();
@@ -553,22 +726,11 @@ impl SimulatedDetector {
             } else {
                 region_matches(&gt.bbox, proposals)
             };
-            if !matched {
-                continue;
+            if matched {
+                out.extend(self.draw_object(seq, gt, Site::Region));
             }
-            let m = self.margin(seq, gt);
-            let validate_p = self.model.profile.validation_probability(m);
-            let profile = self.model.profile.clone();
-            let cached = self.stream_cache;
-            let (frame_w, frame_h) = (self.frame_w, self.frame_h);
-            let key = self.key(SALT_DETECT_REGION, seq, gt.track_id);
-            let ts = self.track_streams(seq, gt.track_id);
-            let det = draw_from(cached, &mut ts.region, &key, |rng| {
-                (rng.gen::<f32>() < validate_p)
-                    .then(|| emit_detection(&profile, frame_w, frame_h, gt, m, rng))
-            });
-            out.extend(det);
         }
+        self.tracks.park_undrawn();
         // False positives: confirming false proposals. A region that holds
         // no actual object (typically a proposal-network false positive or
         // a stale tracker prediction) is itself "validated" into a false
@@ -625,15 +787,10 @@ impl SimulatedDetector {
             }
         }
         // Ambient clutter proportional to the covered area.
-        let coverage = catdet_geom::coverage::masked_fraction_with(
-            &mut self.scratch.coverage,
-            proposals,
-            self.frame_w,
-            self.frame_h,
-            16,
-            margin_px,
-        ) as f32;
-        let n_fp = Self::poisson(&mut fp_rng, 0.5 * self.model.profile.fp_rate * coverage);
+        let n_fp = Self::poisson(
+            &mut fp_rng,
+            0.5 * self.model.profile.fp_rate * coverage as f32,
+        );
         for _ in 0..n_fp {
             let host = self.scratch.dilated[fp_rng.gen_range(0..self.scratch.dilated.len())];
             let h = (host.height() * (0.3 + 0.6 * fp_rng.gen::<f32>())).max(10.0);

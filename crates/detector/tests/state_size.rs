@@ -1,11 +1,16 @@
-//! An exported detector state costs its stream positions, not its
-//! generators: at most 64 heap bytes per cached track. Replay snapshots
-//! hold two of these per stream, and a detector caches every track its
-//! sequence has shown, so a per-track generator copy would make them most
-//! of a recorded fleet's heap.
+//! A detector's memory follows the tracks it is drawing, and an exported
+//! state costs stream positions, not generators.
+//!
+//! A detector keeps a full record (three generators) only for the tracks
+//! its latest call drew from, and parks every other track its sequence
+//! has shown as a 48-byte position. An exported state holds that position
+//! for every track, live or parked: at most 64 heap bytes per track.
+//! Replay snapshots hold two of these per stream, and a dense camera shows
+//! thousands of tracks, so a per-track generator copy in either would make
+//! them most of a fleet's heap.
 //!
 //! A counting global allocator tallies live heap bytes per thread, so the
-//! count covers exactly the export under test whatever other tests run
+//! count covers exactly the work under test whatever other tests run
 //! alongside.
 
 use catdet_detector::{zoo, SimulatedDetector};
@@ -104,5 +109,47 @@ fn an_exported_state_holds_at_most_64_heap_bytes_per_cached_track() {
     assert_eq!(
         resumed.detect_full_frame(0, 40, &gts),
         detector.detect_full_frame(0, 40, &gts)
+    );
+}
+
+#[test]
+fn a_detector_holds_full_records_for_live_tracks_only() {
+    // 40 objects present at a time; each leaves for good after 10 frames,
+    // 4 of them a frame, and a new one takes its place.
+    const FRAMES: usize = 300;
+    const PRESENT: u64 = 40;
+    const STAY: u64 = 10;
+    let before = live_bytes();
+    let mut detector = SimulatedDetector::new(zoo::resnet50(2), 1242.0, 375.0);
+    let mut first_seen = 0;
+    for frame in 0..FRAMES {
+        let f = frame as u64;
+        let first = f * PRESENT / STAY;
+        let gts: Vec<GroundTruthObject> = (first..first + PRESENT)
+            .map(|track| object(track, frame))
+            .collect();
+        first_seen = first;
+        // Both call kinds, so all three of a track's streams are drawn.
+        detector.detect_full_frame(0, frame, &gts);
+        let regions: Vec<Box2> = gts.iter().map(|g| g.bbox).collect();
+        detector.detect_regions(0, frame, &gts, &regions, 30.0);
+    }
+    let held = live_bytes() - before;
+    let (departed, live) = (first_seen as isize, PRESENT as isize);
+    let bound = 160 * departed + 2048 * live;
+    assert!(
+        held <= bound,
+        "a detector that drew {departed} departed and {live} live tracks holds {held} heap \
+         bytes (bound {bound})"
+    );
+    // Parking loses nothing: the state resumes a fresh detector.
+    let mut resumed = SimulatedDetector::new(zoo::resnet50(2), 1242.0, 375.0);
+    resumed.import_state(detector.export_state());
+    let gts: Vec<GroundTruthObject> = (first_seen..first_seen + PRESENT)
+        .map(|track| object(track, FRAMES))
+        .collect();
+    assert_eq!(
+        resumed.detect_full_frame(0, FRAMES, &gts),
+        detector.detect_full_frame(0, FRAMES, &gts)
     );
 }

@@ -149,6 +149,25 @@ impl CoverageGrid {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Number of cells covered in `self` or in `other`: one population
+    /// count over the OR of the two grids' bit rows, so two region sets
+    /// rasterised apart also give their union's cell count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grids differ in stride or dimensions.
+    pub fn union_covered_cells(&self, other: &CoverageGrid) -> usize {
+        assert!(
+            self.stride == other.stride && self.grid_dims() == other.grid_dims(),
+            "union of coverage grids of different geometry"
+        );
+        self.bits
+            .iter()
+            .zip(&other.bits)
+            .map(|(a, b)| (a | b).count_ones() as usize)
+            .sum()
+    }
+
     /// Fraction of the grid that is covered, in `[0, 1]`.
     pub fn coverage_fraction(&self) -> f64 {
         if self.bits.is_empty() {
@@ -487,6 +506,33 @@ mod tests {
                 sum += g.covered_cells();
             }
             prop_assert!(union.covered_cells() <= sum);
+        }
+
+        /// Two region sets rasterised apart count their union's cells
+        /// exactly as one raster of both does, on rows of one and of
+        /// several words.
+        #[test]
+        fn prop_union_of_two_grids_matches_one_raster(
+            width in 0usize..3,
+            a in proptest::collection::vec(
+                (-50.0f32..2100.0, -50.0f32..400.0, 0.0f32..300.0, 0.0f32..200.0), 0..12),
+            b in proptest::collection::vec(
+                (-50.0f32..2100.0, -50.0f32..400.0, 0.0f32..300.0, 0.0f32..200.0), 0..12),
+        ) {
+            let boxes = |v: &[(f32, f32, f32, f32)]| -> Vec<Box2> {
+                v.iter().map(|&(x, y, w, h)| Box2::from_xywh(x, y, w, h)).collect()
+            };
+            let (a, b) = (boxes(&a), boxes(&b));
+            let width = [100.0, 1242.0, 2048.0][width];
+            let mut ga = CoverageGrid::new(width, 375.0, 16);
+            let mut gb = CoverageGrid::new(width, 375.0, 16);
+            let mut both = CoverageGrid::new(width, 375.0, 16);
+            ga.add_boxes(&a);
+            gb.add_boxes(&b);
+            both.add_boxes(a.iter().chain(&b));
+            prop_assert_eq!(ga.union_covered_cells(&gb), both.covered_cells());
+            prop_assert_eq!(gb.union_covered_cells(&ga), both.covered_cells());
+            prop_assert_eq!(ga.union_covered_cells(&ga), ga.covered_cells());
         }
 
         #[test]

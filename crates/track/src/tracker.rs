@@ -656,6 +656,18 @@ impl<C: Copy + Eq + Ord + Hash + Debug> Tracker<C> {
     /// filters applied: minimum width and boundary-chop suppression.
     pub fn predictions(&self, frame_width: f32, frame_height: f32) -> Vec<TrackPrediction<C>> {
         let mut out = Vec::new();
+        self.predictions_into(frame_width, frame_height, &mut out);
+        out
+    }
+
+    /// Appends the [`predictions`](Self::predictions) to `out` — the
+    /// allocation-free path a coasted frame feeds from.
+    pub fn predictions_into(
+        &self,
+        frame_width: f32,
+        frame_height: f32,
+        out: &mut Vec<TrackPrediction<C>>,
+    ) {
         self.for_each_prediction(frame_width, frame_height, |t, bbox| {
             out.push(TrackPrediction {
                 track_id: t.id,
@@ -664,7 +676,6 @@ impl<C: Copy + Eq + Ord + Hash + Debug> Tracker<C> {
                 confidence: t.confidence,
             })
         });
-        out
     }
 
     /// Appends the predicted regions (the boxes of [`predictions`](Self::predictions), same

@@ -105,6 +105,12 @@ pub trait AdmissionPolicy: Send {
     /// policies grow their per-stream state; the default is a no-op.
     fn on_stream_added(&mut self, _priority: u8) {}
 
+    /// Notifies the policy that stream slot `local` left the fleet it gates
+    /// (a live migration lifting a stream off this shard): every later
+    /// slot moves down one. Stateful policies drop the slot's per-stream
+    /// state; the default is a no-op.
+    fn on_stream_removed(&mut self, _local: usize) {}
+
     /// Whether the policy's rejections may be converted into policy
     /// downgrades (the downgrade-before-drop rung). Only load-shedding
     /// rejections qualify — a rate-limit refusal reflects a per-camera
@@ -189,6 +195,12 @@ impl AdmissionPolicy for TokenBucket {
             tokens: self.burst,
             last_s: 0.0,
         });
+    }
+
+    /// The departed stream's bucket goes with it; later streams keep
+    /// theirs.
+    fn on_stream_removed(&mut self, local: usize) {
+        self.buckets.remove(local);
     }
 }
 

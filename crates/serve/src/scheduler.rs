@@ -260,9 +260,6 @@ pub(crate) struct StreamRt {
     global_id: usize,
     /// Admission priority class (travels with the stream on migration).
     priority: u8,
-    /// Set when the stream was migrated away to another shard; the slot
-    /// stays as an inert tombstone so local indices remain stable.
-    departed: bool,
     /// The stream's slot in the fleet's refinement handoff table (its
     /// position in the run's stream list; it travels on migration).
     slot: usize,
@@ -393,7 +390,6 @@ pub(crate) struct Engine {
     // Control plane: everything below is driven purely by virtual time.
     scale_policy: Box<dyn ScalePolicy>,
     admission: Box<dyn AdmissionPolicy>,
-    priorities: Vec<u8>,
     /// Shared per-stream arrival-rate forecaster (a pure function of each
     /// stream's [`ArrivalHistory`]), consulted by the predictive scale
     /// policy and the fleet's predicted-load rebalance signal.
@@ -496,7 +492,6 @@ impl Engine {
                 StreamRt {
                     global_id: spec.source.stream_id,
                     priority: spec.priority,
-                    departed: false,
                     slot,
                     system_name: system.name(),
                     frames: spec
@@ -561,7 +556,6 @@ impl Engine {
             cfg: *cfg,
             scale_policy,
             admission,
-            priorities,
             forecaster: RateForecaster::new(cfg.forecast),
             forecast_active: autoscaling
                 && (cfg.autoscale.policy == ScalePolicyKind::Predictive
@@ -703,7 +697,7 @@ impl Engine {
         self.streams
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.departed && !s.pipeline.in_flight())
+            .filter(|(_, s)| !s.pipeline.in_flight())
             .filter(|(_, s)| {
                 // Still worth moving: the stream must have any future at all.
                 !s.queue.is_empty() || s.next_arrival < s.frames.len()
@@ -742,7 +736,6 @@ impl Engine {
     pub(crate) fn predicted_backlog(&self, t: f64) -> f64 {
         self.streams
             .iter()
-            .filter(|s| !s.departed)
             .map(|s| s.queue.len() as f64 + self.forecast_frames(s, t))
             .sum()
     }
@@ -760,15 +753,10 @@ impl Engine {
     fn forecast_tick(&mut self, t: f64) -> (f64, f64) {
         let mut rate = 0.0;
         let mut conf = 0.0;
-        let mut live = 0usize;
         for s in &self.streams {
-            if s.departed {
-                continue;
-            }
             let f = self.stream_forecast(s, t);
             rate += f.rate_fps;
             conf += f.confidence;
-            live += 1;
             if self.recorder.enabled() {
                 self.recorder.record(
                     t,
@@ -781,53 +769,43 @@ impl Engine {
                 );
             }
         }
-        if live == 0 {
+        if self.streams.is_empty() {
             (0.0, 0.0)
         } else {
-            (rate, conf / live as f64)
+            (rate, conf / self.streams.len() as f64)
         }
     }
 
-    /// Lifts a stream out of this engine for migration, leaving an inert
-    /// tombstone in its slot. Returns `None` if the stream is not at a
-    /// suspend point (frame in a fuse pool) — the
-    /// rebalancer simply tries again at the next tick. A handed-off
-    /// refinement is joined first, so the stream leaves parked.
+    /// Lifts a stream out of this engine for migration and removes its
+    /// slot. Returns `None` if the stream is not at a suspend point (frame
+    /// in a fuse pool) — the rebalancer simply tries again at the next
+    /// tick. A handed-off refinement is joined first, so the stream leaves
+    /// parked.
+    ///
+    /// Every later slot moves down one, so the engine remaps each local
+    /// index it keeps: the fuse-pool frames, the round-robin cursor and
+    /// the admission policy's per-stream state. The remaining streams keep
+    /// their visiting order.
     ///
     /// # Panics
     ///
     /// Re-raises the payload text of a panic that refinement raised.
     pub(crate) fn extract_stream(&mut self, local: usize) -> Option<MigratedStream> {
-        if self.streams[local].departed || self.streams[local].pipeline.in_flight() {
+        if self.streams[local].pipeline.in_flight() {
             return None;
         }
         self.join(local);
-        let s = &mut self.streams[local];
-        let tombstone = StreamRt {
-            global_id: s.global_id,
-            priority: s.priority,
-            departed: true,
-            slot: s.slot,
-            frames: Vec::new(),
-            next_arrival: 0,
-            queue: VecDeque::new(),
-            pipeline: Pipeline::InFlight,
-            busy_until: 0.0,
-            system_name: String::new(),
-            arrived: 0,
-            processed: 0,
-            dropped: 0,
-            rejected: 0,
-            coasted: 0,
-            skipped: 0,
-            degraded: false,
-            history: ArrivalHistory::new(&self.cfg.forecast),
-            forecast_memo: Cell::new(None),
-            latencies: Vec::new(),
-            ops: OpsBreakdown::default(),
-            outputs: Vec::new(),
-        };
-        let rt = std::mem::replace(s, tombstone);
+        let rt = self.streams.remove(local);
+        self.admission.on_stream_removed(local);
+        for p in self.refine_pending.iter_mut().chain(&mut self.refine_ready) {
+            debug_assert_ne!(p.stream, local, "a fuse-pool frame is in flight");
+            if p.stream > local {
+                p.stream -= 1;
+            }
+        }
+        if self.rr_cursor > local {
+            self.rr_cursor -= 1;
+        }
         self.total_queued -= rt.queue.len();
         Some(MigratedStream { rt })
     }
@@ -842,7 +820,6 @@ impl Engine {
         self.advance_clock_to(now);
         let rt = m.rt;
         self.total_queued += rt.queue.len();
-        self.priorities.push(rt.priority);
         self.admission.on_stream_added(rt.priority);
         self.streams.push(rt);
     }
@@ -948,7 +925,7 @@ impl Engine {
                 let ctx = AdmissionContext {
                     now_s: arrival_s,
                     stream: i,
-                    priority: self.priorities[i],
+                    priority: self.streams[i].priority,
                     total_backlog: self.total_queued,
                 };
                 match self.admission.admit(&ctx) {
@@ -1687,10 +1664,7 @@ impl Engine {
         self.streams
             .iter()
             .filter(|s| {
-                !s.departed
-                    && (!s.queue.is_empty()
-                        || s.next_arrival < s.frames.len()
-                        || s.pipeline.in_flight())
+                !s.queue.is_empty() || s.next_arrival < s.frames.len() || s.pipeline.in_flight()
             })
             .count()
     }
@@ -1769,10 +1743,7 @@ impl Engine {
         // autoscaling is off, so they never steer the fixed-policy loop).
         next = next.min(self.next_control_s);
         let work_left = self.streams.iter().any(|s| {
-            !s.departed
-                && (s.next_arrival < s.frames.len()
-                    || !s.queue.is_empty()
-                    || s.pipeline.in_flight())
+            s.next_arrival < s.frames.len() || !s.queue.is_empty() || s.pipeline.in_flight()
         }) || self
             .workers
             .iter()
@@ -1814,7 +1785,6 @@ impl Engine {
         let streams: Vec<StreamReport> = self
             .streams
             .iter_mut()
-            .filter(|s| !s.departed)
             .map(|s| {
                 assert!(
                     s.queue.is_empty(),
@@ -1888,5 +1858,197 @@ impl Engine {
     /// backing store: the fleet's last barrier, again in shard-id order.
     pub(crate) fn flush_recorder(&mut self) {
         self.recorder.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AdmissionConfig;
+    use catdet_core::DetectionSystem;
+    use catdet_data::{kitti_like, StreamFrame};
+    use catdet_recorder::NullRecorder;
+
+    /// A detection system that does no work: frames cost only the timing
+    /// model's fixed overheads.
+    struct Idle;
+
+    impl DetectionSystem for Idle {
+        fn name(&self) -> String {
+            "idle".into()
+        }
+
+        fn reset(&mut self) {}
+
+        fn process_frame(&mut self, _frame: &Frame) -> FrameOutput {
+            FrameOutput {
+                detections: Vec::new(),
+                ops: OpsBreakdown::default(),
+                num_refinement_regions: 0,
+                refinement_coverage: 0.0,
+            }
+        }
+    }
+
+    /// Stream `id` of idle frames arriving at `fps` from `start_s` for
+    /// `seconds`.
+    fn spec(id: usize, fps: f64, start_s: f64, seconds: f64) -> StreamSpec {
+        let pool = kitti_like()
+            .sequences(1)
+            .frames_per_sequence(4)
+            .seed(3)
+            .build();
+        let pool = pool.sequences()[0].frames();
+        let frames = (0..(fps * seconds) as usize)
+            .map(|i| StreamFrame {
+                arrival_s: start_s + i as f64 / fps,
+                frame: pool[i % pool.len()].clone(),
+            })
+            .collect();
+        let factory: Arc<dyn SystemFactory> =
+            Arc::new(|| Box::new(Idle) as Box<dyn DetectionSystem>);
+        StreamSpec::new(
+            StreamSource::from_frames(id, 10.0, 1242.0, 375.0, frames),
+            factory,
+        )
+    }
+
+    fn engine(specs: Vec<StreamSpec>, cfg: &ServeConfig) -> Engine {
+        let specs = specs.into_iter().enumerate().collect();
+        Engine::new(specs, cfg, 0.0, false, Box::new(NullRecorder), None)
+    }
+
+    fn finish(mut e: Engine) -> ServeReport {
+        e.run_until(f64::INFINITY);
+        e.join_refinements();
+        e.finish_report()
+    }
+
+    fn by_id(r: &ServeReport, id: usize) -> &StreamReport {
+        r.streams.iter().find(|s| s.stream_id == id).unwrap()
+    }
+
+    /// Fast and slow cameras alternate, so a bucket read by the wrong
+    /// stream admits or refuses frames it should not.
+    const FPS: [f64; 6] = [40.0, 2.0, 40.0, 2.0, 40.0, 2.0];
+
+    fn cameras() -> Vec<StreamSpec> {
+        FPS.iter()
+            .enumerate()
+            .map(|(k, &fps)| spec(10 + k, fps, 0.01 * k as f64, 2.0))
+            .collect()
+    }
+
+    #[test]
+    fn migrations_leave_one_slot_per_live_stream_and_buckets_with_their_streams() {
+        let cfg = ServeConfig::new()
+            .with_workers(1)
+            .with_max_batch(4)
+            .with_queue_capacity(10_000)
+            .with_admission(AdmissionConfig::token_bucket(5.0, 2.0));
+        let reference = finish(engine(cameras(), &cfg));
+
+        let mut hot = engine(cameras(), &cfg);
+        let mut cool = engine(Vec::new(), &cfg);
+        hot.run_until(0.5);
+        // A slow stream from the middle, a fast one behind it, then the
+        // last slot.
+        for local in [1, 3] {
+            let m = hot.extract_stream(local).expect("parked between epochs");
+            cool.admit_stream(m, 0.5);
+        }
+        hot.run_until(1.0);
+        cool.run_until(1.0);
+        let last = hot.streams.len() - 1;
+        let m = hot.extract_stream(last).expect("parked between epochs");
+        cool.admit_stream(m, 1.0);
+
+        let ids = |e: &Engine| e.streams.iter().map(|s| s.global_id).collect::<Vec<_>>();
+        assert_eq!(ids(&hot), [10, 12, 13]);
+        assert_eq!(ids(&cool), [11, 14, 15]);
+
+        let (hot, cool) = (finish(hot), finish(cool));
+        assert_eq!(hot.streams.len(), 3);
+        assert_eq!(cool.streams.len(), 3);
+        // The streams that stayed kept their buckets: every admission
+        // verdict matches the run without migrations.
+        for id in [10, 12, 13] {
+            let (got, want) = (by_id(&hot, id), by_id(&reference, id));
+            assert_eq!(
+                (got.arrived, got.rejected, got.processed),
+                (want.arrived, want.rejected, want.processed),
+                "stream {id}"
+            );
+        }
+        assert!(
+            by_id(&hot, 10).rejected > 0,
+            "the fast cameras must be limited"
+        );
+        // The moved slow streams start full buckets on the new shard and
+        // are never limited; a fast one keeps being limited.
+        assert_eq!(by_id(&cool, 11).rejected, 0);
+        assert_eq!(by_id(&cool, 15).rejected, 0);
+        assert!(by_id(&cool, 14).rejected > 0);
+        for s in hot.streams.iter().chain(&cool.streams) {
+            assert_eq!(s.arrived, s.processed + s.dropped, "stream {}", s.stream_id);
+        }
+    }
+
+    /// The global ids of `k` one-frame round-robin picks at time zero;
+    /// each picked stream is released at once, so it stays eligible.
+    fn picks(e: &mut Engine, k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        (0..k)
+            .map(|_| {
+                e.pick_batch_into(0.0, &mut out);
+                let (local, _, _) = out[0];
+                e.streams[local].busy_until = 0.0;
+                e.streams[local].global_id
+            })
+            .collect()
+    }
+
+    /// Four streams with ten frames each queued.
+    fn queued_four() -> Engine {
+        let cfg = ServeConfig::new()
+            .with_workers(1)
+            .with_max_batch(1)
+            .with_queue_capacity(100);
+        let mut e = engine((0..4).map(|id| spec(id, 10.0, 0.0, 1.0)).collect(), &cfg);
+        e.ingest_arrivals(1.0);
+        e
+    }
+
+    #[test]
+    fn round_robin_keeps_its_visiting_order_across_removals() {
+        // Removing the slot the cursor points at: its successor is next.
+        let mut e = queued_four();
+        assert_eq!(picks(&mut e, 2), [0, 1]);
+        let m = e.extract_stream(2).unwrap();
+        assert_eq!(picks(&mut e, 3), [3, 0, 1]);
+        // Re-admitted, the stream joins the end of the order.
+        e.admit_stream(m, 0.0);
+        assert_eq!(picks(&mut e, 4), [3, 2, 0, 1]);
+
+        // Removing a slot before the cursor.
+        let mut e = queued_four();
+        assert_eq!(picks(&mut e, 3), [0, 1, 2]);
+        e.extract_stream(0).unwrap();
+        assert_eq!(picks(&mut e, 3), [3, 1, 2]);
+
+        // A batch ending at the last slot wraps the cursor, so a stream
+        // admitted afterwards waits its turn.
+        let mut e = queued_four();
+        assert_eq!(picks(&mut e, 4), [0, 1, 2, 3]);
+        let m = e.extract_stream(1).unwrap();
+        e.admit_stream(m, 0.0);
+        assert_eq!(picks(&mut e, 4), [0, 2, 3, 1]);
+
+        // Removing the last slot while the cursor points at it: the order
+        // wraps to the first stream.
+        let mut e = queued_four();
+        assert_eq!(picks(&mut e, 3), [0, 1, 2]);
+        e.extract_stream(3).unwrap();
+        assert_eq!(picks(&mut e, 4), [0, 1, 2, 0]);
     }
 }

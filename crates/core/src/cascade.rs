@@ -1,7 +1,7 @@
 //! The cascaded detector without a tracker (paper Fig. 1b).
 
 use crate::ops::OpsBreakdown;
-use crate::scratch::FrameScratch;
+use crate::scratch::{FrameScratch, StageScratch};
 use crate::stage::{PipelineState, ProposalWork, RefinementWork, StageStep, StagedDetector};
 use crate::system::{nms_per_class_with, refinement_macs_from_coverage, FrameOutput, SystemConfig};
 use catdet_data::Frame;
@@ -59,7 +59,7 @@ impl CascadedSystem {
             width,
             height,
             stage: Stage::Idle,
-            scratch: FrameScratch::new(width, height),
+            scratch: FrameScratch::new(),
         }
     }
 
@@ -147,29 +147,20 @@ impl StagedDetector for CascadedSystem {
             "complete_proposal outside the proposal boundary"
         );
         self.stage = Stage::Idle;
+        let mut s = StageScratch::take();
 
         // 1. Proposal network scans the whole frame; C-thresh + NMS.
-        let raw_props = self.proposal.detect_full_frame(
-            self.scratch.frame.sequence_id,
-            self.scratch.frame.index,
-            &self.scratch.frame.ground_truth,
+        let frame = &self.scratch.frame;
+        self.proposal.detect_full_frame_into(
+            frame.sequence_id,
+            frame.index,
+            &frame.ground_truth,
+            &mut s.dets,
         );
-        self.scratch.dets.clear();
-        self.scratch.dets.extend(
-            raw_props
-                .into_iter()
-                .filter(|d| d.score >= self.cfg.c_thresh),
-        );
-        nms_per_class_with(
-            &mut self.scratch.nms,
-            &self.scratch.dets,
-            self.cfg.nms_iou,
-            &mut self.scratch.props,
-        );
+        s.dets.retain(|d| d.score >= self.cfg.c_thresh);
+        nms_per_class_with(&mut s.nms, &s.dets, self.cfg.nms_iou, &mut s.kept);
         self.scratch.regions.clear();
-        self.scratch
-            .regions
-            .extend(self.scratch.props.iter().map(|d| d.bbox));
+        self.scratch.regions.extend(s.kept.iter().map(|d| d.bbox));
 
         // Price the pending refinement dispatch over the proposed regions;
         // one stride-16 raster serves both the reported coverage and (for
@@ -182,13 +173,14 @@ impl StagedDetector for CascadedSystem {
         let spec = &self.refinement.model().ops;
         let regions = &self.scratch.regions;
         let coverage = catdet_geom::coverage::masked_fraction_with(
-            &mut self.scratch.coverage,
+            &mut s.coverage,
             regions,
             self.width,
             self.height,
             16,
             self.cfg.margin,
         );
+        s.put();
         let refine_macs = refinement_macs_from_coverage(
             spec,
             self.width,
@@ -223,21 +215,20 @@ impl StagedDetector for CascadedSystem {
         };
 
         // 2. Refinement network calibrates the proposed regions.
-        let refined = self.refinement.detect_regions_with_coverage(
-            self.scratch.frame.sequence_id,
-            self.scratch.frame.index,
-            &self.scratch.frame.ground_truth,
+        let mut s = StageScratch::take();
+        let frame = &self.scratch.frame;
+        self.refinement.detect_regions_with_coverage(
+            frame.sequence_id,
+            frame.index,
+            &frame.ground_truth,
             &self.scratch.regions,
             self.cfg.margin,
             work.coverage,
+            &mut s.dets,
         );
-        let mut detections = Vec::with_capacity(refined.len());
-        nms_per_class_with(
-            &mut self.scratch.nms,
-            &refined,
-            self.cfg.nms_iou,
-            &mut detections,
-        );
+        nms_per_class_with(&mut s.nms, &s.dets, self.cfg.nms_iou, &mut s.kept);
+        let detections = s.kept.clone();
+        s.put();
 
         self.stage = Stage::Finished {
             output: FrameOutput {

@@ -1,7 +1,7 @@
 //! CaTDet: the cascade with tracker feedback (paper Fig. 1c, Fig. 2).
 
 use crate::ops::OpsBreakdown;
-use crate::scratch::FrameScratch;
+use crate::scratch::{FrameScratch, StageScratch};
 use crate::stage::{PipelineState, ProposalWork, RefinementWork, StageStep, StagedDetector};
 use crate::system::{nms_per_class_with, refinement_macs_from_coverage, FrameOutput, SystemConfig};
 use catdet_data::Frame;
@@ -14,7 +14,8 @@ use catdet_track::{TrackDetection, Tracker, TrackerConfig};
 ///
 /// The in-flight frame and its region set live in the system's
 /// [`FrameScratch`], not in the stage payloads — advancing a frame moves
-/// no buffers and clones nothing.
+/// no buffers and clones nothing. A call's own buffers are its thread's
+/// [`StageScratch`].
 #[derive(Debug, Clone)]
 enum Stage {
     /// No frame in flight.
@@ -91,7 +92,7 @@ impl CaTDetSystem {
             width,
             height,
             stage: Stage::Idle,
-            scratch: FrameScratch::new(width, height),
+            scratch: FrameScratch::new(),
         }
     }
 
@@ -191,6 +192,7 @@ impl StagedDetector for CaTDetSystem {
             "complete_proposal outside the proposal boundary"
         );
         self.stage = Stage::Idle;
+        let mut s = StageScratch::take();
 
         // (b) Tracker predicts current-frame locations of known objects,
         // written straight into the region buffer.
@@ -200,26 +202,16 @@ impl StagedDetector for CaTDetSystem {
         let tracker_regions = self.scratch.regions.len();
 
         // (c) Proposal network adds candidate locations for new objects.
-        let raw_props = self.proposal.detect_full_frame(
-            self.scratch.frame.sequence_id,
-            self.scratch.frame.index,
-            &self.scratch.frame.ground_truth,
+        let frame = &self.scratch.frame;
+        self.proposal.detect_full_frame_into(
+            frame.sequence_id,
+            frame.index,
+            &frame.ground_truth,
+            &mut s.dets,
         );
-        self.scratch.dets.clear();
-        self.scratch.dets.extend(
-            raw_props
-                .into_iter()
-                .filter(|d| d.score >= self.cfg.c_thresh),
-        );
-        nms_per_class_with(
-            &mut self.scratch.nms,
-            &self.scratch.dets,
-            self.cfg.nms_iou,
-            &mut self.scratch.props,
-        );
-        self.scratch
-            .regions
-            .extend(self.scratch.props.iter().map(|d| d.bbox));
+        s.dets.retain(|d| d.score >= self.cfg.c_thresh);
+        nms_per_class_with(&mut s.nms, &s.dets, self.cfg.nms_iou, &mut s.kept);
+        self.scratch.regions.extend(s.kept.iter().map(|d| d.bbox));
 
         // The union of both sources is the refinement network's input; its
         // pending dispatch is priced here, with the Table 3 source
@@ -234,18 +226,16 @@ impl StagedDetector for CaTDetSystem {
             .full_frame_macs(self.width as usize, self.height as usize);
         let (width, height, margin) = (self.width, self.height, self.cfg.margin);
         let spec = &self.refinement.model().ops;
-        let scratch = &mut self.scratch;
-        let regions = &scratch.regions;
+        let regions = &self.scratch.regions;
         let (tracked, proposed) = regions.split_at(tracker_regions);
         let raster = |grid, regions| {
             catdet_geom::coverage::masked_fraction_with(grid, regions, width, height, 16, margin)
         };
-        let tracked_coverage = raster(&mut scratch.tracker_coverage, tracked);
-        let proposed_coverage = raster(&mut scratch.coverage, proposed);
-        let coverage = scratch
-            .coverage
-            .union_covered_cells(&scratch.tracker_coverage) as f64
-            / scratch.coverage.total_cells() as f64;
+        let tracked_coverage = raster(&mut s.tracker_coverage, tracked);
+        let proposed_coverage = raster(&mut s.coverage, proposed);
+        let coverage = s.coverage.union_covered_cells(&s.tracker_coverage) as f64
+            / s.coverage.total_cells() as f64;
+        s.put();
         let price = |coverage, regions| {
             refinement_macs_from_coverage(spec, width, height, coverage, regions, margin)
         };
@@ -280,25 +270,23 @@ impl StagedDetector for CaTDetSystem {
 
         // (d) Refinement network calibrates the union of both sources;
         // NMS removes duplicates.
-        let refined = self.refinement.detect_regions_with_coverage(
-            self.scratch.frame.sequence_id,
-            self.scratch.frame.index,
-            &self.scratch.frame.ground_truth,
+        let mut s = StageScratch::take();
+        let frame = &self.scratch.frame;
+        self.refinement.detect_regions_with_coverage(
+            frame.sequence_id,
+            frame.index,
+            &frame.ground_truth,
             &self.scratch.regions,
             self.cfg.margin,
             work.coverage,
+            &mut s.dets,
         );
-        let mut detections = Vec::with_capacity(refined.len());
-        nms_per_class_with(
-            &mut self.scratch.nms,
-            &refined,
-            self.cfg.nms_iou,
-            &mut detections,
-        );
+        nms_per_class_with(&mut s.nms, &s.dets, self.cfg.nms_iou, &mut s.kept);
+        let detections = s.kept.clone();
 
         // (a→) Tracker consumes the calibrated detections for next frame.
-        self.scratch.track_inputs.clear();
-        self.scratch.track_inputs.extend(
+        s.track_inputs.clear();
+        s.track_inputs.extend(
             detections
                 .iter()
                 .filter(|d| d.score >= self.cfg.t_thresh)
@@ -308,7 +296,8 @@ impl StagedDetector for CaTDetSystem {
                     class: d.class,
                 }),
         );
-        self.tracker.update(&self.scratch.track_inputs);
+        self.tracker.update(&s.track_inputs);
+        s.put();
 
         self.stage = Stage::Finished {
             output: FrameOutput {
@@ -367,15 +356,16 @@ impl StagedDetector for CaTDetSystem {
             "coast_frame while a frame is in flight"
         );
         let _ = frame; // pixels are never touched on a coasted frame
-        self.scratch.predictions.clear();
+        let mut s = StageScratch::take();
+        s.predictions.clear();
         self.tracker
-            .predictions_into(self.width, self.height, &mut self.scratch.predictions);
+            .predictions_into(self.width, self.height, &mut s.predictions);
         self.scratch.regions.clear();
         self.scratch
             .regions
-            .extend(self.scratch.predictions.iter().map(|p| p.bbox));
+            .extend(s.predictions.iter().map(|p| p.bbox));
         let coverage = catdet_geom::coverage::masked_fraction_with(
-            &mut self.scratch.coverage,
+            &mut s.coverage,
             &self.scratch.regions,
             self.width,
             self.height,
@@ -393,17 +383,25 @@ impl StagedDetector for CaTDetSystem {
         );
         // Scores map the tracker's adaptive confidence counter onto [0,1].
         let max_conf = self.tracker.config().max_confidence.max(1) as f32;
-        let mut detections: Vec<Detection> = self
-            .scratch
-            .predictions
-            .iter()
-            .map(|p| Detection {
-                bbox: p.bbox,
-                score: (p.confidence as f32 / max_conf).clamp(0.0, 1.0),
-                class: p.class,
-            })
-            .collect();
-        detections.sort_by(|a, b| b.score.total_cmp(&a.score));
+        s.dets.clear();
+        s.dets.extend(s.predictions.iter().map(|p| Detection {
+            bbox: p.bbox,
+            score: (p.confidence as f32 / max_conf).clamp(0.0, 1.0),
+            class: p.class,
+        }));
+        // Highest score first, ties in prediction order: a stable sort's
+        // order, without the merge buffer a stable sort allocates.
+        let dets = &s.dets;
+        s.order.clear();
+        s.order.extend(0..dets.len() as u32);
+        s.order.sort_unstable_by(|&a, &b| {
+            dets[b as usize]
+                .score
+                .total_cmp(&dets[a as usize].score)
+                .then(a.cmp(&b))
+        });
+        let detections: Vec<Detection> = s.order.iter().map(|&i| dets[i as usize]).collect();
+        s.put();
         self.tracker.update(&[]);
         Some(FrameOutput {
             detections,
@@ -554,6 +552,37 @@ mod tests {
         for f in ds.sequences()[0].frames() {
             assert_eq!(warmed.process_frame(f), fresh.process_frame(f));
         }
+    }
+
+    #[test]
+    fn coasted_detections_come_in_stable_score_order() {
+        // Tracks share a handful of confidence levels, so many coasted
+        // detections tie: they must keep the tracker's prediction order,
+        // as the stable sort that used to order them kept it.
+        let ds = kitti_like().sequences(1).frames_per_sequence(21).build();
+        let frames = ds.sequences()[0].frames();
+        let mut sys = CaTDetSystem::catdet_a();
+        for f in &frames[..20] {
+            sys.process_frame(f);
+        }
+        let max_conf = sys.tracker().config().max_confidence.max(1) as f32;
+        let mut expected: Vec<Detection> = sys
+            .tracker()
+            .predictions(1242.0, 375.0)
+            .iter()
+            .map(|p| Detection {
+                bbox: p.bbox,
+                score: (p.confidence as f32 / max_conf).clamp(0.0, 1.0),
+                class: p.class,
+            })
+            .collect();
+        expected.sort_by(|a, b| b.score.total_cmp(&a.score));
+        assert!(
+            expected.windows(2).any(|w| w[0].score == w[1].score),
+            "no equal scores to order"
+        );
+        let coasted = sys.coast_frame(&frames[20]).expect("CaTDet coasts");
+        assert_eq!(coasted.detections, expected);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The single-model baseline (paper Fig. 1a).
 
 use crate::ops::OpsBreakdown;
-use crate::scratch::FrameScratch;
+use crate::scratch::{FrameScratch, StageScratch};
 use crate::stage::{PipelineState, ProposalWork, RefinementWork, StageStep, StagedDetector};
 use crate::system::{nms_per_class_with, FrameOutput, SystemConfig};
 use catdet_data::Frame;
@@ -46,7 +46,7 @@ impl SingleModelSystem {
             height,
             nms_iou: SystemConfig::paper().nms_iou,
             stage: Stage::Idle,
-            scratch: FrameScratch::new(width, height),
+            scratch: FrameScratch::new(),
         }
     }
 
@@ -121,13 +121,17 @@ impl StagedDetector for SingleModelSystem {
             "complete_refinement outside the refinement boundary"
         );
         self.stage = Stage::Idle;
-        let raw = self.detector.detect_full_frame(
-            self.scratch.frame.sequence_id,
-            self.scratch.frame.index,
-            &self.scratch.frame.ground_truth,
+        let mut s = StageScratch::take();
+        let frame = &self.scratch.frame;
+        self.detector.detect_full_frame_into(
+            frame.sequence_id,
+            frame.index,
+            &frame.ground_truth,
+            &mut s.dets,
         );
-        let mut detections = Vec::with_capacity(raw.len());
-        nms_per_class_with(&mut self.scratch.nms, &raw, self.nms_iou, &mut detections);
+        nms_per_class_with(&mut s.nms, &s.dets, self.nms_iou, &mut s.kept);
+        let detections = s.kept.clone();
+        s.put();
         let macs = self.full_frame_macs();
         self.stage = Stage::Finished {
             output: FrameOutput {

@@ -93,13 +93,16 @@ pub trait DetectionSystem: Send {
     fn process_frame(&mut self, frame: &Frame) -> FrameOutput;
 }
 
-/// Reusable buffers for [`nms_per_class_with`]: one per pipeline, reused
-/// every frame so steady-state suppression allocates nothing.
+/// Reusable buffers for [`nms_per_class_with`]: reused every call, so
+/// steady-state suppression allocates nothing. A pipeline borrows its
+/// thread's (see [`crate::scratch`]).
 #[derive(Debug, Clone, Default)]
 pub struct PerClassNms {
     scored: Vec<(Box2, f32)>,
     src_idx: Vec<usize>,
     kept_idx: Vec<usize>,
+    /// One class's survivors, merged into the output.
+    run: Vec<Detection>,
     nms: NmsScratch,
 }
 
@@ -113,6 +116,13 @@ pub fn nms_per_class(detections: &[Detection], iou: f32) -> Vec<Detection> {
 
 /// Allocation-free [`nms_per_class`]: writes the surviving detections into
 /// `out`, reusing `scratch` across calls.
+///
+/// The output is in descending score order ([`f32::total_cmp`]); equal
+/// scores keep class order, then each class's NMS order — exactly what a
+/// stable sort of the classes' survivors, concatenated, gives. Each
+/// class's survivors already come in descending score order, so they are
+/// merged into `out` instead of sorted: a stable sort allocates a merge
+/// buffer above about 170 detections.
 pub fn nms_per_class_with(
     scratch: &mut PerClassNms,
     detections: &[Detection],
@@ -135,14 +145,34 @@ pub fn nms_per_class_with(
             iou,
             &mut scratch.kept_idx,
         );
-        for &idx in &scratch.kept_idx {
-            out.push(detections[scratch.src_idx[idx]]);
+        scratch.run.clear();
+        scratch.run.extend(
+            scratch
+                .kept_idx
+                .iter()
+                .map(|&idx| detections[scratch.src_idx[idx]]),
+        );
+        merge_by_descending_score(out, &scratch.run);
+    }
+}
+
+/// Merges `run` into `out`, both in descending score order
+/// ([`f32::total_cmp`], which gives NaN scores a well-defined position),
+/// placing `out`'s detections ahead of equal-scoring ones from `run`.
+/// It fills `out` from the back, so it needs no buffer.
+fn merge_by_descending_score(out: &mut Vec<Detection>, run: &[Detection]) {
+    let (mut i, mut j) = (out.len(), run.len());
+    out.extend_from_slice(run);
+    while j > 0 {
+        // The last of the remaining detections in merged order.
+        if i > 0 && out[i - 1].score.total_cmp(&run[j - 1].score).is_lt() {
+            out[i + j - 1] = out[i - 1];
+            i -= 1;
+        } else {
+            out[i + j - 1] = run[j - 1];
+            j -= 1;
         }
     }
-    // `total_cmp` gives NaN scores a well-defined position in the ordering
-    // instead of the stable-but-arbitrary placement that
-    // `partial_cmp(..).unwrap_or(Equal)` used to produce.
-    out.sort_by(|a, b| b.score.total_cmp(&a.score));
 }
 
 /// Refinement-network cost over a set of regions, dispatching on the
@@ -186,6 +216,7 @@ pub fn refinement_macs_from_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn det(x: f32, score: f32, class: ActorClass) -> Detection {
         Detection {
@@ -215,6 +246,80 @@ mod tests {
         let kept = nms_per_class(&dets, 0.5);
         assert_eq!(kept.len(), 2);
         assert!(kept[0].score >= kept[1].score);
+    }
+
+    /// What `nms_per_class_with` did before it merged: each class's
+    /// survivors concatenated in class order, then a stable descending
+    /// sort.
+    fn nms_per_class_sorted(detections: &[Detection], iou: f32) -> Vec<Detection> {
+        let mut out = Vec::new();
+        for class in ActorClass::ALL {
+            let of_class: Vec<usize> = (0..detections.len())
+                .filter(|&i| detections[i].class == class)
+                .collect();
+            let scored: Vec<(Box2, f32)> = of_class
+                .iter()
+                .map(|&i| (detections[i].bbox, detections[i].score))
+                .collect();
+            let kept = catdet_geom::nms_indices(&scored, iou);
+            out.extend(kept.into_iter().map(|k| detections[of_class[k]]));
+        }
+        out.sort_by(|a, b| b.score.total_cmp(&a.score));
+        out
+    }
+
+    /// Bit patterns of every field, so NaN scores compare.
+    fn bits(detections: &[Detection]) -> Vec<Vec<u32>> {
+        detections
+            .iter()
+            .map(|d| {
+                let b = d.bbox;
+                [b.x1, b.y1, b.x2, b.y2, d.score]
+                    .map(f32::to_bits)
+                    .into_iter()
+                    .chain([d.class as u32])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A small pool, so equal scores are common: both zeros, NaNs of both
+    /// signs and two payloads, and the ends of the range.
+    const SCORES: [f32; 9] = [0.9, 0.5, 0.1, 0.0, -0.0, 1.0, f32::NAN, -f32::NAN, 0.5];
+
+    proptest! {
+        /// Merging each class's survivors gives the order the stable sort
+        /// gave, ties, NaNs and signed zeros included, on sparse frames
+        /// (hundreds of survivors, past the sort's stack buffer) and dense
+        /// ones alike, through one reused scratch.
+        #[test]
+        fn prop_merged_nms_order_equals_a_stable_sort(
+            dets in proptest::collection::vec(
+                (0.0f32..1.0, 0.0f32..1.0, 5.0f32..60.0, 5.0f32..60.0, 0usize..10, 0usize..2),
+                0..400,
+            ),
+            spread in (0usize..2).prop_map(|k| [300.0f32, 2000.0][k]),
+            iou in 0.1f32..0.9,
+        ) {
+            let detections: Vec<Detection> = dets
+                .iter()
+                .map(|&(x, y, w, h, s, c)| Detection {
+                    bbox: Box2::from_xywh(x * spread, y * spread / 2.0, w, h),
+                    score: if s < SCORES.len() {
+                        SCORES[s]
+                    } else {
+                        f32::from_bits(0x7fc0_0001)
+                    },
+                    class: ActorClass::ALL[c],
+                })
+                .collect();
+            let mut scratch = PerClassNms::default();
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                nms_per_class_with(&mut scratch, &detections, iou, &mut out);
+                prop_assert_eq!(bits(&out), bits(&nms_per_class_sorted(&detections, iou)));
+            }
+        }
     }
 
     #[test]

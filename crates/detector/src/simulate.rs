@@ -9,27 +9,35 @@
 //! `BENCH_PR4.json`). The per-object streams are therefore derived **once
 //! per `(sequence, track)`** and consumed incrementally as frames advance:
 //! the temporal-noise innovations and the detect / region-validate draws
-//! for a track all come from three persistent streams, held in one record
-//! per track next to the track's persistent difficulty and noise state.
-//! Each draw site reads that record through one table lookup, and the
-//! temporal-noise step and the site's draw run on the same record.
+//! for a track all come from three persistent streams, positioned in one
+//! record per track next to the track's persistent difficulty and noise
+//! state. Each draw site reads that record through one table lookup, and
+//! the temporal-noise step and the site's draw run on the same record.
 //!
-//! Only **live** tracks keep a full record (three generators, 456 bytes):
-//! those the detector's latest call drew from. At the end of every call a
-//! record the call did not draw from is **parked** as its 48-byte
-//! position — difficulty, noise state and the word count of each stream —
-//! and the track's next draw re-derives the record from it. So a
-//! detector's memory follows the objects in view, plus 48 bytes (56 with
-//! the table key) for every track its sequence has shown and lost.
+//! Only **live** tracks keep a full record: those the detector's latest
+//! call drew from. A live record holds two generators, the temporal
+//! stream's and the stream of the site it was last drawn at, and keeps
+//! the other site's stream as its word count: a pipeline's detector only
+//! ever draws at one site, so the third generator was never used. A
+//! generator knows its own position, so no word count sits beside it,
+//! and a record takes 256 bytes (264 with the table key). A track later
+//! drawn at the other site swaps the site generator in place: it parks
+//! the current one as its word count and re-derives the other one. At the
+//! end of every call a record the call did not draw from is **parked** as
+//! its 48-byte position — difficulty, noise state and the word count of
+//! each stream — and the track's next draw re-derives the record from it.
+//! So a detector's memory follows the objects in view, plus 48 bytes (56
+//! with the table key) for every track its sequence has shown and lost.
 //!
 //! Caching and parking are pure memoization of a well-defined reference:
 //! a stream is its key plus the number of words drawn from it, and one
 //! helper rebuilds it from those with an O(1) seek
 //! ([`ChaCha8Rng::set_word_pos`]). The uncached mode
 //! ([`with_stream_cache(false)`](SimulatedDetector::with_stream_cache))
-//! draws through that helper on every draw, and un-parking and
+//! re-derives the stream through that helper before every draw, and
+//! un-parking, site swaps and
 //! [`import_state`](SimulatedDetector::import_state) rebuild through it
-//! too, so all three produce bit-identical output (determinism tests pin
+//! too, so all of them produce bit-identical output (determinism tests pin
 //! the uncached mode and a mid-sequence import to the cached run). Like
 //! the temporal-noise state before it, the stream position is sequential
 //! state: a sequence's frames must be processed once each, in order —
@@ -39,6 +47,14 @@
 //! The same reference makes state capture cheap: a [`DetectorState`] is
 //! the sorted list of every track's position, live or parked, and import
 //! parks each one.
+//!
+//! # Call scratch
+//!
+//! The region sweep's buffers (dilated regions, two bin indices and a
+//! coverage raster) live only within one call, so they belong to the
+//! calling thread, not to a detector: every detector a thread drives
+//! reuses the same set. A detector holds only what lives between its
+//! calls — its model, its keys and its track table.
 
 use crate::accuracy::{object_quality, sigmoid, AccuracyProfile};
 use crate::latent::{derive_rng, name_key, sample_normal, TemporalNoise};
@@ -48,6 +64,7 @@ use catdet_metrics::Detection;
 use catdet_sim::{ActorClass, GroundTruthObject};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -75,26 +92,6 @@ const REGION_AREA_RATIO: f32 = 4.0;
 /// [`detect_regions`]: SimulatedDetector::detect_regions
 const REGION_GATE_MIN_PAIRS: usize = 256;
 
-/// One persistent derived stream: the live generator plus the number of
-/// 32-bit words drawn so far. The word count alone, with the stream's
-/// key, defines the next draw ([`stream_at`]), which is what makes the
-/// cache a pure memoization and a snapshot a list of counts.
-#[derive(Debug, Clone)]
-struct StreamState {
-    rng: ChaCha8Rng,
-    consumed: u64,
-}
-
-impl StreamState {
-    /// The stream of `key` after `consumed` drawn words.
-    fn at(key: &[u64], consumed: u64) -> Self {
-        Self {
-            rng: stream_at(key, consumed),
-            consumed,
-        }
-    }
-}
-
 /// The stream derived from `key`, positioned after `consumed` drawn words
 /// by an O(1) seek: what the uncached mode draws from and what
 /// [`SimulatedDetector::import_state`] restores. A stream nothing has
@@ -108,49 +105,68 @@ fn stream_at(key: &[u64], consumed: u64) -> ChaCha8Rng {
     rng
 }
 
-/// Word-counting adapter around a ChaCha stream: every draw is tallied so
-/// the uncached mode can seek to the same position.
-struct CountedRng<'a> {
-    rng: &'a mut ChaCha8Rng,
-    consumed: &'a mut u64,
+/// The number of 32-bit words drawn from a stream: its position, which
+/// with the stream's key defines the next draw ([`stream_at`]). That is
+/// what makes the cache a pure memoization and a snapshot a list of
+/// counts.
+fn consumed(rng: &ChaCha8Rng) -> u64 {
+    rng.get_word_pos() as u64
 }
 
-impl rand::RngCore for CountedRng<'_> {
-    fn next_u32(&mut self) -> u32 {
-        *self.consumed += 1;
-        self.rng.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        *self.consumed += 2;
-        self.rng.next_u64()
-    }
-}
-
-/// Draws from a persistent stream (cached mode) or from a fresh copy at
-/// the same position (uncached reference mode).
+/// Draws from a persistent stream (cached mode), or first replaces it
+/// with a fresh copy re-derived at its position (uncached reference
+/// mode).
 fn draw_from<T>(
     cached: bool,
-    state: &mut StreamState,
+    rng: &mut ChaCha8Rng,
     key: &[u64],
-    f: impl FnOnce(&mut CountedRng) -> T,
+    f: impl FnOnce(&mut ChaCha8Rng) -> T,
 ) -> T {
-    if cached {
-        f(&mut CountedRng {
-            rng: &mut state.rng,
-            consumed: &mut state.consumed,
-        })
-    } else {
-        f(&mut CountedRng {
-            rng: &mut stream_at(key, state.consumed),
-            consumed: &mut state.consumed,
-        })
+    if !cached {
+        *rng = stream_at(key, consumed(rng));
+    }
+    f(rng)
+}
+
+/// The draw site an object's detection comes from: each consumes its own
+/// stream of the track's record and its own probability of the margin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// Full-frame detection.
+    Detect,
+    /// Region-conditioned validation.
+    Region,
+}
+
+impl Site {
+    /// The salt keying the site's stream.
+    fn salt(self) -> u64 {
+        match self {
+            Site::Detect => SALT_DETECT,
+            Site::Region => SALT_DETECT_REGION,
+        }
+    }
+
+    /// The site's stream among a [`TrackPosition`]'s word counts.
+    fn slot(self) -> usize {
+        match self {
+            Site::Detect => 1,
+            Site::Region => 2,
+        }
+    }
+
+    fn other(self) -> Site {
+        match self {
+            Site::Detect => Site::Region,
+            Site::Region => Site::Detect,
+        }
     }
 }
 
 /// The live per-`(sequence, track)` record: the object's persistent
-/// difficulty, the AR(1) temporal noise process, and the three persistent
-/// draw streams it and the detection sites consume.
+/// difficulty, the AR(1) temporal noise process, the temporal stream,
+/// the stream of the site the track was last drawn at, and the other
+/// site's word count (see the module docs).
 #[derive(Debug, Clone)]
 struct TrackStreams {
     latent: f32,
@@ -158,40 +174,55 @@ struct TrackStreams {
     /// Whether the detector's current call has drawn from the record; one
     /// that ends a call undrawn is parked.
     drawn: bool,
-    temporal: StreamState,
-    detect: StreamState,
-    region: StreamState,
+    /// Whose stream `site_rng` is.
+    site: Site,
+    /// Words drawn from the other site's stream.
+    other_consumed: u64,
+    temporal: ChaCha8Rng,
+    site_rng: ChaCha8Rng,
 }
 
 impl TrackStreams {
-    /// A track's record with its temporal, detect and region streams
-    /// (keyed by `key(salt)`) after `consumed` drawn words each.
+    /// `track`'s record, holding the temporal stream and `site`'s stream,
+    /// with its streams after `consumed` drawn words each (temporal,
+    /// detect, region).
     fn at(
-        key: impl Fn(u64) -> [u64; 5],
+        keys: &StreamKeys,
+        track: u64,
+        site: Site,
         latent: f32,
         noise: TemporalNoise,
         consumed: [u64; 3],
     ) -> Self {
-        let [temporal, detect, region] = consumed;
         TrackStreams {
             latent,
             noise,
             drawn: false,
-            temporal: StreamState::at(&key(SALT_TEMPORAL_STEP), temporal),
-            detect: StreamState::at(&key(SALT_DETECT), detect),
-            region: StreamState::at(&key(SALT_DETECT_REGION), region),
+            site,
+            other_consumed: consumed[site.other().slot()],
+            temporal: stream_at(&keys.key(SALT_TEMPORAL_STEP, track), consumed[0]),
+            site_rng: stream_at(&keys.key(site.salt(), track), consumed[site.slot()]),
+        }
+    }
+
+    /// Makes `site_rng` `site`'s stream: a record that holds the other
+    /// site's keeps that stream's word count and re-derives `site`'s.
+    fn hold_site(&mut self, keys: &StreamKeys, track: u64, site: Site) {
+        if self.site != site {
+            let resume = std::mem::replace(&mut self.other_consumed, consumed(&self.site_rng));
+            self.site_rng = stream_at(&keys.key(site.salt(), track), resume);
+            self.site = site;
         }
     }
 
     /// Everything of the record but its generators.
     fn position(&self, track: u64) -> TrackPosition {
+        let mut words = [consumed(&self.temporal), 0, 0];
+        words[self.site.slot()] = consumed(&self.site_rng);
+        words[self.site.other().slot()] = self.other_consumed;
         TrackPosition {
             track,
-            consumed: [
-                self.temporal.consumed,
-                self.detect.consumed,
-                self.region.consumed,
-            ],
+            consumed: words,
             latent: self.latent,
             noise: self.noise,
         }
@@ -252,19 +283,21 @@ impl TrackTable {
         self.parked.clear();
     }
 
-    /// `track`'s live record, marked drawn: found in one lookup, or
-    /// re-derived from its parked position, or derived on first touch.
+    /// `track`'s live record, holding `site`'s stream and marked drawn:
+    /// found in one lookup, or re-derived from its parked position, or
+    /// derived on first touch.
     fn record(
         &mut self,
         keys: &StreamKeys,
         profile: &AccuracyProfile,
         track: u64,
+        site: Site,
     ) -> &mut TrackStreams {
         let parked = &mut self.parked;
         let ts = self.live.entry(track).or_insert_with(|| {
             let key = |salt| keys.key(salt, track);
             match parked.remove(&track) {
-                Some(p) => TrackStreams::at(key, p.latent, p.noise, p.consumed),
+                Some(p) => TrackStreams::at(keys, track, site, p.latent, p.noise, p.consumed),
                 None => {
                     // Persistent per-object difficulty: a component
                     // shared by all models plus a model-specific one.
@@ -282,10 +315,11 @@ impl TrackTable {
                         profile.temporal_sigma,
                         &mut derive_rng(&key(SALT_TEMPORAL_INIT)),
                     );
-                    TrackStreams::at(key, shared + own, noise, [0; 3])
+                    TrackStreams::at(keys, track, site, shared + own, noise, [0; 3])
                 }
             }
         });
+        ts.hold_site(keys, track, site);
         ts.drawn = true;
         ts
     }
@@ -327,18 +361,9 @@ impl StreamKeys {
     }
 }
 
-/// The draw site an object's detection comes from: each consumes its own
-/// stream of the track's record and its own probability of the margin.
-#[derive(Debug, Clone, Copy)]
-enum Site {
-    /// Full-frame detection.
-    Detect,
-    /// Region-conditioned validation.
-    Region,
-}
-
-/// Reusable per-detector buffers for the region-conditioned hot path.
-#[derive(Debug, Clone)]
+/// Buffers of one region-conditioned call (see "Call scratch" in the
+/// module docs).
+#[derive(Debug, Default)]
 struct RegionScratch {
     /// Proposals dilated by the margin (order-aligned with the input).
     dilated: Vec<Box2>,
@@ -347,8 +372,15 @@ struct RegionScratch {
     /// Bin index over the ground truth (gates the empty-region FP sweep).
     gt_grid: GridIndex,
     /// Coverage raster for the ambient-clutter term when the caller
-    /// passes none, built on first use.
-    coverage: Option<CoverageGrid>,
+    /// passes none.
+    coverage: CoverageGrid,
+}
+
+thread_local! {
+    /// The calling thread's [`RegionScratch`], which a call takes and puts
+    /// back. A call clears or rebuilds each buffer before reading it, so
+    /// no result depends on an earlier call.
+    static REGION_SCRATCH: Cell<RegionScratch> = Cell::new(RegionScratch::default());
 }
 
 /// The complete portable cross-frame state of a [`SimulatedDetector`], as
@@ -389,7 +421,6 @@ pub struct SimulatedDetector {
     /// default) or re-derived at their position on every draw (the
     /// bit-identical reference mode).
     stream_cache: bool,
-    scratch: RegionScratch,
 }
 
 impl SimulatedDetector {
@@ -411,12 +442,6 @@ impl SimulatedDetector {
             current_seq: None,
             tracks: TrackTable::default(),
             stream_cache: true,
-            scratch: RegionScratch {
-                dilated: Vec::new(),
-                proposal_grid: GridIndex::new(),
-                gt_grid: GridIndex::new(),
-                coverage: None,
-            },
         }
     }
 
@@ -428,10 +453,10 @@ impl SimulatedDetector {
     /// Switches the per-track stream cache on (the default) or off.
     ///
     /// Both modes produce **bit-identical** output; the uncached mode
-    /// re-derives every stream from its base key on each draw and seeks it
-    /// to the drawn word count. It exists as the reference the cache is
-    /// tested against, and is slower: a key expansion and a ChaCha block
-    /// per draw.
+    /// re-derives every stream from its base key before each draw and
+    /// seeks it to the drawn word count. It exists as the reference the
+    /// cache is tested against, and is slower: a key expansion and a
+    /// ChaCha block per draw.
     pub fn with_stream_cache(mut self, enabled: bool) -> Self {
         self.stream_cache = enabled;
         self
@@ -512,10 +537,9 @@ impl SimulatedDetector {
             latent,
             noise,
             temporal,
-            detect,
-            region,
+            site_rng,
             ..
-        } = self.tracks.record(&keys, p, track);
+        } = self.tracks.record(&keys, p, track, site);
         let q = object_quality(gt);
         let eps = draw_from(
             cached,
@@ -526,11 +550,11 @@ impl SimulatedDetector {
         let m = p.offset + p.discrimination * q - p.occlusion_sensitivity * gt.occlusion
             + *latent
             + eps;
-        let (hit_p, stream, salt) = match site {
-            Site::Detect => (p.detection_probability(m), detect, SALT_DETECT),
-            Site::Region => (p.validation_probability(m), region, SALT_DETECT_REGION),
+        let hit_p = match site {
+            Site::Detect => p.detection_probability(m),
+            Site::Region => p.validation_probability(m),
         };
-        draw_from(cached, stream, &keys.key(salt, track), |rng| {
+        draw_from(cached, site_rng, &keys.key(site.salt(), track), |rng| {
             (rng.gen::<f32>() < hit_p).then(|| emit_detection(p, frame_w, frame_h, gt, m, rng))
         })
     }
@@ -586,8 +610,24 @@ impl SimulatedDetector {
         frame: usize,
         gts: &[GroundTruthObject],
     ) -> Vec<Detection> {
+        let mut out = Vec::new();
+        self.detect_full_frame_into(seq, frame, gts, &mut out);
+        out
+    }
+
+    /// [`detect_full_frame`](Self::detect_full_frame) into `out`, which is
+    /// cleared first: a caller that reuses `out` across frames allocates
+    /// nothing once it has grown.
+    pub fn detect_full_frame_into(
+        &mut self,
+        seq: usize,
+        frame: usize,
+        gts: &[GroundTruthObject],
+        out: &mut Vec<Detection>,
+    ) {
         self.enter_frame(seq);
-        let mut out = Vec::with_capacity(gts.len());
+        out.clear();
+        out.reserve(gts.len());
         for gt in gts {
             out.extend(self.draw_object(seq, gt, Site::Detect));
         }
@@ -605,7 +645,6 @@ impl SimulatedDetector {
             let score = self.fp_score(&mut fp_rng);
             out.push(Detection { bbox, score, class });
         }
-        out
     }
 
     /// Region-conditioned inference (the refinement network, Fig. 4b).
@@ -629,17 +668,23 @@ impl SimulatedDetector {
         margin_px: f32,
     ) -> Vec<Detection> {
         let coverage = self.raster_coverage(proposals, margin_px);
-        self.detect_regions_with_coverage(seq, frame, gts, proposals, margin_px, coverage)
+        let mut out = Vec::new();
+        self.detect_regions_with_coverage(
+            seq, frame, gts, proposals, margin_px, coverage, &mut out,
+        );
+        out
     }
 
-    /// [`detect_regions`](Self::detect_regions) for a caller that has
-    /// already rasterised the proposals. `coverage` must be the fraction
-    /// of the frame's stride-16 grid covered by `proposals` dilated by
-    /// `margin_px`, as [`catdet_geom::coverage::masked_fraction`] computes
-    /// it: the ambient-clutter term scales with it. A staged pipeline
-    /// prices its refinement dispatch from that raster, so passing it on
-    /// spares the detector a second one. Debug builds check it against a
-    /// fresh raster, bit for bit.
+    /// [`detect_regions`](Self::detect_regions) into `out` (cleared
+    /// first), for a caller that has already rasterised the proposals.
+    /// `coverage` must be the fraction of the frame's stride-16 grid
+    /// covered by `proposals` dilated by `margin_px`, as
+    /// [`catdet_geom::coverage::masked_fraction`] computes it: the
+    /// ambient-clutter term scales with it. A staged pipeline prices its
+    /// refinement dispatch from that raster, so passing it on spares the
+    /// detector a second one, and it reuses `out` across frames. Debug
+    /// builds check `coverage` against a fresh raster, bit for bit.
+    #[allow(clippy::too_many_arguments)]
     pub fn detect_regions_with_coverage(
         &mut self,
         seq: usize,
@@ -648,14 +693,15 @@ impl SimulatedDetector {
         proposals: &[Box2],
         margin_px: f32,
         coverage: f64,
-    ) -> Vec<Detection> {
+        out: &mut Vec<Detection>,
+    ) {
         debug_assert_eq!(
             coverage.to_bits(),
             self.raster_coverage(proposals, margin_px).to_bits(),
             "the passed coverage is not the proposals' raster"
         );
         let gated = gts.len() * proposals.len() >= REGION_GATE_MIN_PAIRS;
-        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, coverage, gated)
+        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, coverage, gated, out);
     }
 
     /// The historical quadratic sweep; identical results to
@@ -670,20 +716,29 @@ impl SimulatedDetector {
         margin_px: f32,
     ) -> Vec<Detection> {
         let coverage = self.raster_coverage(proposals, margin_px);
-        self.detect_regions_impl(seq, frame, gts, proposals, margin_px, coverage, false)
+        let mut out = Vec::new();
+        self.detect_regions_impl(
+            seq, frame, gts, proposals, margin_px, coverage, false, &mut out,
+        );
+        out
     }
 
     /// The stride-16 coverage of `proposals` dilated by `margin_px`.
-    fn raster_coverage(&mut self, proposals: &[Box2], margin_px: f32) -> f64 {
+    fn raster_coverage(&self, proposals: &[Box2], margin_px: f32) -> f64 {
         if proposals.is_empty() {
             return 0.0;
         }
-        let (width, height) = (self.frame_w, self.frame_h);
-        let grid = self
-            .scratch
-            .coverage
-            .get_or_insert_with(|| CoverageGrid::new(width.max(1.0), height.max(1.0), 16));
-        catdet_geom::coverage::masked_fraction_with(grid, proposals, width, height, 16, margin_px)
+        let mut s = REGION_SCRATCH.take();
+        let coverage = catdet_geom::coverage::masked_fraction_with(
+            &mut s.coverage,
+            proposals,
+            self.frame_w,
+            self.frame_h,
+            16,
+            margin_px,
+        );
+        REGION_SCRATCH.set(s);
+        coverage
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -696,32 +751,30 @@ impl SimulatedDetector {
         margin_px: f32,
         coverage: f64,
         gated: bool,
-    ) -> Vec<Detection> {
+        out: &mut Vec<Detection>,
+    ) {
         self.enter_frame(seq);
+        out.clear();
         if proposals.is_empty() {
             self.tracks.park_undrawn();
-            return Vec::new();
+            return;
         }
-        self.scratch.dilated.clear();
-        self.scratch
-            .dilated
+        let mut s = REGION_SCRATCH.take();
+        s.dilated.clear();
+        s.dilated
             .extend(proposals.iter().map(|b| b.dilate(margin_px)));
         if gated {
-            self.scratch
-                .proposal_grid
-                .build(proposals.len(), |i| proposals[i]);
-            self.scratch.gt_grid.build(gts.len(), |i| gts[i].bbox);
+            s.proposal_grid.build(proposals.len(), |i| proposals[i]);
+            s.gt_grid.build(gts.len(), |i| gts[i].bbox);
         }
-        let mut out = Vec::with_capacity(gts.len());
+        out.reserve(gts.len());
         for gt in gts {
             // A proposal that can match `gt` strictly overlaps it (an IoU
             // above threshold, or containment of its interior centre), so
             // the grid's candidates are exhaustive for the exact test.
             let matched = if gated {
                 gt.bbox.is_valid()
-                    && self
-                        .scratch
-                        .proposal_grid
+                    && s.proposal_grid
                         .any_candidate(&gt.bbox, |i| region_matches_one(&gt.bbox, &proposals[i]))
             } else {
                 region_matches(&gt.bbox, proposals)
@@ -744,7 +797,7 @@ impl SimulatedDetector {
             seq as u64,
             frame as u64,
         ]);
-        for (region, dilated_region) in proposals.iter().zip(&self.scratch.dilated) {
+        for (region, dilated_region) in proposals.iter().zip(&s.dilated) {
             // An object that stops the FP either has its centre inside the
             // dilated region or overlaps the region itself — both imply a
             // strict overlap with the dilated extent, so grid candidates
@@ -754,8 +807,7 @@ impl SimulatedDetector {
                 dilated_region.contains_point(cx, cy) || region.iou(&gt.bbox) > 0.2
             };
             let contains_object = if gated {
-                self.scratch
-                    .gt_grid
+                s.gt_grid
                     .any_candidate(dilated_region, |gi| occupied(&gts[gi]))
             } else {
                 gts.iter().any(occupied)
@@ -792,7 +844,7 @@ impl SimulatedDetector {
             0.5 * self.model.profile.fp_rate * coverage as f32,
         );
         for _ in 0..n_fp {
-            let host = self.scratch.dilated[fp_rng.gen_range(0..self.scratch.dilated.len())];
+            let host = s.dilated[fp_rng.gen_range(0..s.dilated.len())];
             let h = (host.height() * (0.3 + 0.6 * fp_rng.gen::<f32>())).max(10.0);
             let class = if fp_rng.gen::<f32>() < 0.6 {
                 ActorClass::Car
@@ -811,7 +863,7 @@ impl SimulatedDetector {
                 out.push(Detection { bbox, score, class });
             }
         }
-        out
+        REGION_SCRATCH.set(s);
     }
 }
 
@@ -878,6 +930,7 @@ fn region_matches_one(target: &Box2, r: &Box2) -> bool {
 mod tests {
     use super::*;
     use crate::zoo;
+    use rand::RngCore;
 
     fn gt(track: u64, x: f32, h: f32) -> GroundTruthObject {
         GroundTruthObject {
@@ -1175,6 +1228,47 @@ mod tests {
                 assert_eq!(a, b, "regions diverged at seq {seq} frame {f}");
             }
         }
+    }
+
+    proptest::proptest! {
+        /// A record's generators carry no word count: a stream's position
+        /// is the generator's own. At random keys and offsets, a stream
+        /// that has drawn `n` words reads `n`, and re-deriving it there
+        /// (how the uncached mode, un-parking and site swaps rebuild a
+        /// stream) continues with `derive_rng`'s words, after a further
+        /// seek too.
+        #[test]
+        fn prop_a_stream_is_its_key_and_its_position(
+            key in proptest::collection::vec(0u64..u64::MAX, 5),
+            drawn in 0usize..70,
+            wide in proptest::bool::ANY,
+            seek in 0u64..1_000_000,
+        ) {
+            let mut reference = derive_rng(&key);
+            for _ in 0..drawn {
+                reference.next_u32();
+            }
+            if wide {
+                reference.next_u64();
+            }
+            let words = drawn as u64 + if wide { 2 } else { 0 };
+            proptest::prop_assert_eq!(consumed(&reference), words);
+            let mut resumed = stream_at(&key, consumed(&reference));
+            for _ in 0..40 {
+                proptest::prop_assert_eq!(resumed.next_u32(), reference.next_u32());
+            }
+            reference.set_word_pos(u128::from(seek));
+            let mut sought = stream_at(&key, seek);
+            proptest::prop_assert_eq!(consumed(&sought), seek);
+            for _ in 0..20 {
+                proptest::prop_assert_eq!(sought.next_u32(), reference.next_u32());
+            }
+        }
+    }
+
+    #[test]
+    fn a_live_record_holds_two_generators() {
+        assert_eq!(std::mem::size_of::<TrackStreams>(), 256);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! A detector's memory follows the tracks it is drawing, and an exported
 //! state costs stream positions, not generators.
 //!
-//! A detector keeps a full record (three generators) only for the tracks
-//! its latest call drew from, and parks every other track its sequence
-//! has shown as a 48-byte position. An exported state holds that position
-//! for every track, live or parked: at most 64 heap bytes per track.
-//! Replay snapshots hold two of these per stream, and a dense camera shows
-//! thousands of tracks, so a per-track generator copy in either would make
-//! them most of a fleet's heap.
+//! A detector keeps a full record (two generators, 256 bytes) only for
+//! the tracks its latest call drew from, and parks every other track its
+//! sequence has shown as a 48-byte position. An exported state holds that
+//! position for every track, live or parked: at most 64 heap bytes per
+//! track. Replay snapshots hold two of these per stream, and a dense
+//! camera shows thousands of tracks, so a per-track generator copy in
+//! either would make them most of a fleet's heap.
 //!
 //! A counting global allocator tallies live heap bytes per thread, so the
 //! count covers exactly the work under test whatever other tests run
 //! alongside.
 
-use catdet_detector::{zoo, SimulatedDetector};
+use catdet_detector::{zoo, DetectorModel, SimulatedDetector};
 use catdet_geom::Box2;
 use catdet_sim::{ActorClass, GroundTruthObject};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -152,4 +152,42 @@ fn a_detector_holds_full_records_for_live_tracks_only() {
         resumed.detect_full_frame(0, FRAMES, &gts),
         detector.detect_full_frame(0, FRAMES, &gts)
     );
+}
+
+/// Heap bytes a detector over `model` holds after drawing the same
+/// `live` objects on each of 20 frames at one site, so that every track
+/// stays live and none is parked.
+fn held_by_live_tracks(model: DetectorModel, live: u64, regions: bool) -> isize {
+    let before = live_bytes();
+    let mut detector = SimulatedDetector::new(model, 1242.0, 375.0);
+    for frame in 0..20 {
+        let gts: Vec<GroundTruthObject> = (0..live).map(|track| object(track, frame)).collect();
+        if regions {
+            let boxes: Vec<Box2> = gts.iter().map(|g| g.bbox).collect();
+            detector.detect_regions(0, frame, &gts, &boxes, 30.0);
+        } else {
+            detector.detect_full_frame(0, frame, &gts);
+        }
+    }
+    live_bytes() - before
+}
+
+#[test]
+fn a_live_record_takes_at_most_480_heap_bytes_with_its_table_slack() {
+    // 40 records fill 64 buckets: the 264 bytes of a record and its key,
+    // times the table's slack of 1.6, make about 424 bytes a record.
+    const LIVE: u64 = 40;
+    for regions in [false, true] {
+        // A first pass grows this thread's region buffers, so the count
+        // sees only the measured detector's table.
+        held_by_live_tracks(zoo::resnet50(2), LIVE, regions);
+        let model = zoo::resnet50(2);
+        let held = held_by_live_tracks(model, LIVE, regions);
+        let bound = 480 * LIVE as isize;
+        assert!(
+            held <= bound,
+            "{LIVE} live tracks drawn at one site (regions: {regions}) hold {held} heap bytes \
+             (bound {bound})"
+        );
+    }
 }

@@ -44,6 +44,23 @@ pub struct CoverageGrid {
     bits: Vec<u64>,
 }
 
+/// A grid of no cells over an empty frame, holding no buffer: where a
+/// reused raster starts before its first [`reset`](CoverageGrid::reset).
+/// It covers nothing, and a box marks nothing on it.
+impl Default for CoverageGrid {
+    fn default() -> Self {
+        Self {
+            stride: 1,
+            grid_w: 0,
+            grid_h: 0,
+            width: 0.0,
+            height: 0.0,
+            row_words: 0,
+            bits: Vec::new(),
+        }
+    }
+}
+
 impl CoverageGrid {
     /// Creates an empty grid for a `width × height` frame at the given
     /// feature stride.
@@ -52,15 +69,7 @@ impl CoverageGrid {
     ///
     /// Panics if `stride == 0` or the frame has non-positive dimensions.
     pub fn new(width: f32, height: f32, stride: u32) -> Self {
-        let mut g = Self {
-            stride: 1,
-            grid_w: 0,
-            grid_h: 0,
-            width: 1.0,
-            height: 1.0,
-            row_words: 0,
-            bits: Vec::new(),
-        };
+        let mut g = Self::default();
         g.reset(width, height, stride);
         g
     }
@@ -315,6 +324,27 @@ mod tests {
         let g = CoverageGrid::new(100.0, 100.0, 10);
         assert_eq!(g.covered_cells(), 0);
         assert_eq!(g.coverage_fraction(), 0.0);
+    }
+
+    #[test]
+    fn default_grid_covers_nothing_until_reset() {
+        let mut g = CoverageGrid::default();
+        g.add_box(&Box2::new(0.0, 0.0, 50.0, 50.0));
+        assert_eq!((g.total_cells(), g.covered_cells()), (0, 0));
+        assert_eq!(g.coverage_fraction(), 0.0);
+        assert!(!g.is_covered(0.0, 0.0));
+        let fraction = masked_fraction_with(
+            &mut g,
+            &[Box2::new(0.0, 0.0, 32.0, 32.0)],
+            160.0,
+            160.0,
+            16,
+            0.0,
+        );
+        assert_eq!(
+            fraction.to_bits(),
+            masked_fraction(&[Box2::new(0.0, 0.0, 32.0, 32.0)], 160.0, 160.0, 16, 0.0).to_bits()
+        );
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! Association runs per class on a flat [`CostMatrix`] through a reusable
 //! [`AssignmentSolver`]; candidate (track, detection) pairs are gated
 //! through a [`GridIndex`] so IoU work scales with true overlaps, not
-//! tracks × detections. All buffers live in a per-tracker scratch and are
-//! reused every frame — steady-state association allocates nothing. The
-//! historical dense path is kept behind
+//! tracks × detections. The buffers live only within one update, so they
+//! belong to the calling thread, not to a tracker: every tracker a thread
+//! updates reuses one set, and steady-state association allocates
+//! nothing. The historical dense path is kept behind
 //! [`AssocBackend::Naive`](crate::config::AssocBackend) and a property
 //! test pins the two bit-for-bit.
 
 use crate::config::{AssocBackend, TrackerConfig};
 use crate::motion::MotionState;
 use catdet_geom::{hungarian_with_threshold, AssignmentSolver, Box2, CostMatrix, GridIndex};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -80,8 +82,8 @@ const NO_OVERLAP_COST: f64 = -0.0;
 /// (both fills produce identical matrices).
 const GRID_GATE_MIN_PAIRS: usize = 64;
 
-/// Reusable association buffers; see the module docs.
-#[derive(Debug, Clone, Default)]
+/// Association buffers of one update; see the module docs.
+#[derive(Debug, Default)]
 struct AssocScratch {
     /// Indices into the frame's detections passing the admission filters.
     admitted: Vec<usize>,
@@ -127,6 +129,13 @@ struct AssocScratch {
     col_local: Vec<usize>,
     /// Sub-problem cost matrix.
     sub: CostMatrix,
+}
+
+thread_local! {
+    /// The calling thread's [`AssocScratch`], which an update takes and
+    /// puts back. An update clears or rebuilds each buffer before reading
+    /// it, so no result depends on an earlier update.
+    static ASSOC_SCRATCH: Cell<AssocScratch> = Cell::new(AssocScratch::default());
 }
 
 fn uf_find(uf: &mut [u32], mut x: u32) -> u32 {
@@ -327,9 +336,10 @@ fn associate_class<C: Copy>(
 ///
 /// This is everything a tracker carries between frames — the live tracks
 /// (identity, confidence counters, full motion state) and the id
-/// allocator. Scratch buffers are deliberately excluded: they hold no
-/// cross-frame information, so a migrated tracker re-grows them on its
-/// first frame and continues **bit-identically** to one that never moved.
+/// allocator. A tracker holds no scratch: its association buffers belong
+/// to the calling thread and carry nothing from one update to the next,
+/// so a migrated tracker continues **bit-identically** to one that never
+/// moved.
 ///
 /// The in-process sharded fleet migrates a stream by relocating its whole
 /// boxed pipeline (this state travels inside it untouched); this explicit
@@ -354,7 +364,6 @@ pub struct Tracker<C> {
     cfg: TrackerConfig,
     tracks: Vec<Track<C>>,
     next_id: u64,
-    scratch: AssocScratch,
 }
 
 impl<C: Copy + Eq + Ord + Hash + Debug> Tracker<C> {
@@ -364,7 +373,6 @@ impl<C: Copy + Eq + Ord + Hash + Debug> Tracker<C> {
             cfg,
             tracks: Vec::new(),
             next_id: 0,
-            scratch: AssocScratch::default(),
         }
     }
 
@@ -422,11 +430,11 @@ impl<C: Copy + Eq + Ord + Hash + Debug> Tracker<C> {
         }
     }
 
-    /// Grid-gated association on reusable buffers: bit-for-bit the
-    /// behaviour of [`update_naive`](Self::update_naive), allocation-free
-    /// in steady state.
+    /// Grid-gated association on the thread's reusable buffers:
+    /// bit-for-bit the behaviour of [`update_naive`](Self::update_naive),
+    /// allocation-free in steady state.
     fn update_gated(&mut self, detections: &[TrackDetection<C>]) {
-        let mut s = std::mem::take(&mut self.scratch);
+        let mut s = ASSOC_SCRATCH.take();
 
         s.admitted.clear();
         s.admitted
@@ -534,7 +542,7 @@ impl<C: Copy + Eq + Ord + Hash + Debug> Tracker<C> {
             }
         }
 
-        self.scratch = s;
+        ASSOC_SCRATCH.set(s);
     }
 
     /// The historical dense association sweep, verbatim: the reference
